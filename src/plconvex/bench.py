@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .checker import CheckOptions, Convex, check_convexity
+from .checker import Convex, check_convexity
 from .normals import POLYGONAL, TraditionalFormComplex, to_standard
 
 
@@ -72,7 +72,7 @@ def run_bench(sizes, seed: int = 0) -> list[BenchRow]:
         t0 = time.perf_counter()
         std = to_standard(t)
         t1 = time.perf_counter()
-        verdict = check_convexity(std, CheckOptions(skip_validation=False))
+        verdict = check_convexity(std)
         t2 = time.perf_counter()
         if not isinstance(verdict, Convex):
             raise AssertionError(

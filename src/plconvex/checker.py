@@ -2,17 +2,20 @@
 
 A closed, connected, bounded cellwise-flat surface is the boundary of a
 convex body exactly when every corner passes the local test, so the driver
-is a loop with fail-fast semantics plus an exhaustive diagnostic variant.
+is one loop over the corners: check_convexity stops at the first failure,
+corner_report collects every result, and check_complex is the one pipeline
+(precheck, conversion, check) that the library and the CLI share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Literal
 
 from .complexes import CellId, StandardFormComplex, validate_standard, wheel_star
 from .errors import InvalidInputError
-from .local import Cone, FlatPass, Inconsistent, check_cone_convex, reduce_to_3d
+from .local import FlatPass, Inconsistent, check_cone_convex, reduce_to_3d
 from .normals import TraditionalFormComplex, to_standard
 
 INCONSISTENT = "inconsistent"
@@ -43,12 +46,10 @@ Verdict = Convex | NotConvex | InvalidInput
 class CheckOptions:
     """Tuning knobs for check_convexity.
 
-    skip_validation trusts a complex validated earlier in the same pipeline;
     reverse_rims flips every wheel's rim direction (verdicts must not change,
     which the test suite exercises).
     """
 
-    skip_validation: bool = False
     reverse_rims: bool = False
 
 
@@ -60,19 +61,29 @@ class CornerResult:
     detail: str = ""
 
 
-def _local_result(
-    complex: StandardFormComplex, corner: CellId, reverse: bool
-) -> CornerResult:
-    star = wheel_star(complex, corner, reverse=reverse)
-    verdict = reduce_to_3d(star)
-    if isinstance(verdict, Inconsistent):
-        return CornerResult(corner, False, "inconsistent", verdict.reason)
-    if isinstance(verdict, FlatPass):
-        return CornerResult(corner, True, "flat")
-    assert isinstance(verdict, Cone)
-    if check_cone_convex(verdict.realization):
-        return CornerResult(corner, True, "cone")
-    return CornerResult(corner, False, "non_convex_cone")
+def _corner_results(
+    complex: StandardFormComplex, reverse: bool
+) -> Iterator[CornerResult]:
+    """The driver loop: one local test per corner, in corner index order."""
+    for corner in complex.corners():
+        verdict = reduce_to_3d(wheel_star(complex, corner, reverse=reverse))
+        if isinstance(verdict, Inconsistent):
+            yield CornerResult(corner, False, "inconsistent", verdict.reason)
+        elif isinstance(verdict, FlatPass):
+            yield CornerResult(corner, True, "flat")
+        elif check_cone_convex(verdict.realization):
+            yield CornerResult(corner, True, "cone")
+        else:
+            yield CornerResult(corner, False, "non_convex_cone")
+
+
+def _verdict_of(results: Iterable[CornerResult]) -> Verdict:
+    """NotConvex at the first failing result, else Convex; stops there."""
+    for r in results:
+        if not r.passed:
+            reason = INCONSISTENT if r.kind == "inconsistent" else NON_CONVEX_CONE
+            return NotConvex(reason=reason, witness=r.corner)
+    return Convex()
 
 
 def check_convexity(
@@ -84,19 +95,11 @@ def check_convexity(
     independent of any parallel scheduling a caller might add on top.
     """
     opts = options or CheckOptions()
-    if not opts.skip_validation:
-        try:
-            validate_standard(complex)
-        except InvalidInputError as exc:
-            return InvalidInput(str(exc))
-    for corner in complex.corners():
-        result = _local_result(complex, corner, opts.reverse_rims)
-        if not result.passed:
-            reason = (
-                INCONSISTENT if result.kind == "inconsistent" else NON_CONVEX_CONE
-            )
-            return NotConvex(reason=reason, witness=corner)
-    return Convex()
+    try:
+        validate_standard(complex)
+    except InvalidInputError as exc:
+        return InvalidInput(str(exc))
+    return _verdict_of(_corner_results(complex, opts.reverse_rims))
 
 
 def corners_checked(complex: StandardFormComplex, verdict: Verdict) -> int:
@@ -115,15 +118,12 @@ def corner_report(
 ) -> list[CornerResult]:
     """Exhaustive per-corner diagnostics, in corner index order.
 
-    check_convexity returns Convex exactly when every entry passes.
+    Raises InvalidInputError on invalid input.  check_convexity returns
+    Convex exactly when every entry passes.
     """
     opts = options or CheckOptions()
-    if not opts.skip_validation:
-        validate_standard(complex)
-    return [
-        _local_result(complex, corner, opts.reverse_rims)
-        for corner in complex.corners()
-    ]
+    validate_standard(complex)
+    return list(_corner_results(complex, opts.reverse_rims))
 
 
 def precheck_edge_count(t: TraditionalFormComplex) -> Verdict:
@@ -144,26 +144,66 @@ def precheck_edge_count(t: TraditionalFormComplex) -> Verdict:
     return Convex()
 
 
-def check_traditional(
-    t: TraditionalFormComplex,
-    options: CheckOptions | None = None,
+@dataclass(frozen=True)
+class CheckRun:
+    """Outcome of check_complex.
+
+    standard is the complex the local tests ran on (None when the precheck or
+    the conversion decided first); results is the exhaustive report, set only
+    when one was asked for and the input was valid.
+    """
+
+    verdict: Verdict
+    standard: StandardFormComplex | None = None
+    results: list[CornerResult] | None = None
+
+    @property
+    def corners_checked(self) -> int:
+        if self.results is not None:
+            return len(self.results)
+        if self.standard is None:
+            return 0
+        return corners_checked(self.standard, self.verdict)
+
+
+def check_complex(
+    obj: TraditionalFormComplex | StandardFormComplex,
+    exhaustive: bool = False,
     precheck: bool = True,
+) -> CheckRun:
+    """The pipeline for either input form: precheck, convert, check.
+
+    The R^3 edge-count precheck applies to traditional input and decides
+    with zero corners checked.  With exhaustive, every corner is tested once
+    and the verdict (witness included) is read off that single report.
+    """
+    if isinstance(obj, TraditionalFormComplex):
+        try:
+            if obj.n == 3 and precheck:
+                pre = precheck_edge_count(obj)
+                if isinstance(pre, NotConvex):
+                    return CheckRun(pre)
+            std = to_standard(obj)
+        except InvalidInputError as exc:
+            return CheckRun(InvalidInput(str(exc)))
+    else:
+        std = obj
+    if not exhaustive:
+        return CheckRun(check_convexity(std), std)
+    try:
+        results = corner_report(std)
+    except InvalidInputError as exc:
+        return CheckRun(InvalidInput(str(exc)), std)
+    return CheckRun(_verdict_of(results), std, results)
+
+
+def check_traditional(
+    t: TraditionalFormComplex, precheck: bool = True
 ) -> tuple[Verdict, int]:
     """Full pipeline for traditional input: precheck, convert, check.
 
     Returns (verdict, corners_checked).  The precheck applies to R^3 input
     and short-circuits with zero corners checked.
     """
-    if t.n == 3 and precheck:
-        try:
-            pre = precheck_edge_count(t)
-        except InvalidInputError as exc:
-            return InvalidInput(str(exc)), 0
-        if isinstance(pre, NotConvex):
-            return pre, 0
-    try:
-        std = to_standard(t)
-    except InvalidInputError as exc:
-        return InvalidInput(str(exc)), 0
-    verdict = check_convexity(std, options)
-    return verdict, corners_checked(std, verdict)
+    run = check_complex(t, precheck=precheck)
+    return run.verdict, run.corners_checked

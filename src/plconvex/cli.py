@@ -13,21 +13,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .checker import (
-    CheckOptions,
-    Convex,
-    InvalidInput,
-    NotConvex,
-    Verdict,
-    check_convexity,
-    corner_report,
-    corners_checked,
-    precheck_edge_count,
-)
-from .complexes import StandardFormComplex, face_counts
+from .checker import Convex, InvalidInput, NotConvex, Verdict, check_complex
+from .complexes import face_counts
 from .errors import InvalidInputError, NotSimplicial, ParseError, PLConvexError
 from .formats import parse_path, serialize_off, serialize_plc
-from .normals import TraditionalFormComplex, to_standard
+from .normals import TraditionalFormComplex
 from .oracle import dent, gen_convex_surface, is_hull_boundary
 
 EXIT_CONVEX = 0
@@ -84,10 +74,13 @@ class Report:
         if self.exhaustive is not None:
             lines.append("per-corner results:")
             for entry in self.exhaustive:
-                lines.append(
+                line = (
                     f"  corner {entry['index']}: "
                     f"{'pass' if entry['passed'] else 'FAIL'} ({entry['kind']})"
                 )
+                if entry["detail"]:
+                    line += f": {entry['detail']}"
+                lines.append(line)
         return "\n".join(lines)
 
 
@@ -114,9 +107,8 @@ def exit_code_for(verdict: Verdict) -> int:
 def run_check(obj, exhaustive: bool = False) -> tuple[Report, Verdict]:
     """Check a parsed complex (either form) and assemble the report."""
     start = time.perf_counter()
-    report = Report(verdict="invalid_input")
-    std: StandardFormComplex | None = None
-    checked = 0
+    run = check_complex(obj, exhaustive=exhaustive)
+    report = Report(*_verdict_fields(run.verdict))
     if isinstance(obj, TraditionalFormComplex):
         report.counts["f"] = {
             0: len(obj.vertices),
@@ -124,45 +116,24 @@ def run_check(obj, exhaustive: bool = False) -> tuple[Report, Verdict]:
             obj.n - 2: len(obj.ridges),
             obj.n - 1: len(obj.facets),
         }
-        verdict: Verdict | None = None
-        if obj.n == 3:
-            try:
-                pre = precheck_edge_count(obj)
-            except InvalidInputError as exc:
-                pre = InvalidInput(str(exc))
-            if not isinstance(pre, Convex):
-                verdict = pre
-        if verdict is None:
-            try:
-                std = to_standard(obj)
-            except (InvalidInputError, ParseError) as exc:
-                verdict = InvalidInput(str(exc))
-    else:
-        std = obj
-        verdict = None
-    if std is not None and verdict is None:
-        verdict = check_convexity(std)
-        checked = corners_checked(std, verdict)
-        counts = face_counts(std)
+    if run.standard is not None:
+        counts = face_counts(run.standard)
         report.counts.setdefault("f", {}).update(counts.by_dim)
         report.counts["corner_ridge_incidences"] = counts.corner_ridge
-        if exhaustive and not isinstance(verdict, InvalidInput):
-            results = corner_report(std, CheckOptions(skip_validation=True))
-            checked = len(results)
-            report.exhaustive = [
-                {
-                    "dim": r.corner.dim,
-                    "index": r.corner.index,
-                    "passed": r.passed,
-                    "kind": r.kind,
-                    "detail": r.detail,
-                }
-                for r in results
-            ]
-    report.verdict, report.reason, report.witness = _verdict_fields(verdict)
-    report.corners_checked = checked
+    if run.results is not None:
+        report.exhaustive = [
+            {
+                "dim": r.corner.dim,
+                "index": r.corner.index,
+                "passed": r.passed,
+                "kind": r.kind,
+                "detail": r.detail,
+            }
+            for r in run.results
+        ]
+    report.corners_checked = run.corners_checked
     report.elapsed_seconds = time.perf_counter() - start
-    return report, verdict
+    return report, run.verdict
 
 
 def _cmd_check(args) -> int:
@@ -224,8 +195,6 @@ def _cmd_stats(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import format_bench, run_bench
 
-    if args.dims != 3:
-        raise InvalidInputError("the fast benchmark generator is R^3 only")
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = run_bench(sizes, seed=args.seed)
     print(format_bench(rows))
@@ -283,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("bench", help="scaling benchmark on sphere hulls")
-    p.add_argument("--dims", type=int, default=3)
     p.add_argument("--sizes", default="1000,10000")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

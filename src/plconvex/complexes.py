@@ -56,8 +56,6 @@ class StandardFormComplex:
     """P[n-3, n-2, n-1] with normals per corner-ridge/corner-facet incidence.
 
     Cells are addressed by (dim, index) with indices dense per dimension.
-    Instances are immutable after construction except for the per-corner wheel
-    cache, whose writes are idempotent and therefore safe under concurrency.
     """
 
     def __init__(
@@ -81,7 +79,6 @@ class StandardFormComplex:
         self.corner_ridges = [[] for _ in range(num_corners)]
         self.corner_facets = [[] for _ in range(num_corners)]
         self.ridge_facets = [[] for _ in range(num_ridges)]
-        self._corner_facet_set: set[tuple[int, int]] = set()
         for c, r in corner_ridge_pairs:
             self._check_index(c, num_corners, "corner")
             self._check_index(r, num_ridges, "ridge")
@@ -90,14 +87,12 @@ class StandardFormComplex:
             self._check_index(c, num_corners, "corner")
             self._check_index(f, num_facets, "facet")
             self.corner_facets[c].append(f)
-            self._corner_facet_set.add((c, f))
         for r, f in ridge_facet_pairs:
             self._check_index(r, num_ridges, "ridge")
             self._check_index(f, num_facets, "facet")
             self.ridge_facets[r].append(f)
         self.ridge_normals = dict(ridge_normals)
         self.facet_normals = dict(facet_normals)
-        self._wheel_cache: dict[tuple[int, bool], WheelStar] = {}
 
     @staticmethod
     def _check_index(i: int, count: int, kind: str) -> None:
@@ -106,18 +101,8 @@ class StandardFormComplex:
 
     # -- cell id helpers -------------------------------------------------
 
-    @property
-    def corner_dim(self) -> int:
-        return self.n - 3
-
     def corner_id(self, index: int) -> CellId:
         return CellId(self.n - 3, index)
-
-    def ridge_id(self, index: int) -> CellId:
-        return CellId(self.n - 2, index)
-
-    def facet_id(self, index: int) -> CellId:
-        return CellId(self.n - 1, index)
 
     def corners(self):
         return (self.corner_id(i) for i in range(self.num_corners))
@@ -128,9 +113,10 @@ def validate_standard(complex: StandardFormComplex) -> None:
 
     Valid means: every ridge bounds exactly two facets, the incidence relation
     is closed (a corner on a ridge is on the ridge's facets), every incidence
-    carries exactly one nonzero normal and there are no stray normals, every
-    corner's star walks as a single wheel with m >= 2, the normals at a corner
-    span at most 3 dimensions, and the facet adjacency graph is connected.
+    carries exactly one nonzero normal of length n and there are no stray
+    normals, every corner's star walks as a single wheel with m >= 2, the
+    normals at a corner span at most 3 dimensions (automatic at n = 3), and
+    the facet adjacency graph is connected.
     """
     cx = complex
     for r in range(cx.num_ridges):
@@ -174,6 +160,8 @@ def validate_standard(complex: StandardFormComplex) -> None:
                         f"but not on its facet {f}"
                     )
         _walk_wheel(cx, c)  # raises on multi-cycle / broken stars
+        if cx.n == 3:  # length-3 normals cannot span 4 dimensions
+            continue
         normals = [cx.ridge_normals[(c, r)] for r in cx.corner_ridges[c]]
         normals += [cx.facet_normals[(c, f)] for f in cx.corner_facets[c]]
         rank, _ = rank_le3(normals)
@@ -238,28 +226,22 @@ def wheel_star(
     """The corner's star as a wheel with deterministic rim order.
 
     `reverse` flips the rim direction; verdicts downstream are required to be
-    invariant under it (exercised by tests).  Results are cached per corner.
+    invariant under it (exercised by tests).
     """
     c = corner.index
-    key = (c, reverse)
-    cached = complex._wheel_cache.get(key)
-    if cached is not None:
-        return cached
     rim_r, rim_f = _walk_wheel(complex, c)
     if reverse:
         # Keep the start ridge, reverse the traversal: facet i must still join
         # rim ridges i and i+1.
         rim_r = [rim_r[0]] + rim_r[:0:-1]
         rim_f = rim_f[::-1]
-    star = WheelStar(
+    return WheelStar(
         corner=corner,
         rim_ridges=tuple(rim_r),
         rim_facets=tuple(rim_f),
         ridge_normals=tuple(complex.ridge_normals[(c, r)] for r in rim_r),
         facet_normals=tuple(complex.facet_normals[(c, f)] for f in rim_f),
     )
-    complex._wheel_cache[key] = star
-    return star
 
 
 def face_counts(complex: StandardFormComplex) -> FaceCounts:

