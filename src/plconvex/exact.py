@@ -4,7 +4,8 @@ Scalars are plain Python ints or fractions.Fraction; both are exact and mix
 freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
 operations the checker actually needs live here: signs of 2- and 3-frames,
-ranks up to 3, collinearity coefficients, and dot-product coordinates.
+ranks up to 3, collinearity coefficients, dot-product coordinates, and
+quotients known to be exact.
 """
 
 from __future__ import annotations
@@ -80,27 +81,52 @@ def sign_det3(a: Vector, b: Vector, c: Vector) -> int:
     return (det > 0) - (det < 0)
 
 
-def collinearity_coefficient(v: Vector, w: Vector) -> Scalar | None:
-    """Return lambda with w == lambda * v, or None if w is not a multiple.
+def _multiple_pivot(v: Vector, w: Vector) -> int | None:
+    """Pivot index of v (its first nonzero entry) if w is a multiple of v.
 
-    Raises ZeroVector for v == 0.
+    Returns None when w is not a multiple; raises ZeroVector for v == 0.
+    The cross-multiplied comparison keeps everything division-free.
     """
     pivot = next((i for i, c in enumerate(v) if c != 0), None)
     if pivot is None:
         raise ZeroVector("collinearity against the zero vector")
     vp = v[pivot]
     wp = w[pivot]
-    # Cross-multiplied comparison keeps everything division-free.
     for a, b in zip(v, w, strict=True):
         if a * wp != b * vp:
             return None
-    return as_exact(Fraction(wp) / Fraction(vp))
+    return pivot
+
+
+def collinearity_coefficient(v: Vector, w: Vector) -> Scalar | None:
+    """Return lambda with w == lambda * v, or None if w is not a multiple.
+
+    Raises ZeroVector for v == 0.
+    """
+    pivot = _multiple_pivot(v, w)
+    if pivot is None:
+        return None
+    return as_exact(Fraction(w[pivot]) / Fraction(v[pivot]))
 
 
 def same_ray(v: Vector, w: Vector) -> bool:
     """True iff w = lambda * v with lambda > 0 (both nonzero)."""
-    lam = collinearity_coefficient(v, w)
-    return lam is not None and lam > 0
+    pivot = _multiple_pivot(v, w)
+    return pivot is not None and v[pivot] * w[pivot] > 0
+
+
+def exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b for a b known to divide a; int operands give an int.
+
+    Raises ArithmeticError if int division leaves a remainder, which means
+    the caller's divisibility argument does not hold.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError(f"{b} does not divide {a}")
+        return q
+    return as_exact(Fraction(a) / b)
 
 
 def _reduce(v: Vector, echelon: list[tuple[Vector, int]]) -> Vector:

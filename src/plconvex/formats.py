@@ -321,8 +321,16 @@ def serialize_plc(obj: StandardFormComplex | TraditionalFormComplex) -> str:
 
 def parse_path(path: str, fmt: str | None = None):
     """Parse a surface file, inferring the format from the extension."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII", line
+        ) from None
     if fmt is None:
         fmt = "off" if path.lower().endswith(".off") else "plc"
     if fmt == "off":

@@ -8,13 +8,17 @@ are vertex differences and corner-facet normals are in-plane interior
 directions that work for non-convex polygons too.
 
 Normals are never normalized to unit length: the checker only consumes
-signs, and unit vectors would leave the rational field.
+signs, and unit vectors would leave the rational field.  Any positive
+scaling is free for the same reason, and the construction uses it to stay
+in integers: to_standard clears the coordinate denominators once, the Gram
+projection is fraction-free, and straight polygon vertices multiply instead
+of dividing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .complexes import StandardFormComplex
@@ -31,6 +35,7 @@ from .exact import (
     as_exact,
     collinearity_coefficient,
     dot,
+    exact_quotient,
     is_zero,
     rank_le3,
     sign,
@@ -80,35 +85,54 @@ class TraditionalFormComplex:
 # ---------------------------------------------------------------------------
 
 
-def _solve_sym(g: list[list[Scalar]], rhs: list[Scalar]) -> list[Fraction]:
-    """Solve a small nonsingular symmetric system by Gaussian elimination."""
+def _adjugate_solve(g: list[list[Scalar]],
+                    rhs: list[Scalar]) -> tuple[Scalar, list[Scalar]]:
+    """(det G, adj(G) rhs) for a positive definite G, fraction-free.
+
+    Gauss-Jordan form of Bareiss elimination (Bareiss 1968): every entry
+    after step p is a minor of [G | rhs], so each division by the previous
+    pivot is exact, and the pivots are the leading principal minors of G.
+    Those are positive for a Gram matrix of independent vectors, so no row
+    exchange is needed.  At the end the left block is det(G) times the
+    identity and the right column is det(G) G^-1 rhs = adj(G) rhs.
+    """
     k = len(g)
-    a = [[Fraction(g[i][j]) for j in range(k)] + [Fraction(rhs[i])]
-         for i in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
+    a = [[*row, r] for row, r in zip(g, rhs)]
+    prev = 1
+    for p in range(k):
+        top = a[p]
+        pv = top[p]
+        if pv <= 0:
             raise DegenerateCell("singular Gram system")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col] / pv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][k] / a[i][i] for i in range(k)]
+        for i in range(k):
+            if i == p:
+                continue
+            row = a[i]
+            f = row[p]
+            a[i] = [
+                0 if j == p else exact_quotient(pv * x - f * y, prev)
+                for j, (x, y) in enumerate(zip(row, top))
+            ]
+        prev = pv
+    return prev, [row[k] for row in a]
 
 
 def orthogonal_component(x: Vector, basis: list[Vector]) -> Vector:
-    """x minus its exact orthogonal projection onto span(basis)."""
+    """det(G) times x minus its exact orthogonal projection onto span(basis).
+
+    G is the Gram matrix of the (independent) basis, so det(G) > 0 and the
+    result lies on the ray of the true residual.  Integer input gives an
+    integer result; the factor is the same for every x against one basis.
+    """
     if not basis:
         return x
     gram = [[dot(a, b) for b in basis] for a in basis]
     rhs = [dot(a, x) for a in basis]
-    lam = _solve_sym(gram, rhs)
-    out = x
-    for coeff, b in zip(lam, basis):
+    det, coeffs = _adjugate_solve(gram, rhs)
+    out = tuple(det * c for c in x)
+    for coeff, b in zip(coeffs, basis):
         out = vsub(out, tuple(coeff * c for c in b))
-    return tuple(as_exact(c) for c in out)
+    return out
 
 
 def _direction_basis(vertex_ids, coords) -> list[Vector]:
@@ -283,6 +307,15 @@ def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
     side fixed by the polygon's orientation.  Avoids angle bisectors, which
     would need square roots.
     """
+    return _inner_direction(vid, cycle, coords)
+
+
+def _inner_direction(vid: int, cycle, coords, framed=None) -> Vector:
+    """facet_inner_direction_polygon with the polygon_frame result given.
+
+    framed is polygon_frame(cycle, coords), or None to compute it here when
+    the polygon is not a triangle.
+    """
     k = len(cycle)
     j = cycle.index(vid)
     v = coords(vid)
@@ -296,7 +329,7 @@ def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
         if is_zero(d) or collinearity_coefficient(a, b) is not None:
             raise NotPlanar(f"degenerate triangle at vertex {vid}")
         return d
-    frame, orientation = polygon_frame(cycle, coords)
+    frame, orientation = framed or polygon_frame(cycle, coords)
     chi = frame.orient(a, b)
     if chi != 0:
         d = vadd(a, b)
@@ -304,10 +337,11 @@ def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
     lam = collinearity_coefficient(a, b)
     if lam is None or lam > 0:
         raise DegenerateVertex(f"zero interior angle at vertex {vid}")
-    # Straight vertex: perpendicular to the edge on the interior side.
+    # Straight vertex: perpendicular to the edge on the interior side,
+    # scaled by |a|^2 so that no division is needed.
     x = frame.e1 if collinearity_coefficient(a, frame.e1) is None else frame.e2
-    scale = Fraction(dot(x, a), dot(a, a))
-    d = tuple(as_exact(xc - scale * ac) for xc, ac in zip(x, a))
+    aa, xa = dot(a, a), dot(x, a)
+    d = tuple(aa * xc - xa * ac for xc, ac in zip(x, a))
     travel = tuple(-c for c in a)
     if frame.orient(travel, d) != orientation:
         d = tuple(-c for c in d)
@@ -458,14 +492,33 @@ def _full_rank(vectors) -> int:
     return len(echelon)
 
 
+def _integer_coords(t: TraditionalFormComplex):
+    """Coordinate lookup over the vertices scaled by their common denominator.
+
+    A uniform positive scaling keeps every ray, so normals built from the
+    scaled table are positive multiples of the true ones; integer
+    coordinates keep the whole construction in int arithmetic.  t.vertices
+    itself is left as it is.
+    """
+    scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
+    table = [
+        tuple(c.numerator * (scale // c.denominator) for c in v)
+        for v in t.vertices
+    ]
+    return table.__getitem__
+
+
 def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
     """Populate all corner-ridge and corner-facet normals exactly.
 
-    Cell indices carry over unchanged, so witnesses agree between a
-    traditional check and a converted standard-form check.
+    Normals are built from the vertices scaled to integers, so every normal
+    of every traditional input is an integer vector.  Cell indices carry
+    over unchanged, so witnesses agree between a traditional check and a
+    converted standard-form check.
     """
     validate_traditional(t)
     cr, cf, rf = derive_incidences(t)
+    coords = _integer_coords(t)
     ridge_normals = {}
     facet_normals = {}
     try:
@@ -474,20 +527,24 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
                 v = t.corners[ci][0]
                 a, b = t.ridges[ri]
                 other = b if a == v else a
-                ridge_normals[(ci, ri)] = vsub(t.coords(other), t.coords(v))
+                ridge_normals[(ci, ri)] = vsub(coords(other), coords(v))
+            frames = [
+                polygon_frame(cycle, coords) if len(cycle) > 3 else None
+                for cycle in t.facets
+            ]
             for ci, fi in cf:
                 v = t.corners[ci][0]
-                facet_normals[(ci, fi)] = facet_inner_direction_polygon(
-                    v, t.facets[fi], t.coords
+                facet_normals[(ci, fi)] = _inner_direction(
+                    v, t.facets[fi], coords, frames[fi]
                 )
         else:
             for ci, ri in cr:
                 ridge_normals[(ci, ri)] = ridge_normal_simplicial(
-                    t.corners[ci], t.ridges[ri], t.coords
+                    t.corners[ci], t.ridges[ri], coords
                 )
             for ci, fi in cf:
                 facet_normals[(ci, fi)] = facet_normal_simplicial(
-                    t.corners[ci], t.facets[fi], t.coords
+                    t.corners[ci], t.facets[fi], coords
                 )
     except (DegenerateCell, DegenerateVertex, NotPlanar) as exc:
         raise InvalidInputError(f"normal construction failed: {exc}") from exc

@@ -162,6 +162,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "non_ascii"])
+def test_unreadable_path_exit_code(tmp_path, capsys, kind):
+    path = tmp_path / "surface.off"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non_ascii":
+        path.write_bytes(b"OFF\n\xff\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     bad = CUBE_OFF.replace("2 2 0", "2 2 1", 1)  # non-planar facet
     path = tmp_path / "bad.off"

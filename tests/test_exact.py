@@ -9,9 +9,11 @@ from plconvex.exact import (
     as_exact,
     collinearity_coefficient,
     coords_in_basis,
+    exact_quotient,
     format_rational,
     parse_rational,
     rank_le3,
+    same_ray,
     sign_det3,
 )
 
@@ -117,6 +119,30 @@ def test_collinearity_coefficient():
     assert collinearity_coefficient((1, 2, 0), (1, 0, 0)) is None
     with pytest.raises(ZeroVector):
         collinearity_coefficient((0, 0, 0), (1, 0, 0))
+
+
+def test_same_ray_matches_positive_coefficient():
+    rng = random.Random(5)
+    for _ in range(500):
+        v = tuple(rng.randrange(-2, 3) for _ in range(3))
+        if v == (0, 0, 0):
+            continue
+        lam = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        w = tuple(lam * c for c in v)
+        if rng.random() < 0.3:
+            w = tuple(rng.randrange(-2, 3) for _ in range(3))
+        coeff = collinearity_coefficient(v, w)
+        assert same_ray(v, w) == (coeff is not None and coeff > 0)
+    with pytest.raises(ZeroVector):
+        same_ray((0, 0, 0), (1, 0, 0))
+
+
+def test_exact_quotient():
+    assert exact_quotient(-12, 4) == -3
+    assert type(exact_quotient(12, 4)) is int
+    assert exact_quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    with pytest.raises(ArithmeticError):
+        exact_quotient(7, 2)
 
 
 def test_coords_in_basis_examples():

@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     octahedron_traditional,
     simplex_boundary,
+    simplicial_surface,
 )
 from plconvex import (
     Convex,
@@ -23,8 +28,12 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.exact import dot, rank_le3, vsub
-from plconvex.normals import TraditionalFormComplex, validate_polygon
-from plconvex.oracle import is_hull_boundary
+from plconvex.normals import (
+    TraditionalFormComplex,
+    orthogonal_component,
+    validate_polygon,
+)
+from plconvex.oracle import dent, is_hull_boundary
 
 
 def _coords(table):
@@ -94,6 +103,108 @@ def test_ridge_normal_perpendicular_and_contained():
         # is a combination of d1 and (p2 - p0) exactly.
         d2 = vsub(pts[2], pts[0])
         assert in_span(w, [d1, d2])
+
+
+def _reference_component(x, basis):
+    """x minus its orthogonal projection onto span(basis), in Fractions.
+
+    Solves the Gram system by Gauss-Jordan elimination with row exchanges;
+    returns None when the basis is dependent.
+    """
+    k = len(basis)
+    a = [[Fraction(dot(p, q)) for q in basis] + [Fraction(dot(p, x))]
+         for p in basis]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                a[r] = [p - factor * q for p, q in zip(a[r], a[col])]
+    out = [Fraction(c) for c in x]
+    for i, b in enumerate(basis):
+        lam = a[i][k] / a[i][i]
+        out = [o - lam * c for o, c in zip(out, b)]
+    return tuple(out)
+
+
+def _positive_multiple(w, v) -> bool:
+    """w = lambda * v for some lambda > 0, or both are zero."""
+    pivot = next((i for i, c in enumerate(v) if c != 0), None)
+    if pivot is None:
+        return all(c == 0 for c in w)
+    lam = Fraction(w[pivot]) / Fraction(v[pivot])
+    return lam > 0 and all(p == lam * q for p, q in zip(w, v))
+
+
+_ENTRIES = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def _projection_cases(draw):
+    n = draw(st.integers(4, 6))
+    k = draw(st.integers(0, n - 3))
+    vector = st.tuples(*[_ENTRIES] * n)
+    return draw(vector), draw(st.lists(vector, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_cases())
+def test_orthogonal_component_positive_multiple_of_reference(case):
+    x, basis = case
+    expected = _reference_component(x, basis)
+    assume(expected is not None)
+    # Denominators cleared once, as to_standard does: the integer result
+    # is a positive multiple of the true residual.
+    scale = math.lcm(*(Fraction(c).denominator for v in (x, *basis) for c in v))
+    int_x, *int_basis = [
+        tuple(int(c * scale) for c in v) for v in (x, *basis)
+    ]
+    w = orthogonal_component(int_x, int_basis)
+    assert all(type(c) is int for c in w)
+    assert all(dot(w, b) == 0 for b in int_basis)
+    assert _positive_multiple(w, expected)
+    # Rational input stays exact, on the same ray.
+    w = orthogonal_component(x, basis)
+    assert all(dot(w, b) == 0 for b in basis)
+    assert _positive_multiple(w, expected)
+
+
+def _cyclic_polytope_4d(m):
+    """Boundary of C(m, 4) on the moment curve, facets by Gale evenness."""
+    vertices = [(t, t * t, t ** 3, t ** 4) for t in range(m)]
+    facets = []
+    for s in combinations(range(m), 4):
+        members = set(s)
+        outside = [i for i in range(m) if i not in members]
+        if all(
+            sum(1 for v in s if i < v < j) % 2 == 0
+            for i, j in combinations(outside, 2)
+        ):
+            facets.append(s)
+    return simplicial_surface(4, vertices, facets)
+
+
+def test_to_standard_integer_normals_n4():
+    cyclic = _cyclic_polytope_4d(12)
+    dented = dent(cyclic, 5, Fraction(3, 4))
+    assert any(isinstance(c, Fraction) for c in dented.vertices[5])
+    for t, convex in ((cyclic, True), (dented, False)):
+        before = list(t.vertices)
+        std = to_standard(t)
+        assert t.vertices == before
+        for normals in (std.ridge_normals, std.facet_normals):
+            assert all(
+                type(c) is int for w in normals.values() for c in w
+            )
+        verdict = check_convexity(std)
+        assert isinstance(verdict, Convex) == convex
+        assert is_hull_boundary(t) == convex
 
 
 # ---------------------------------------------------------------------------
