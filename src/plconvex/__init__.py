@@ -1,7 +1,6 @@
 """Exact convexity verification for closed piecewise-linear hypersurfaces."""
 
 from .checker import (
-    CheckOptions,
     Convex,
     CornerResult,
     InvalidInput,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellId",
-    "CheckOptions",
     "Cone",
     "ConeRealization3D",
     "Convex",

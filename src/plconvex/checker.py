@@ -43,17 +43,6 @@ Verdict = Convex | NotConvex | InvalidInput
 
 
 @dataclass(frozen=True)
-class CheckOptions:
-    """Tuning knobs for check_convexity.
-
-    reverse_rims flips every wheel's rim direction (verdicts must not change,
-    which the test suite exercises).
-    """
-
-    reverse_rims: bool = False
-
-
-@dataclass(frozen=True)
 class CornerResult:
     corner: CellId
     passed: bool
@@ -87,19 +76,20 @@ def _verdict_of(results: Iterable[CornerResult]) -> Verdict:
 
 
 def check_convexity(
-    complex: StandardFormComplex, options: CheckOptions | None = None
+    complex: StandardFormComplex, reverse: bool = False
 ) -> Verdict:
     """Verdict for a standard-form complex; stops at the first failing corner.
 
     Corners are processed in index order, so the witness is deterministic and
     independent of any parallel scheduling a caller might add on top.
+    reverse flips every wheel's rim direction (verdicts must not change,
+    which the test suite exercises).
     """
-    opts = options or CheckOptions()
     try:
         validate_standard(complex)
     except InvalidInputError as exc:
         return InvalidInput(str(exc))
-    return _verdict_of(_corner_results(complex, opts.reverse_rims))
+    return _verdict_of(_corner_results(complex, reverse))
 
 
 def corners_checked(complex: StandardFormComplex, verdict: Verdict) -> int:
@@ -114,16 +104,15 @@ def corners_checked(complex: StandardFormComplex, verdict: Verdict) -> int:
 
 
 def corner_report(
-    complex: StandardFormComplex, options: CheckOptions | None = None
+    complex: StandardFormComplex, reverse: bool = False
 ) -> list[CornerResult]:
     """Exhaustive per-corner diagnostics, in corner index order.
 
     Raises InvalidInputError on invalid input.  check_convexity returns
     Convex exactly when every entry passes.
     """
-    opts = options or CheckOptions()
     validate_standard(complex)
-    return list(_corner_results(complex, opts.reverse_rims))
+    return list(_corner_results(complex, reverse))
 
 
 def precheck_edge_count(t: TraditionalFormComplex) -> Verdict:

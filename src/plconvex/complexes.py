@@ -116,7 +116,8 @@ def validate_standard(complex: StandardFormComplex) -> None:
     carries exactly one nonzero normal of length n and there are no stray
     normals, every corner's star walks as a single wheel with m >= 2, the
     normals at a corner span at most 3 dimensions (automatic at n = 3), and
-    the facet adjacency graph is connected.
+    the facet adjacency graph is connected.  Each corner's corner_ridges and
+    corner_facets are left in the walk's rim order, which wheel_star reads.
     """
     cx = complex
     for r in range(cx.num_ridges):
@@ -159,7 +160,7 @@ def validate_standard(complex: StandardFormComplex) -> None:
                         f"incidence not closed: corner {c} on ridge {r} "
                         f"but not on its facet {f}"
                     )
-        _walk_wheel(cx, c)  # raises on multi-cycle / broken stars
+        cx.corner_ridges[c], cx.corner_facets[c] = _walk_wheel(cx, c)
         if cx.n == 3:  # length-3 normals cannot span 4 dimensions
             continue
         normals = [cx.ridge_normals[(c, r)] for r in cx.corner_ridges[c]]
@@ -223,13 +224,14 @@ def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
 def wheel_star(
     complex: StandardFormComplex, corner: CellId, reverse: bool = False
 ) -> WheelStar:
-    """The corner's star as a wheel with deterministic rim order.
+    """The corner's star as a wheel, read from a validated complex.
 
-    `reverse` flips the rim direction; verdicts downstream are required to be
+    validate_standard leaves each corner's lists in rim order.  `reverse`
+    flips the rim direction; verdicts downstream are required to be
     invariant under it (exercised by tests).
     """
     c = corner.index
-    rim_r, rim_f = _walk_wheel(complex, c)
+    rim_r, rim_f = complex.corner_ridges[c], complex.corner_facets[c]
     if reverse:
         # Keep the start ridge, reverse the traversal: facet i must still join
         # rim ridges i and i+1.

@@ -156,6 +156,13 @@ def _plc_tokens(text: str):
             yield i + 1, s.split()
 
 
+def _int(token: str, ln: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", ln) from None
+
+
 def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
     """Parse a PLC document into the declared in-memory form."""
     tokens = list(_plc_tokens(text))
@@ -172,7 +179,7 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
         if tok[0] == "form" and len(tok) == 2:
             form = tok[1]
         elif tok[0] == "n" and len(tok) == 2:
-            n = int(tok[1])
+            n = _int(tok[1], ln)
         else:
             raise ParseError(f"expected form/n declarations, got {tok[0]!r}", ln)
         i += 1
@@ -194,7 +201,7 @@ def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
         if kind == "vertex":
             if len(tok) != n + 2:
                 raise ParseError(f"vertex line needs id + {n} coordinates", ln)
-            vid = int(tok[1])
+            vid = _int(tok[1], ln)
             if vid in vertices:
                 raise ParseError(f"duplicate vertex id {vid}", ln)
             try:
@@ -202,10 +209,12 @@ def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coordinate: {exc}", ln) from None
         elif kind in cells:
-            idx = int(tok[1])
+            if len(tok) < 2:
+                raise ParseError(f"{kind} line needs an id", ln)
+            idx = _int(tok[1], ln)
             if idx in cells[kind]:
                 raise ParseError(f"duplicate {kind} id {idx}", ln)
-            cells[kind][idx] = tuple(int(p) for p in tok[2:])
+            cells[kind][idx] = tuple(_int(p, ln) for p in tok[2:])
         else:
             raise ParseError(f"unknown record {kind!r}", ln)
     for name, table in (("vertex", vertices),) + tuple(cells.items()):
@@ -233,7 +242,7 @@ def _parse_plc_standard(n, body) -> StandardFormComplex:
         if kind in ("corners", "ridges", "facets"):
             if len(tok) != 2:
                 raise ParseError(f"{kind} line needs one count", ln)
-            counts[kind] = int(tok[1])
+            counts[kind] = _int(tok[1], ln)
         elif kind == "incidence":
             if len(tok) != 4 or tok[1] not in (
                 "corner_ridge",
@@ -241,13 +250,13 @@ def _parse_plc_standard(n, body) -> StandardFormComplex:
                 "ridge_facet",
             ):
                 raise ParseError("incidence line: kind id id", ln)
-            incidences[tok[1]].append((int(tok[2]), int(tok[3])))
+            incidences[tok[1]].append((_int(tok[2], ln), _int(tok[3], ln)))
         elif kind == "normal":
             if len(tok) != 4 + n or tok[1] not in ("ridge", "facet"):
                 raise ParseError(
                     f"normal line: ridge|facet cid id + {n} coordinates", ln
                 )
-            key = (int(tok[2]), int(tok[3]))
+            key = (_int(tok[2], ln), _int(tok[3], ln))
             table = ridge_normals if tok[1] == "ridge" else facet_normals
             if key in table:
                 raise ParseError(f"duplicate normal for incidence {key}", ln)

@@ -164,7 +164,7 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
     Ridge normals are scanned in rim order for a maximal independent set;
     stars whose ridge rays stay in a 2-plane are decided by the
     circle-tiling criterion, and a third basis vector sends the star to the
-    cone check via Gram coordinates.
+    cone check, via Gram coordinates when n >= 4.
     """
     m = star.m
     u = star.ridge_normals
@@ -200,6 +200,8 @@ def _reduce(star: WheelStar) -> LocalVerdict:
         return _check_digon(u, f)
 
     rank, basis = rank_le3(u)
+    if rank > 3:
+        return Inconsistent("ridge normals span more than 3 dimensions")
     if rank == 1:
         # m >= 3 rays on one line must repeat a ray.
         return Inconsistent("ridge normals span a single line")
@@ -248,7 +250,9 @@ def _reduce(star: WheelStar) -> LocalVerdict:
             if _ray_in_interior(frame, g, u[j], f[j], u[j + 1]):
                 return Inconsistent("planar prefix wraps past its start")
 
-    p = tuple(coords_in_basis(x, e1, e2, e3) for x in u)
+    # At n = 3 the Gram map is invertible: it scales every rim determinant by
+    # one sign, which check_cone_convex cannot see.
+    p = u if len(e1) == 3 else tuple(coords_in_basis(x, e1, e2, e3) for x in u)
     return Cone(ConeRealization3D(rim=p))
 
 

@@ -17,7 +17,6 @@ import pytest
 from conftest import subdivided_cube, csaszar_torus
 from helpers_oracles import planar_star_tiles
 from plconvex import (
-    CheckOptions,
     Convex,
     FlatPass,
     NotConvex,
@@ -386,7 +385,7 @@ def test_criterion_6_exactness_robustness():
                 bad.append(("permute-witness", count))
         std = to_standard(t)
         fwd = check_convexity(std)
-        rev = check_convexity(std, CheckOptions(reverse_rims=True))
+        rev = check_convexity(std, reverse=True)
         if fwd != rev:
             bad.append(("rim-reversal", count))
         if bad:

@@ -8,7 +8,6 @@ from conftest import (
     tetrahedron_traditional,
 )
 from plconvex import (
-    CheckOptions,
     Convex,
     InvalidInput,
     NotConvex,
@@ -46,7 +45,7 @@ def test_dented_icosahedron_like_surface():
 
 def test_verdict_independent_of_rim_direction(cube_standard):
     forward = check_convexity(cube_standard)
-    backward = check_convexity(cube_standard, CheckOptions(reverse_rims=True))
+    backward = check_convexity(cube_standard, reverse=True)
     assert forward == backward
 
 

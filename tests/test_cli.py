@@ -175,6 +175,28 @@ def test_unreadable_path_exit_code(tmp_path, capsys, kind):
     assert "Traceback" not in err
 
 
+_TRAD = "plc 1\nform traditional\nn 3\nvertex 0 0 0 0\n"
+_STD = "plc 1\nform standard\nn 3\ncorners 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    "plc 1\nform traditional\nn 3\nvertex x 0 0 0\n",
+    _TRAD + "corner\n",
+    "plc 1\nform traditional\nn three\n",
+    "plc 1\nform standard\nn 3\ncorners x\n",
+    _STD + "incidence corner_ridge a 0\n",
+    _TRAD + "facet 0 1 2 q\n",
+], ids=["vertex_id", "bare_corner", "n_word", "corners_count",
+        "incidence_id", "facet_vertex"])
+def test_malformed_plc_record_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.plc"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ")
+    assert "Traceback" not in err
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     bad = CUBE_OFF.replace("2 2 0", "2 2 1", 1)  # non-planar facet
     path = tmp_path / "bad.off"

@@ -1,5 +1,6 @@
 import pytest
 
+import plconvex.complexes
 from conftest import (
     cube_traditional,
     octahedron_traditional,
@@ -7,13 +8,16 @@ from conftest import (
     tetrahedron_traditional,
 )
 from plconvex import (
+    Convex,
     StandardFormComplex,
     face_counts,
     to_standard,
     validate_standard,
     wheel_star,
 )
+from plconvex.checker import check_complex
 from plconvex.errors import InvalidInputError
+from plconvex.oracle import gen_convex_surface
 
 
 def test_validate_cube(cube_standard):
@@ -217,3 +221,32 @@ def test_wheel_sizes_sum_to_incidences(cube_standard):
         wheel_star(cube_standard, c).m for c in cube_standard.corners()
     )
     assert total == counts.corner_ridge
+
+
+def test_validate_leaves_rim_order(cube_standard):
+    validate_standard(cube_standard)
+    ridges = [list(rr) for rr in cube_standard.corner_ridges]
+    facets = [list(ff) for ff in cube_standard.corner_facets]
+    validate_standard(cube_standard)
+    assert cube_standard.corner_ridges == ridges
+    assert cube_standard.corner_facets == facets
+    for corner in cube_standard.corners():
+        star = wheel_star(cube_standard, corner)
+        assert list(star.rim_ridges) == ridges[corner.index]
+        assert list(star.rim_facets) == facets[corner.index]
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_check_walks_each_wheel_once(monkeypatch, exhaustive):
+    t = gen_convex_surface(seed=42, n=3, num_points=14, coord_bound=100)
+    calls = []
+    walk = plconvex.complexes._walk_wheel
+
+    def counting(cx, c):
+        calls.append(c)
+        return walk(cx, c)
+
+    monkeypatch.setattr(plconvex.complexes, "_walk_wheel", counting)
+    run = check_complex(t, exhaustive=exhaustive)
+    assert run.verdict == Convex()
+    assert calls == list(range(run.standard.num_corners))

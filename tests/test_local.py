@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import (
     _circ_cmp,
@@ -11,9 +13,9 @@ from helpers_oracles import (
     planar_star_tiles,
     same_dir2,
 )
-from plconvex.complexes import CellId, WheelStar
-from plconvex.errors import PreconditionViolated
-from plconvex.exact import PlaneFrame
+from plconvex.complexes import CellId, WheelStar, validate_standard, wheel_star
+from plconvex.errors import DegenerateCone, PreconditionViolated
+from plconvex.exact import PlaneFrame, coords_in_basis, rank_le3
 from plconvex.local import (
     Cone,
     ConeRealization3D,
@@ -171,6 +173,29 @@ def test_reduce_cube_corner():
     assert check_cone_convex(verdict.realization) is True
 
 
+def test_reduce_n3_rim_is_ridge_normals(cube_standard):
+    validate_standard(cube_standard)
+    star = wheel_star(cube_standard, cube_standard.corner_id(0))
+    scaled = make_star(
+        [tuple(3 * c for c in v) for v in star.ridge_normals],
+        star.facet_normals,
+    )
+    for s in (star, scaled):
+        verdict = reduce_to_3d(s)
+        assert isinstance(verdict, Cone)
+        assert verdict.realization.rim == s.ridge_normals
+
+
+def test_reduce_ridge_normals_spanning_4_dimensions():
+    star = make_star(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)],
+    )
+    assert reduce_to_3d(star) == Inconsistent(
+        "ridge normals span more than 3 dimensions"
+    )
+
+
 def test_reduce_flat_interior_vertex():
     star = make_star(
         [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)],
@@ -313,6 +338,26 @@ def test_cone_flat_ridge_zero_sign():
     rim = ((1, 1, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1))
     assert check_cone_convex(ConeRealization3D(rim)) is True
     assert oracle_cone_convex(rim) is True
+
+
+def _cone_outcome(rim):
+    try:
+        return check_cone_convex(ConeRealization3D(rim=tuple(rim)))
+    except DegenerateCone:
+        return "degenerate"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.tuples(*[st.integers(-4, 4)] * 3).filter(any), min_size=3, max_size=8
+))
+def test_n3_raw_rim_matches_gram_coordinates(rim):
+    # At n = 3 the Gram map is invertible, so it multiplies every rim
+    # determinant by one sign and the cone check cannot tell the rims apart.
+    rank, basis = rank_le3(rim)
+    assume(rank == 3)
+    gram = [coords_in_basis(v, *basis) for v in rim]
+    assert _cone_outcome(rim) == _cone_outcome(gram)
 
 
 def test_cone_scale_invariance():
