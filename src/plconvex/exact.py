@@ -109,6 +109,11 @@ def collinearity_coefficient(v: Vector, w: Vector) -> Scalar | None:
     return as_exact(Fraction(w[pivot]) / Fraction(v[pivot]))
 
 
+def collinear(v: Vector, w: Vector) -> bool:
+    """True iff w is a multiple of v; raises ZeroVector for v == 0."""
+    return _multiple_pivot(v, w) is not None
+
+
 def same_ray(v: Vector, w: Vector) -> bool:
     """True iff w = lambda * v with lambda > 0 (both nonzero)."""
     pivot = _multiple_pivot(v, w)

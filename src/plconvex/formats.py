@@ -59,7 +59,7 @@ def parse_off(text: str) -> TraditionalFormComplex:
     body = rows[2:]
     if len(body) != nv + nf:
         raise ParseError(
-            f"expected {nv} vertex and {nf} facet lines, got {len(body)}"
+            f"expected {nv} vertex and {nf} facet lines, got {len(body)}", ln
         )
     vertices: list[Vector] = []
     for ln, s in body[:nv]:
@@ -87,12 +87,14 @@ def parse_off(text: str) -> TraditionalFormComplex:
                 raise ParseError(f"facet vertex {v} out of range", ln)
         facets.append(cycle)
     edges = {}
-    for cycle in facets:
+    for fi, cycle in enumerate(facets):
         k = len(cycle)
         for i in range(k):
             a, b = cycle[i], cycle[(i + 1) % k]
             if a == b:
-                raise ParseError(f"degenerate edge ({a},{b}) in a facet")
+                raise ParseError(
+                    f"degenerate edge ({a},{b}) in a facet", body[nv + fi][0]
+                )
             edges.setdefault(frozenset((a, b)), len(edges))
     ridges = [None] * len(edges)
     for key, idx in edges.items():
@@ -167,12 +169,13 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
     """Parse a PLC document into the declared in-memory form."""
     tokens = list(_plc_tokens(text))
     if not tokens or tokens[0][1][0] != "plc":
-        raise ParseError("missing 'plc' header")
+        raise ParseError("missing 'plc' header", tokens[0][0] if tokens else 1)
     ln, head = tokens[0]
     if len(head) != 2 or head[1] != "1":
         raise ParseError("unsupported plc version", ln)
     form = None
     n = None
+    decl_ln = {}
     i = 1
     while i < len(tokens) and (form is None or n is None):
         ln, tok = tokens[i]
@@ -182,15 +185,17 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
             n = _int(tok[1], ln)
         else:
             raise ParseError(f"expected form/n declarations, got {tok[0]!r}", ln)
+        decl_ln[tok[0]] = ln
         i += 1
+    # A missing declaration is reported at the last line read.
     if form not in ("standard", "traditional"):
-        raise ParseError(f"unknown form {form!r}")
+        raise ParseError(f"unknown form {form!r}", decl_ln.get("form", ln))
     if n is None or n < 3:
-        raise ParseError(f"bad ambient dimension {n!r}")
+        raise ParseError(f"bad ambient dimension {n!r}", decl_ln.get("n", ln))
     body = tokens[i:]
     if form == "traditional":
         return _parse_plc_traditional(n, body)
-    return _parse_plc_standard(n, body)
+    return _parse_plc_standard(n, body, tokens[-1][0])
 
 
 def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
@@ -218,8 +223,14 @@ def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
         else:
             raise ParseError(f"unknown record {kind!r}", ln)
     for name, table in (("vertex", vertices),) + tuple(cells.items()):
-        if sorted(table) != list(range(len(table))):
-            raise ParseError(f"{name} ids must be dense from 0")
+        ids = sorted(table)
+        if ids != list(range(len(ids))):
+            # Report the line of the first id out of place; found only now,
+            # so valid input keeps no line per record.
+            bad = next(idx for pos, idx in enumerate(ids) if idx != pos)
+            ln = next(ln for ln, tok in body
+                      if tok[0] == name and int(tok[1]) == bad)
+            raise ParseError(f"{name} ids must be dense from 0", ln)
     coords = [vertices[i] for i in range(len(vertices))]
     mode = POLYGONAL if n == 3 else SIMPLICIAL
     return TraditionalFormComplex(
@@ -232,7 +243,7 @@ def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
     )
 
 
-def _parse_plc_standard(n, body) -> StandardFormComplex:
+def _parse_plc_standard(n, body, last_ln) -> StandardFormComplex:
     counts = {}
     incidences = {"corner_ridge": [], "corner_facet": [], "ridge_facet": []}
     ridge_normals = {}
@@ -268,7 +279,7 @@ def _parse_plc_standard(n, body) -> StandardFormComplex:
             raise ParseError(f"unknown record {kind!r}", ln)
     for kind in ("corners", "ridges", "facets"):
         if kind not in counts:
-            raise ParseError(f"missing {kind} count")
+            raise ParseError(f"missing {kind} count", last_ln)
     return StandardFormComplex(
         n=n,
         num_corners=counts["corners"],

@@ -33,11 +33,11 @@ from .exact import (
     Scalar,
     Vector,
     as_exact,
-    collinearity_coefficient,
+    collinear,
     dot,
     exact_quotient,
     is_zero,
-    rank_le3,
+    same_ray,
     sign,
     vadd,
     vsub,
@@ -85,19 +85,21 @@ class TraditionalFormComplex:
 # ---------------------------------------------------------------------------
 
 
-def _adjugate_solve(g: list[list[Scalar]],
-                    rhs: list[Scalar]) -> tuple[Scalar, list[Scalar]]:
-    """(det G, adj(G) rhs) for a positive definite G, fraction-free.
+def _adjugate_solve(
+    g: list[list[Scalar]], columns: list[list[Scalar]]
+) -> tuple[Scalar, list[list[Scalar]]]:
+    """(det G, [adj(G) r for r in columns]) for a positive definite G.
 
-    Gauss-Jordan form of Bareiss elimination (Bareiss 1968): every entry
-    after step p is a minor of [G | rhs], so each division by the previous
-    pivot is exact, and the pivots are the leading principal minors of G.
-    Those are positive for a Gram matrix of independent vectors, so no row
-    exchange is needed.  At the end the left block is det(G) times the
-    identity and the right column is det(G) G^-1 rhs = adj(G) rhs.
+    Gauss-Jordan form of Bareiss elimination (Bareiss 1968), fraction-free:
+    every entry after step p is a minor of [G | columns], so each division by
+    the previous pivot is exact, and the pivots are the leading principal
+    minors of G.  Those are positive for a Gram matrix of independent
+    vectors, so no row exchange is needed.  At the end the left block is
+    det(G) times the identity and each right column r has become
+    det(G) G^-1 r = adj(G) r.  Columns do not mix, so one pass solves them all.
     """
     k = len(g)
-    a = [[*row, r] for row, r in zip(g, rhs)]
+    a = [[*row, *(col[i] for col in columns)] for i, row in enumerate(g)]
     prev = 1
     for p in range(k):
         top = a[p]
@@ -114,36 +116,45 @@ def _adjugate_solve(g: list[list[Scalar]],
                 for j, (x, y) in enumerate(zip(row, top))
             ]
         prev = pv
-    return prev, [row[k] for row in a]
+    return prev, [[row[k + c] for row in a] for c in range(len(columns))]
+
+
+def orthogonal_components(xs, basis: list[Vector]) -> list[Vector]:
+    """det(G) times each x minus its exact orthogonal projection on span(basis).
+
+    G is the Gram matrix of the (independent) basis, so det(G) > 0 and each
+    result lies on the ray of the true residual.  Integer input gives integer
+    results; the factor is the same for every x, and one elimination of G
+    serves them all.
+    """
+    if not basis:
+        return list(xs)
+    gram = [[dot(a, b) for b in basis] for a in basis]
+    rhs = [[dot(a, x) for a in basis] for x in xs]
+    det, coeffs = _adjugate_solve(gram, rhs)
+    out = []
+    for x, cs in zip(xs, coeffs):
+        w = tuple(det * c for c in x)
+        for coeff, b in zip(cs, basis):
+            w = vsub(w, tuple(coeff * c for c in b))
+        out.append(w)
+    return out
 
 
 def orthogonal_component(x: Vector, basis: list[Vector]) -> Vector:
-    """det(G) times x minus its exact orthogonal projection onto span(basis).
-
-    G is the Gram matrix of the (independent) basis, so det(G) > 0 and the
-    result lies on the ray of the true residual.  Integer input gives an
-    integer result; the factor is the same for every x against one basis.
-    """
-    if not basis:
-        return x
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    rhs = [dot(a, x) for a in basis]
-    det, coeffs = _adjugate_solve(gram, rhs)
-    out = tuple(det * c for c in x)
-    for coeff, b in zip(coeffs, basis):
-        out = vsub(out, tuple(coeff * c for c in b))
-    return out
+    """orthogonal_components for a single x."""
+    return orthogonal_components([x], basis)[0]
 
 
 def _direction_basis(vertex_ids, coords) -> list[Vector]:
     base = coords(vertex_ids[0])
     vectors = [vsub(coords(v), base) for v in vertex_ids[1:]]
-    rank, basis = rank_le3(vectors)  # corners have dim <= n-3 <= 2 here
-    if rank != len(vectors):
+    # Uncapped rank: a corner has n - 3 directions, more than 3 for n >= 7.
+    if _full_rank(vectors) != len(vectors):
         raise DegenerateCell(
             f"affinely dependent cell vertices {tuple(vertex_ids)}"
         )
-    return list(basis)
+    return vectors
 
 
 def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
@@ -197,11 +208,12 @@ def facet_normal_simplicial(corner, facet, coords) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def polygon_frame(cycle, coords) -> tuple[PlaneFrame, int]:
+def polygon_frame(cycle, coords, parsed=None) -> tuple[PlaneFrame, int]:
     """Exact plane frame of a polygon plus its cyclic orientation sign.
 
     Raises NotPlanar if the vertices are not exactly coplanar or the polygon
-    has no area.
+    has no area.  parsed is the lookup whose coordinates the messages print
+    (default coords), for callers that compute on a scaled table.
     """
     pts = [coords(v) for v in cycle]
     base = pts[0]
@@ -213,7 +225,7 @@ def polygon_frame(cycle, coords) -> tuple[PlaneFrame, int]:
             continue
         if e1 is None:
             e1 = d
-        elif collinearity_coefficient(e1, d) is None:
+        elif not collinear(e1, d):
             e2 = d
             break
     if e1 is None or e2 is None:
@@ -221,16 +233,50 @@ def polygon_frame(cycle, coords) -> tuple[PlaneFrame, int]:
     frame = PlaneFrame(e1, e2)
     area2 = 0
     prev = vsub(pts[-1], base)
-    for p in pts:
+    for v, p in zip(cycle, pts):
         cur = vsub(p, base)
         if not frame.contains(cur):
-            raise NotPlanar(f"polygon vertex {p} off the facet plane")
+            raise NotPlanar(
+                f"polygon vertex {(parsed or coords)(v)} off the facet plane"
+            )
         area2 += frame.cross_value(prev, cur)
         prev = cur
     orientation = sign(area2)
     if orientation == 0:
         raise NotPlanar("polygon has zero area")
     return frame, orientation
+
+
+def _convex_certificate(pts, frame) -> bool:
+    """True only if the closed in-plane polygon pts is simple (it is convex).
+
+    An exact O(k) sufficient test: every nonzero turn has one sign, every
+    zero turn goes straight on (dot > 0), and the edge directions wind
+    exactly once.  The winding is measured from the edge after the first
+    strict turn.  From there the direction angle only grows, by less than pi
+    per vertex, so it reaches 2*pi exactly when the sweep, having entered
+    the far half-plane of that edge, comes back to its side; directions that
+    wind once close the polygon before that.  False means "don't know".
+    """
+    k = len(pts)
+    edges = [vsub(pts[(i + 1) % k], pts[i]) for i in range(k)]
+    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
+    start = next((i for i, t in enumerate(turns) if t), None)
+    if start is None:
+        return False
+    sense = turns[start]
+    for i, t in enumerate(turns):
+        if t == -sense or (t == 0 and dot(edges[i - 1], edges[i]) <= 0):
+            return False
+    ref = edges[start]
+    far = False
+    for i in range(start + 1, start + k):
+        side = sense * frame.orient(ref, edges[i % k])
+        if side < 0:
+            far = True
+        elif far:
+            return False
+    return True
 
 
 def _segments_intersect(frame, p1, p2, q1, q2) -> bool:
@@ -265,8 +311,14 @@ def _segments_intersect(frame, p1, p2, q1, q2) -> bool:
     return False
 
 
-def validate_polygon(cycle, coords) -> None:
-    """Simple planar polygon with positive area and no spikes."""
+def validate_polygon(cycle, coords, parsed=None):
+    """Simple planar polygon with positive area and no spikes.
+
+    Returns polygon_frame's (frame, orientation), or None for a triangle,
+    which needs only one cross product.  A convex polygon is certified in
+    O(k); any other goes through the pairwise spike and segment tests.
+    parsed is the lookup error messages print (see polygon_frame).
+    """
     k = len(cycle)
     if k < 3:
         raise InvalidInputError(f"facet cycle of length {k}")
@@ -277,15 +329,21 @@ def validate_polygon(cycle, coords) -> None:
         if is_zero(vsub(pts[(i + 1) % k], pts[i])):
             raise InvalidInputError("coincident consecutive polygon vertices")
     if k == 3:
-        # Triangles only need nonzero area.
-        polygon_frame(cycle, coords)
-        return
-    frame, _ = polygon_frame(cycle, coords)
+        if collinear(vsub(pts[1], pts[0]), vsub(pts[2], pts[0])):
+            raise NotPlanar("polygon has collinear vertices only")
+        return None
+    framed = polygon_frame(cycle, coords, parsed)
+    if not _convex_certificate(pts, framed[0]):
+        _check_simple(cycle, pts, framed[0])
+    return framed
+
+
+def _check_simple(cycle, pts, frame) -> None:
+    """Pairwise O(k^2) test: no spike vertex, no contact between edges."""
+    k = len(cycle)
     for i in range(k):
         a1, a2 = pts[i], pts[(i + 1) % k]
-        lam = collinearity_coefficient(vsub(pts[(i - 1) % k], pts[i]),
-                                       vsub(a2, pts[i]))
-        if lam is not None and lam > 0:
+        if same_ray(vsub(pts[(i - 1) % k], pts[i]), vsub(a2, pts[i])):
             raise DegenerateVertex(
                 f"zero interior angle at vertex {cycle[i]}"
             )
@@ -326,7 +384,7 @@ def _inner_direction(vid: int, cycle, coords, framed=None) -> Vector:
     if k == 3:
         # Triangle corners are always convex.
         d = vadd(a, b)
-        if is_zero(d) or collinearity_coefficient(a, b) is not None:
+        if is_zero(d) or collinear(a, b):
             raise NotPlanar(f"degenerate triangle at vertex {vid}")
         return d
     frame, orientation = framed or polygon_frame(cycle, coords)
@@ -334,12 +392,11 @@ def _inner_direction(vid: int, cycle, coords, framed=None) -> Vector:
     if chi != 0:
         d = vadd(a, b)
         return d if orientation * chi < 0 else tuple(-c for c in d)
-    lam = collinearity_coefficient(a, b)
-    if lam is None or lam > 0:
+    if not collinear(a, b) or same_ray(a, b):
         raise DegenerateVertex(f"zero interior angle at vertex {vid}")
     # Straight vertex: perpendicular to the edge on the interior side,
     # scaled by |a|^2 so that no division is needed.
-    x = frame.e1 if collinearity_coefficient(a, frame.e1) is None else frame.e2
+    x = frame.e2 if collinear(a, frame.e1) else frame.e1
     aa, xa = dot(a, a), dot(x, a)
     d = tuple(aa * xc - xa * ac for xc, ac in zip(x, a))
     travel = tuple(-c for c in a)
@@ -437,8 +494,17 @@ def derive_incidences(t: TraditionalFormComplex):
     return cr, cf, rf
 
 
-def validate_traditional(t: TraditionalFormComplex) -> None:
-    """Mode rules: cell sizes, cellwise-flatness, polygon validity."""
+def validate_traditional(t: TraditionalFormComplex):
+    """Mode rules: cell sizes, cellwise-flatness, polygon validity.
+
+    Every geometric predicate runs on the vertex table scaled to integers
+    (_integer_coords): a uniform positive scaling keeps coplanarity,
+    orientation, segment contact and rank, and messages still print the
+    parsed coordinates.  Returns (coords, frames) for to_standard: the
+    integer coordinate lookup and, per polygonal facet, validate_polygon's
+    (frame, orientation) or None for a triangle; frames is empty in
+    simplicial mode.
+    """
     for v in t.vertices:
         if len(v) != t.n:
             raise InvalidInputError(f"vertex of dimension {len(v)}, want {t.n}")
@@ -448,6 +514,7 @@ def validate_traditional(t: TraditionalFormComplex) -> None:
             for v in cell:
                 if v not in all_ids:
                     raise InvalidInputError(f"unknown vertex id {v}")
+    coords = _integer_coords(t)
     if t.mode == POLYGONAL:
         for c in t.corners:
             if len(c) != 1:
@@ -455,20 +522,21 @@ def validate_traditional(t: TraditionalFormComplex) -> None:
         for r in t.ridges:
             if len(set(r)) != 2:
                 raise InvalidInputError(f"bad edge {r}")
-            if is_zero(vsub(t.coords(r[0]), t.coords(r[1]))):
+            if is_zero(vsub(coords(r[0]), coords(r[1]))):
                 raise DegenerateCell(f"edge {r} has coincident endpoints")
-        for cycle in t.facets:
-            validate_polygon(cycle, t.coords)
-    else:
-        n = t.n
-        sizes = ((t.corners, n - 2), (t.ridges, n - 1), (t.facets, n))
-        for cells, want in sizes:
-            for cell in cells:
-                if len(set(cell)) != want:
-                    raise InvalidInputError(
-                        f"simplicial cell {cell} needs {want} distinct vertices"
-                    )
-                _check_affinely_independent(cell, t.coords)
+        return coords, [
+            validate_polygon(cycle, coords, t.coords) for cycle in t.facets
+        ]
+    n = t.n
+    sizes = ((t.corners, n - 2), (t.ridges, n - 1), (t.facets, n))
+    for cells, want in sizes:
+        for cell in cells:
+            if len(set(cell)) != want:
+                raise InvalidInputError(
+                    f"simplicial cell {cell} needs {want} distinct vertices"
+                )
+            _check_affinely_independent(cell, coords)
+    return coords, []
 
 
 def _check_affinely_independent(cell, coords) -> None:
@@ -508,17 +576,33 @@ def _integer_coords(t: TraditionalFormComplex):
     return table.__getitem__
 
 
+def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
+    """Residual of each vertex of cells outside the corner, by vertex id.
+
+    One direction basis and one Gram elimination per corner serve every
+    ridge and facet residual there; validate_traditional has already shown
+    the corner's directions independent.
+    """
+    base = coords(corner[0])
+    basis = [vsub(coords(v), base) for v in corner[1:]]
+    link = list(dict.fromkeys(
+        v for cell in cells for v in cell if v not in corner
+    ))
+    xs = [vsub(coords(v), base) for v in link]
+    return dict(zip(link, orthogonal_components(xs, basis)))
+
+
 def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
     """Populate all corner-ridge and corner-facet normals exactly.
 
     Normals are built from the vertices scaled to integers, so every normal
-    of every traditional input is an integer vector.  Cell indices carry
-    over unchanged, so witnesses agree between a traditional check and a
-    converted standard-form check.
+    of every traditional input is an integer vector.  Validation has proved
+    every cell non-degenerate, so nothing is checked twice here.  Cell
+    indices carry over unchanged, so witnesses agree between a traditional
+    check and a converted standard-form check.
     """
-    validate_traditional(t)
+    coords, frames = validate_traditional(t)
     cr, cf, rf = derive_incidences(t)
-    coords = _integer_coords(t)
     ridge_normals = {}
     facet_normals = {}
     try:
@@ -528,23 +612,38 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
                 a, b = t.ridges[ri]
                 other = b if a == v else a
                 ridge_normals[(ci, ri)] = vsub(coords(other), coords(v))
-            frames = [
-                polygon_frame(cycle, coords) if len(cycle) > 3 else None
-                for cycle in t.facets
-            ]
             for ci, fi in cf:
                 v = t.corners[ci][0]
-                facet_normals[(ci, fi)] = _inner_direction(
-                    v, t.facets[fi], coords, frames[fi]
-                )
+                cycle = t.facets[fi]
+                if frames[fi] is None:
+                    # Triangle corners are convex: prev + next - 2 v.
+                    p, q = (coords(u) for u in cycle if u != v)
+                    facet_normals[(ci, fi)] = tuple(
+                        x + y - 2 * z for x, y, z in zip(p, q, coords(v))
+                    )
+                else:
+                    facet_normals[(ci, fi)] = _inner_direction(
+                        v, cycle, coords, frames[fi]
+                    )
         else:
+            cells_at = [[] for _ in t.corners]
             for ci, ri in cr:
-                ridge_normals[(ci, ri)] = ridge_normal_simplicial(
-                    t.corners[ci], t.ridges[ri], coords
+                cells_at[ci].append(t.ridges[ri])
+            for ci, fi in cf:
+                cells_at[ci].append(t.facets[fi])
+            residuals = [
+                _link_residuals(c, cells, coords)
+                for c, cells in zip(t.corners, cells_at)
+            ]
+            for ci, ri in cr:
+                res = residuals[ci]
+                ridge_normals[(ci, ri)] = next(
+                    res[v] for v in t.ridges[ri] if v in res
                 )
             for ci, fi in cf:
-                facet_normals[(ci, fi)] = facet_normal_simplicial(
-                    t.corners[ci], t.facets[fi], coords
+                res = residuals[ci]
+                facet_normals[(ci, fi)] = vadd(
+                    *(res[v] for v in t.facets[fi] if v in res)
                 )
     except (DegenerateCell, DegenerateVertex, NotPlanar) as exc:
         raise InvalidInputError(f"normal construction failed: {exc}") from exc

@@ -197,6 +197,25 @@ def test_malformed_plc_record_exit_code(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("bad.plc", "plc 1\nform traditional\nn 2\n", 3),
+    ("bad.plc", "plc 1\nform traditional\nn 3\nvertex 1 0 0 0\n", 4),
+    ("bad.plc", "# no header\nform traditional\nn 3\n", 2),
+    ("bad.plc", "plc 1\nform bogus\nn 3\n", 2),
+    ("bad.plc", _STD, 4),
+    ("bad.off", "OFF\n4 1 0\n0 0 0\n", 2),
+    ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 0 1\n", 6),
+], ids=["dimension", "sparse_vertex_ids", "no_header", "unknown_form",
+        "missing_count", "short_off", "degenerate_off_edge"])
+def test_parse_error_line_numbers(tmp_path, capsys, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     bad = CUBE_OFF.replace("2 2 0", "2 2 1", 1)  # non-planar facet
     path = tmp_path / "bad.off"

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,10 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import plconvex.exact
+import plconvex.normals
 from conftest import (
     octahedron_traditional,
+    polygonal_surface,
     simplex_boundary,
     simplicial_surface,
+    subdivided_cube,
 )
 from plconvex import (
     Convex,
@@ -27,13 +33,18 @@ from plconvex.errors import (
     InvalidInputError,
     NotPlanar,
 )
+from plconvex.checker import check_complex
 from plconvex.exact import dot, rank_le3, vsub
 from plconvex.normals import (
     TraditionalFormComplex,
+    _check_simple,
+    _convex_certificate,
     orthogonal_component,
+    polygon_frame,
     validate_polygon,
+    validate_traditional,
 )
-from plconvex.oracle import dent, is_hull_boundary
+from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
 
 
 def _coords(table):
@@ -338,6 +349,274 @@ def test_self_intersecting_polygon_rejected():
     table = dict(enumerate([(0, 0, 0), (2, 2, 0), (2, 0, 0), (0, 2, 0)]))
     with pytest.raises(InvalidInputError):
         validate_polygon((0, 1, 2, 3), _coords(table))
+
+
+def test_star_polygon_winding_twice_rejected():
+    # Every turn has one sign, but the directions wind twice.
+    table = dict(enumerate(
+        [(0, 10, 0), (6, -8, 0), (-10, 3, 0), (10, 3, 0), (-6, -8, 0)]
+    ))
+    coords = _coords(table)
+    frame, _ = polygon_frame(tuple(range(5)), coords)
+    assert not _convex_certificate([table[v] for v in range(5)], frame)
+    with pytest.raises(InvalidInputError, match="self-intersect"):
+        validate_polygon(tuple(range(5)), coords)
+
+
+# ---------------------------------------------------------------------------
+# The O(k) convex certificate against the O(k^2) pairwise test
+# ---------------------------------------------------------------------------
+
+
+def _hull_2d(points):
+    """Strictly convex hull of lattice points, counter-clockwise."""
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+@st.composite
+def _lattice_polygons(draw, kinds=("random", "convex", "dented", "star")):
+    """(kind, R^3 points of a closed lattice polygon with 4..12 vertices).
+
+    random: any lattice cycle; convex: a lattice hull; dented: a hull with
+    one vertex moved; star: an odd hull visited every second vertex, so all
+    turns agree but the directions wind twice.
+    """
+    kind = draw(st.sampled_from(kinds))
+    grid = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    raw = draw(st.lists(grid, min_size=3, max_size=10))
+    if kind == "random":
+        ring = raw
+    else:
+        ring = _hull_2d(raw)
+        assume(len(ring) >= 3)
+        if kind == "dented":
+            i = draw(st.integers(0, len(ring) - 1))
+            dx, dy = draw(grid)
+            ring[i] = (ring[i][0] + dx // 2, ring[i][1] + dy // 2)
+        if kind == "star":
+            assume(len(ring) % 2 == 1 and len(ring) >= 5)
+            ring = [ring[(2 * i) % len(ring)] for i in range(len(ring))]
+    # Doubled coordinates make every edge midpoint a lattice point; split
+    # some edges there to get straight vertices, as on the prism caps.
+    splits = draw(st.lists(st.booleans(), min_size=len(ring),
+                           max_size=len(ring)))
+    poly = []
+    for i, (x, y) in enumerate(ring):
+        nx, ny = ring[(i + 1) % len(ring)]
+        poly.append((2 * x, 2 * y))
+        if splits[i]:
+            poly.append((x + nx, y + ny))
+    assume(4 <= len(poly) <= 12)
+    if draw(st.booleans()):
+        poly.reverse()
+    start = draw(st.integers(0, len(poly) - 1))
+    poly = poly[start:] + poly[:start]
+    # A random integer plane in R^3.
+    vec = st.tuples(*[st.integers(-3, 3)] * 3)
+    u, w, o = draw(vec), draw(vec), draw(vec)
+    assume(rank_le3([u, w])[0] == 2)
+    return kind, [
+        tuple(oc + x * uc + y * wc for oc, uc, wc in zip(o, u, w))
+        for x, y in poly
+    ]
+
+
+def _framed(pts):
+    """polygon_frame of a point list, or None if it is not a valid frame."""
+    k = len(pts)
+    if any(pts[i] == pts[(i + 1) % k] for i in range(k)):
+        return None
+    try:
+        frame, _ = polygon_frame(tuple(range(k)), pts.__getitem__)
+    except NotPlanar:
+        return None
+    return frame
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattice_polygons())
+def test_convex_certificate_implies_pairwise_simple(case):
+    _, pts = case
+    frame = _framed(pts)
+    assume(frame is not None)
+    if _convex_certificate(pts, frame):
+        _check_simple(tuple(range(len(pts))), pts, frame)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_polygons(kinds=("convex",)))
+def test_convex_certificate_fires_on_convex_polygons(case):
+    _, pts = case
+    frame = _framed(pts)
+    assert frame is not None
+    assert _convex_certificate(pts, frame)
+
+
+# ---------------------------------------------------------------------------
+# Validation in integers, once
+# ---------------------------------------------------------------------------
+
+
+def _prism(ring, levels=1):
+    """Prism over a counter-clockwise lattice ring, side walls in bands."""
+    k = len(ring)
+    vertices = [(x, y, 2 * z) for z in range(levels + 1) for x, y in ring]
+    facets = [tuple(reversed(range(k))),
+              tuple(levels * k + i for i in range(k))]
+    for lv in range(levels):
+        for i in range(k):
+            j = (i + 1) % k
+            facets.append((lv * k + i, lv * k + j, (lv + 1) * k + j,
+                           (lv + 1) * k + i))
+    return polygonal_surface(vertices, facets)
+
+
+def _subdivided_ring(subdiv):
+    """Convex hexagon whose edges are cut into subdiv lattice segments."""
+    dirs = [(1, 0), (1, 1), (0, 1)]
+    ring, x, y = [], 0, 0
+    for a, b in dirs + [(-a, -b) for a, b in dirs]:
+        for _ in range(subdiv):
+            ring.append((x, y))
+            x, y = x + a, y + b
+    return ring
+
+
+def _split_top_cube():
+    """Cube whose top is cut into an L hexagon and a square: convex, with a
+    reflex polygon vertex and straight vertices on two side faces."""
+    vertices = [
+        (0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0),
+        (0, 0, 2), (2, 0, 2), (2, 2, 2), (0, 2, 2),
+        (2, 1, 2), (1, 2, 2), (1, 1, 2),
+    ]
+    facets = [
+        (0, 1, 2, 3), (4, 5, 8, 10, 9, 7), (10, 8, 6, 9), (0, 4, 5, 1),
+        (1, 5, 8, 6, 2), (2, 6, 9, 7, 3), (3, 7, 4, 0),
+    ]
+    return polygonal_surface(vertices, facets)
+
+
+def _divided(t, d):
+    return dataclasses.replace(
+        t, vertices=[tuple(Fraction(c) / d for c in v) for v in t.vertices]
+    )
+
+
+def test_rational_input_matches_integer_original():
+    cyclic = _cyclic_polytope_4d(12)
+    cases = [
+        (_prism(_subdivided_ring(3), levels=3), 3),
+        (_split_top_cube(), 3),
+        (cyclic, 7),
+        (dent(cyclic, 5, Fraction(3, 4)), 7),
+    ]
+    for t, d in cases:
+        original, scaled = check_complex(t), check_complex(_divided(t, d))
+        assert scaled.verdict == original.verdict
+        for attr in ("ridge_normals", "facet_normals"):
+            mine = getattr(scaled.standard, attr)
+            assert mine == getattr(original.standard, attr)
+            assert all(type(c) is int for w in mine.values() for c in w)
+    assert [isinstance(check_complex(t).verdict, Convex) for t, _ in cases] \
+        == [True, True, True, False]
+
+
+def test_off_plane_message_prints_parsed_coordinates():
+    third = Fraction(1, 3)
+    t = polygonal_surface(
+        [(0, 0, 0), (2 * third, 0, 0), (2 * third, 2 * third, third),
+         (0, 2 * third, 0)],
+        [(0, 1, 2, 3)],
+    )
+    message = f"polygon vertex {t.vertices[3]} off the facet plane"
+    assert "Fraction(2, 3)" in message
+    with pytest.raises(NotPlanar, match=re.escape(message)):
+        validate_traditional(t)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_one_polygon_frame_per_polygon(monkeypatch):
+    calls = _count_calls(monkeypatch, plconvex.normals, "polygon_frame")
+    prism = _prism(_subdivided_ring(2), levels=2)
+    to_standard(prism)
+    assert len(calls) == len(prism.facets)
+    calls.clear()
+    to_standard(subdivided_cube())  # triangles only
+    assert calls == []
+
+
+def test_convex_prism_skips_pairwise_segment_test(monkeypatch):
+    calls = _count_calls(monkeypatch, plconvex.normals, "_segments_intersect")
+    run = check_complex(_prism(_subdivided_ring(4), levels=2))
+    assert run.verdict == Convex()
+    assert calls == []
+
+
+# Over the whole check of a one-band prism, orient calls per cap vertex
+# measured 42.8, 51.9, 56.5 and 58.7 for k = 12, 24, 48 and 96, rising to
+# about 61 as k grows; the bound leaves about 30% headroom.  The pairwise
+# segment test on every cap gave 76, 133, 234 and 428.
+ORIENT_PER_CAP_VERTEX = 80
+
+
+@pytest.mark.parametrize("cap", [12, 24, 48, 96])
+def test_prism_orient_calls_linear_in_cap_size(monkeypatch, cap):
+    calls = _count_calls(monkeypatch, plconvex.exact.PlaneFrame, "orient")
+    run = check_complex(_prism(_subdivided_ring(cap // 6)))
+    assert run.verdict == Convex()
+    assert len(calls) <= ORIENT_PER_CAP_VERTEX * cap
+
+
+def test_one_gram_elimination_per_corner_n4(monkeypatch):
+    link = _count_calls(monkeypatch, plconvex.normals, "_link_residuals")
+    solves = _count_calls(monkeypatch, plconvex.normals, "_adjugate_solve")
+    t = _cyclic_polytope_4d(12)
+    to_standard(t)
+    assert len(link) == len(solves) == len(t.corners)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_to_standard_corners_with_more_than_three_directions(n):
+    # A corner has n - 3 directions, so the projection must not cap the
+    # corner basis at rank 3.
+    t = simplex_boundary(n)
+    assert check_complex(t).verdict == Convex()
+    coords = _coords(dict(enumerate(t.vertices)))
+    corner, ridge = tuple(range(n - 2)), tuple(range(n - 1))
+    w = ridge_normal_simplicial(corner, ridge, coords)
+    assert all(dot(w, vsub(t.vertices[v], t.vertices[0])) == 0
+               for v in corner[1:])
+    if n == 7:
+        hull = gen_convex_surface(seed=0, n=7, num_points=9, coord_bound=20)
+        dented = dent(hull, 0, Fraction(1, 2))
+        assert check_complex(hull).verdict == Convex()
+        assert isinstance(check_complex(dented).verdict, NotConvex)
+        assert is_hull_boundary(hull) and not is_hull_boundary(dented)
 
 
 # ---------------------------------------------------------------------------
