@@ -146,17 +146,6 @@ def orthogonal_component(x: Vector, basis: list[Vector]) -> Vector:
     return orthogonal_components([x], basis)[0]
 
 
-def _direction_basis(vertex_ids, coords) -> list[Vector]:
-    base = coords(vertex_ids[0])
-    vectors = [vsub(coords(v), base) for v in vertex_ids[1:]]
-    # Uncapped rank: a corner has n - 3 directions, more than 3 for n >= 7.
-    if _full_rank(vectors) != len(vectors):
-        raise DegenerateCell(
-            f"affinely dependent cell vertices {tuple(vertex_ids)}"
-        )
-    return vectors
-
-
 def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
     """Euclidean inner normal to the ridge at the corner (simplicial cells).
 
@@ -166,8 +155,8 @@ def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
     extra = [v for v in ridge if v not in corner]
     if len(extra) != 1 or not set(corner) <= set(ridge):
         raise DegenerateCell("ridge is not corner plus one vertex")
-    basis = _direction_basis(corner, coords)
-    w = orthogonal_component(vsub(coords(extra[0]), coords(corner[0])), basis)
+    _check_affinely_independent(corner, coords)
+    w = _link_residuals(corner, [ridge], coords)[extra[0]]
     if is_zero(w):
         raise DegenerateCell(
             f"ridge vertex {extra[0]} lies in the corner's affine span"
@@ -185,17 +174,14 @@ def facet_normal_simplicial(corner, facet, coords) -> Vector:
     extra = [v for v in facet if v not in corner]
     if len(extra) != 2 or not set(corner) <= set(facet):
         raise DegenerateCell("facet is not corner plus two vertices")
-    basis = _direction_basis(corner, coords)
-    base = coords(corner[0])
-    parts = []
+    _check_affinely_independent(corner, coords)
+    res = _link_residuals(corner, [facet], coords)
     for v in extra:
-        w = orthogonal_component(vsub(coords(v), base), basis)
-        if is_zero(w):
+        if is_zero(res[v]):
             raise DegenerateCell(
                 f"facet vertex {v} lies in the corner's affine span"
             )
-        parts.append(w)
-    out = vadd(parts[0], parts[1])
+    out = vadd(res[extra[0]], res[extra[1]])
     if is_zero(out):
         raise DegenerateCell(
             f"facet {tuple(facet)} degenerates to a line at the corner"
@@ -365,29 +351,39 @@ def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
     side fixed by the polygon's orientation.  Avoids angle bisectors, which
     would need square roots.
     """
-    return _inner_direction(vid, cycle, coords)
+    a, b = _corner_edges(vid, cycle, coords)
+    if is_zero(a) or is_zero(b):
+        raise DegenerateVertex(f"zero-length edge at vertex {vid}")
+    if len(cycle) == 3:
+        if collinear(a, b):
+            raise NotPlanar(f"degenerate triangle at vertex {vid}")
+        return _inner_direction(vid, cycle, coords, None)
+    return _inner_direction(vid, cycle, coords, polygon_frame(cycle, coords))
 
 
-def _inner_direction(vid: int, cycle, coords, framed=None) -> Vector:
-    """facet_inner_direction_polygon with the polygon_frame result given.
-
-    framed is polygon_frame(cycle, coords), or None to compute it here when
-    the polygon is not a triangle.
-    """
+def _corner_edges(vid: int, cycle, coords) -> tuple[Vector, Vector]:
+    """Edge vectors from vid to its predecessor and successor on cycle."""
     k = len(cycle)
     j = cycle.index(vid)
     v = coords(vid)
-    a = vsub(coords(cycle[(j - 1) % k]), v)
-    b = vsub(coords(cycle[(j + 1) % k]), v)
-    if is_zero(a) or is_zero(b):
-        raise DegenerateVertex(f"zero-length edge at vertex {vid}")
-    if k == 3:
-        # Triangle corners are always convex.
-        d = vadd(a, b)
-        if is_zero(d) or collinear(a, b):
-            raise NotPlanar(f"degenerate triangle at vertex {vid}")
-        return d
-    frame, orientation = framed or polygon_frame(cycle, coords)
+    return (
+        vsub(coords(cycle[(j - 1) % k]), v),
+        vsub(coords(cycle[(j + 1) % k]), v),
+    )
+
+
+def _inner_direction(vid: int, cycle, coords, framed) -> Vector:
+    """facet_inner_direction_polygon on a polygon already validated.
+
+    framed is validate_polygon's result: None for a triangle, whose corners
+    are all convex, else polygon_frame's (frame, orientation).
+    """
+    if framed is None:
+        # Triangle corners are all convex: prev + next - 2 vid.
+        p, q = (coords(u) for u in cycle if u != vid)
+        return tuple(x + y - 2 * z for x, y, z in zip(p, q, coords(vid)))
+    a, b = _corner_edges(vid, cycle, coords)
+    frame, orientation = framed
     chi = frame.orient(a, b)
     if chi != 0:
         d = vadd(a, b)
@@ -613,18 +609,9 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
                 other = b if a == v else a
                 ridge_normals[(ci, ri)] = vsub(coords(other), coords(v))
             for ci, fi in cf:
-                v = t.corners[ci][0]
-                cycle = t.facets[fi]
-                if frames[fi] is None:
-                    # Triangle corners are convex: prev + next - 2 v.
-                    p, q = (coords(u) for u in cycle if u != v)
-                    facet_normals[(ci, fi)] = tuple(
-                        x + y - 2 * z for x, y, z in zip(p, q, coords(v))
-                    )
-                else:
-                    facet_normals[(ci, fi)] = _inner_direction(
-                        v, cycle, coords, frames[fi]
-                    )
+                facet_normals[(ci, fi)] = _inner_direction(
+                    t.corners[ci][0], t.facets[fi], coords, frames[fi]
+                )
         else:
             cells_at = [[] for _ in t.corners]
             for ci, ri in cr:

@@ -257,6 +257,7 @@ def _assert_inner_direction(vid, cycle, table, expected_parallel=None):
 
         lam = collinearity_coefficient(tuple(expected_parallel), d)
         assert lam is not None and lam > 0, (d, expected_parallel)
+    assert d[2] == 0  # in the polygon's horizontal plane
     # Oracle: v + eps*d is strictly interior for all small rational eps;
     # check two tiny values well below any feature size of these polygons.
     v = table[vid]
@@ -272,6 +273,16 @@ def _assert_inner_direction(vid, cycle, table, expected_parallel=None):
 def test_inner_direction_square_corner():
     table = dict(enumerate(SQUARE))
     _assert_inner_direction(0, (0, 1, 2, 3), table, expected_parallel=(2, 2, 0))
+
+
+def test_inner_direction_triangle_corners():
+    table = [(0, 0, 3), (6, 1, 3), (2, 5, 3)]
+    for vid in range(3):
+        _assert_inner_direction(vid, (0, 1, 2), table)
+        _assert_inner_direction(vid, (2, 1, 0), table)
+    collinear_table = [(0, 0, 0), (1, 1, 0), (3, 3, 0)]
+    with pytest.raises(NotPlanar):
+        facet_inner_direction_polygon(0, (0, 1, 2), _coords(collinear_table))
 
 
 def test_inner_direction_reflex_vertex():
@@ -653,6 +664,23 @@ def test_to_standard_preserves_cell_indexing(cube):
         a, b = cube.ridges[r]
         other = b if a == v else a
         assert w == vsub(cube.vertices[other], cube.vertices[v])
+
+
+def test_to_standard_normals_equal_public_builders():
+    # to_standard skips the checks validation has already made; on integer
+    # input its normals are the checked public builders' exactly.
+    for t in (octahedron_traditional(), _split_top_cube()):
+        std = to_standard(t)
+        for (c, f), w in std.facet_normals.items():
+            assert w == facet_inner_direction_polygon(
+                t.corners[c][0], t.facets[f], t.coords
+            )
+    t = _cyclic_polytope_4d(12)
+    std = to_standard(t)
+    for (c, r), w in std.ridge_normals.items():
+        assert w == ridge_normal_simplicial(t.corners[c], t.ridges[r], t.coords)
+    for (c, f), w in std.facet_normals.items():
+        assert w == facet_normal_simplicial(t.corners[c], t.facets[f], t.coords)
 
 
 def test_to_standard_propagates_degenerate_cells():
