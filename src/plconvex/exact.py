@@ -66,7 +66,7 @@ def dot(u: Vector, v: Vector) -> Scalar:
 
 
 def is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def sign_det3(a: Vector, b: Vector, c: Vector) -> int:
@@ -148,7 +148,8 @@ def rank_le3(vectors) -> tuple[int, tuple[Vector, ...]]:
 
     Returns (rank, basis) where basis is the maximal independent subset in
     first-seen order.  Rank 4 means "spans more than 3 dimensions" and comes
-    back without a basis.
+    back without a basis.  The scan stops once the basis spans the ambient
+    space, so at n = 3 it ends at the first independent triple.
     """
     basis: list[Vector] = []
     echelon: list[tuple[Vector, int]] = []
@@ -160,6 +161,8 @@ def rank_le3(vectors) -> tuple[int, tuple[Vector, ...]]:
         basis.append(v)
         if len(basis) == 4:
             return 4, ()
+        if len(basis) == len(v):
+            break
         echelon.append((r, pivot))
     return len(basis), tuple(basis)
 
@@ -171,7 +174,7 @@ def coords_in_basis(v: Vector, e1: Vector, e2: Vector, e3: Vector) -> Vector:
     injective on span{e1,e2,e3} and preserves orientation signs there because
     the Gram matrix of an independent triple is positive definite.
     """
-    return (as_exact(dot(e1, v)), as_exact(dot(e2, v)), as_exact(dot(e3, v)))
+    return (dot(e1, v), dot(e2, v), dot(e3, v))
 
 
 @dataclass(frozen=True)

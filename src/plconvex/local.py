@@ -15,14 +15,16 @@ interior contains u.  All predicates work on exact rational vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .complexes import WheelStar
 from .errors import DegenerateCone, NotInPlane, PreconditionViolated, ZeroVector
 from .exact import (
     PlaneFrame,
     Vector,
-    collinearity_coefficient,
+    _multiple_pivot,
     coords_in_basis,
+    dot,
     is_zero,
     rank_le3,
     same_ray,
@@ -116,11 +118,8 @@ def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
               frame: PlaneFrame) -> bool:
     """True iff the interiors of <a|b|c> and <c|d|e> intersect.
 
-    A shared extreme ray (a, e) is handled via P(c|b,d|a); otherwise the
-    angles are disjoint exactly when P(a|b,e|c) is false while P(c|d,e|a)
-    and P(b|c,d|e) hold.  The inner P calls use the raw sign recipe;
-    short-circuit order keeps their arguments within the recipe's valid
-    range.
+    Preconditions: coplanar nonzero vectors, with a, b, c on pairwise
+    distinct rays and c, d, e on pairwise distinct rays.
     """
     _require_in_plane(frame, (a, b, c, d, e))
     for x, y in ((a, b), (a, c), (b, c)):
@@ -129,15 +128,25 @@ def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
     for x, y in ((c, d), (c, e), (d, e)):
         if same_ray(x, y):
             raise PreconditionViolated("c, d, e must span pairwise distinct rays")
+    return _folded(a, b, c, d, e, frame)
+
+
+def _folded(a, b, c, d, e, frame: PlaneFrame) -> bool:
+    """is_folded without its precondition checks; callers guarantee them.
+
+    A shared extreme ray (a, e) is handled via P(c|b,d|a); otherwise the
+    angles are disjoint exactly when P(a|b,e|c) is false while P(c|d,e|a)
+    and P(b|c,d|e) hold.  The inner P calls use the raw sign recipe;
+    short-circuit order keeps their arguments within the recipe's valid
+    range.
+    """
     if same_ray(a, e):
         return _angles_equal(frame, c, b, d, a)
-    if (
+    return not (
         not _angles_equal(frame, a, b, e, c)
         and _angles_equal(frame, c, d, e, a)
         and _angles_equal(frame, b, c, d, e)
-    ):
-        return False
-    return True
+    )
 
 
 def _ray_in_interior(frame: PlaneFrame, g, v, marker, w) -> bool:
@@ -166,10 +175,7 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
     circle-tiling criterion, and a third basis vector sends the star to the
     cone check, via Gram coordinates when n >= 4.
     """
-    m = star.m
-    u = star.ridge_normals
-    f = star.facet_normals
-    for x in u + f:
+    for x in star.ridge_normals + star.facet_normals:
         if is_zero(x):
             return Inconsistent("zero normal vector")
 
@@ -185,16 +191,22 @@ def _reduce(star: WheelStar) -> LocalVerdict:
     m = star.m
     u = star.ridge_normals
     f = star.facet_normals
+    if m == 1:
+        return Inconsistent("wheel of size 1")
 
-    # Consecutive ridge rays may never coincide (zero-angle wedge / spike).
-    for i in range(m):
-        j = (i + 1) % m
-        if j == i:
-            return Inconsistent("wheel of size 1")
-        if same_ray(u[i], u[j]):
-            return Inconsistent(
-                f"consecutive ridge normals {i} and {j} positively collinear"
-            )
+    # One pass over the consecutive ridge pairs.  A repeated ray is a
+    # zero-angle wedge (a spike); antiparallel pairs are recorded for the
+    # verdicts below.
+    antiparallel = []
+    for i, (a, b) in enumerate(zip(u, u[1:] + u[:1])):
+        pivot = _multiple_pivot(a, b)
+        if pivot is not None:
+            if a[pivot] * b[pivot] > 0:
+                return Inconsistent(
+                    f"consecutive ridge normals {i} and {(i + 1) % m} "
+                    f"positively collinear"
+                )
+            antiparallel.append(i)
 
     if m == 2:
         return _check_digon(u, f)
@@ -205,25 +217,20 @@ def _reduce(star: WheelStar) -> LocalVerdict:
     if rank == 1:
         # m >= 3 rays on one line must repeat a ray.
         return Inconsistent("ridge normals span a single line")
-    e1, e2 = basis[0], basis[1]
-    frame = PlaneFrame(e1, e2)
+    frame = PlaneFrame(basis[0], basis[1])
     if rank == 2:
-        return _planar_verdict(star, frame)
+        return _planar_verdict(u, f, frame, antiparallel)
 
-    # Genuinely 3-dimensional star.
-    e3 = basis[2]
-    escape = u.index(e3)
-
-    # A straight ridge pair forces the whole star into two half-planes
-    # through that line, i.e. a 2-plane worth of ridge rays; with rank 3
-    # this is impossible for a locally convex star.
-    for i in range(m):
-        lam = collinearity_coefficient(u[i], u[(i + 1) % m])
-        if lam is not None and lam < 0:
-            return Inconsistent(
-                f"antiparallel consecutive ridge normals {i}, {(i + 1) % m} "
-                f"in a 3-dimensional star"
-            )
+    # Genuinely 3-dimensional star.  A straight ridge pair forces the whole
+    # star into two half-planes through that line, i.e. a 2-plane worth of
+    # ridge rays; with rank 3 this is impossible for a locally convex star.
+    if antiparallel:
+        i = antiparallel[0]
+        return Inconsistent(
+            f"antiparallel consecutive ridge normals {i}, {(i + 1) % m} "
+            f"in a 3-dimensional star"
+        )
+    escape = u.index(basis[2])
 
     # The planar prefix (everything before the third basis vector appeared)
     # is a chain of coplanar wedges; folds there are genuine
@@ -237,7 +244,7 @@ def _reduce(star: WheelStar) -> LocalVerdict:
         if same_ray(f[j], u[j]) or same_ray(f[j], u[j + 1]):
             return Inconsistent(f"facet normal {j} lies on a ridge ray")
     for j in range(escape - 2):
-        if is_folded(u[j], f[j], u[j + 1], f[j + 1], u[j + 2], frame):
+        if _folded(u[j], f[j], u[j + 1], f[j + 1], u[j + 2], frame):
             return Inconsistent(f"planar prefix folds at ridge {j + 1}")
     # Monotone open chains self-intersect exactly when they sweep past
     # their starting ray.
@@ -251,9 +258,52 @@ def _reduce(star: WheelStar) -> LocalVerdict:
                 return Inconsistent("planar prefix wraps past its start")
 
     # At n = 3 the Gram map is invertible: it scales every rim determinant by
-    # one sign, which check_cone_convex cannot see.
-    p = u if len(e1) == 3 else tuple(coords_in_basis(x, e1, e2, e3) for x in u)
+    # one sign, which check_cone_convex cannot see.  It is linear, so a facet
+    # normal keeps its coefficients on its two ridge rays, and each wedge is
+    # tested on the rim's coordinates.
+    n3 = len(u[0]) == 3
+    p = u if n3 else tuple(coords_in_basis(x, *basis) for x in u)
+    for j, (a, b, g) in enumerate(zip(u, u[1:] + u[:1], f)):
+        # Triangles, convex polygon corners and simplicial facets all get
+        # f = u_j + u_(j+1) from the converter: strictly inside the sector.
+        if g == tuple(map(add, a, b)):
+            continue
+        if not n3:
+            g = coords_in_basis(g, *basis)
+        fault = _wedge_fault(j, (j + 1) % m, p, g)
+        if fault is not None:
+            return Inconsistent(fault)
     return Cone(ConeRealization3D(rim=p))
+
+
+def _cross(a: Vector, b: Vector) -> Vector:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _wedge_fault(j: int, k: int, p, g: Vector) -> str | None:
+    """None iff g = alpha*p[j] + beta*p[k] with alpha, beta > 0, else why not.
+
+    3-vectors, p[j] and p[k] independent.  With c = p[j] x p[k], g is in
+    their plane iff c.g = 0, and then c.(g x p[k]) and c.(p[j] x g) are
+    alpha and beta times |c|^2.  A convex cone over a rank-3 wheel has no
+    reflex wedge, so a facet normal outside the open sector of its ridge
+    rays rules the star out.
+    """
+    a, b = p[j], p[k]
+    c = _cross(a, b)
+    if dot(c, g):
+        return f"facet normal {j} outside the plane of its ridge rays"
+    alpha = dot(c, _cross(g, b))
+    beta = dot(c, _cross(a, g))
+    if alpha > 0 and beta > 0:
+        return None
+    if alpha >= 0 and beta >= 0:
+        return f"facet normal {j} lies on a ridge ray"
+    return f"facet angle {j} between ridges {j} and {k} is reflex"
 
 
 def _check_digon(u, f) -> LocalVerdict:
@@ -278,7 +328,7 @@ def _check_digon(u, f) -> LocalVerdict:
     return FlatPass()
 
 
-def _planar_verdict(star: WheelStar, frame: PlaneFrame) -> LocalVerdict:
+def _planar_verdict(u, f, frame: PlaneFrame, antiparallel) -> LocalVerdict:
     """Ridge rays span exactly 2 dimensions: decide by circle tiling.
 
     A closed chain of in-plane wedges passes iff adjacent wedges never fold
@@ -287,23 +337,21 @@ def _planar_verdict(star: WheelStar, frame: PlaneFrame) -> LocalVerdict:
     (an out-of-plane half-plane facet: the star is a subdivided dihedral
     corner); the remaining in-plane chain must then sweep a half-circle
     monotonically.  Two or more such facets can never bound a convex cone.
+    antiparallel lists the indices i whose ridge pair (i, i + 1) is
+    antiparallel.
     """
-    m = star.m
-    u = star.ridge_normals
-    f = star.facet_normals
+    m = len(u)
 
     jumps = []
     for j in range(m):
         if not frame.contains(f[j]):
-            lam = collinearity_coefficient(u[j], u[(j + 1) % m])
-            if lam is None or lam >= 0:
+            if j not in antiparallel:
                 return Inconsistent(
                     f"facet normal {j} outside the plane of its ridge rays"
                 )
             jumps.append(j)
-        else:
-            if same_ray(f[j], u[j]) or same_ray(f[j], u[(j + 1) % m]):
-                return Inconsistent(f"facet normal {j} lies on a ridge ray")
+        elif same_ray(f[j], u[j]) or same_ray(f[j], u[(j + 1) % m]):
+            return Inconsistent(f"facet normal {j} lies on a ridge ray")
 
     if len(jumps) > 1:
         return Inconsistent(
@@ -313,7 +361,7 @@ def _planar_verdict(star: WheelStar, frame: PlaneFrame) -> LocalVerdict:
     if not jumps:
         for j in range(m):
             k, l = (j + 1) % m, (j + 2) % m
-            if is_folded(u[j], f[j], u[k], f[k], u[l], frame):
+            if _folded(u[j], f[j], u[k], f[k], u[l], frame):
                 return Inconsistent(f"facet angles fold at ridge {k}")
         winding = 0
         g = tuple(-c for c in u[0])
@@ -335,7 +383,7 @@ def _planar_verdict(star: WheelStar, frame: PlaneFrame) -> LocalVerdict:
     chain = [(J + 1 + t) % m for t in range(m - 1)]  # in-plane angle indices
     for a, b in zip(chain, chain[1:]):
         shared = (a + 1) % m
-        if is_folded(u[a], f[a], u[shared], f[b], u[(b + 1) % m], frame):
+        if _folded(u[a], f[a], u[shared], f[b], u[(b + 1) % m], frame):
             return Inconsistent(f"facet angles fold at ridge {shared}")
     w0 = u[start]
     for t, j in enumerate(chain):

@@ -10,9 +10,10 @@ from conftest import (
     cube_traditional,
     tetrahedron_traditional,
 )
-from plconvex import to_standard
+from plconvex import NotConvex, check_convexity, corner_report, to_standard
 from plconvex.cli import main
-from plconvex.formats import serialize_off, serialize_plc
+from plconvex.complexes import CellId
+from plconvex.formats import parse_off, serialize_off, serialize_plc
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +113,31 @@ def test_exhaustive_invalid_standard_input(tmp_path, capsys):
     assert payload["verdict"] == "invalid_input"
     assert payload["corners_checked"] == 0
     assert "exhaustive" not in payload
+
+
+def test_l_prism_reflex_corners_fail(capsys):
+    # Prism over the L hexagon (0,0),(2,0),(2,1),(1,1),(1,2),(0,2): the
+    # reflex cap angle sits at vertices 3 = (1,1,0) and 9 = (1,1,2), whose
+    # ridge rays span R^3, so only a wedge test can tell them from the
+    # convex sector between the same rays.
+    path = DATA / "l_prism.off"
+    t = parse_off(path.read_text())
+    assert (t.vertices[3], t.vertices[9]) == ((1, 1, 0), (1, 1, 2))
+    assert main(["check", str(path), "--report", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == "inconsistent"
+    assert payload["witness"] == {"dim": 0, "index": 3}
+    assert main(["check", str(path), "--report", "json", "--exhaustive"]) == 1
+    entries = json.loads(capsys.readouterr().out)["exhaustive"]
+    assert [e["index"] for e in entries if not e["passed"]] == [3, 9]
+    assert all("reflex" in e["detail"] for e in entries if not e["passed"])
+    std = to_standard(t)
+    for reverse in (False, True):
+        verdict = check_convexity(std, reverse=reverse)
+        assert verdict == NotConvex("inconsistent", CellId(0, 3))
+        failed = [r.corner.index for r in corner_report(std, reverse=reverse)
+                  if not r.passed]
+        assert failed == [3, 9]
 
 
 def test_exhaustive_text_shows_detail(tmp_path, capsys):

@@ -103,6 +103,12 @@ def _gauss_rank(rows):
     return rank
 
 
+def test_rank_le3_stops_at_ambient_dimension():
+    # The trailing 2-vector would fail the elimination if it were reached.
+    vecs = [(1, 0, 0), (1, 1, 0), (0, 0, 2), (1, 2)]
+    assert rank_le3(vecs) == (3, ((1, 0, 0), (1, 1, 0), (0, 0, 2)))
+
+
 def test_rank_le3_matches_gaussian_oracle():
     rng = random.Random(11)
     for _ in range(300):
