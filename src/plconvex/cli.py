@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except PLConvexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # a bug: one line and exit 3, not a traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

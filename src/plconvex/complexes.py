@@ -76,28 +76,17 @@ class StandardFormComplex:
         self.num_corners = num_corners
         self.num_ridges = num_ridges
         self.num_facets = num_facets
-        self.corner_ridges = [[] for _ in range(num_corners)]
-        self.corner_facets = [[] for _ in range(num_corners)]
-        self.ridge_facets = [[] for _ in range(num_ridges)]
-        for c, r in corner_ridge_pairs:
-            self._check_index(c, num_corners, "corner")
-            self._check_index(r, num_ridges, "ridge")
-            self.corner_ridges[c].append(r)
-        for c, f in corner_facet_pairs:
-            self._check_index(c, num_corners, "corner")
-            self._check_index(f, num_facets, "facet")
-            self.corner_facets[c].append(f)
-        for r, f in ridge_facet_pairs:
-            self._check_index(r, num_ridges, "ridge")
-            self._check_index(f, num_facets, "facet")
-            self.ridge_facets[r].append(f)
+        self.corner_ridges = _group(
+            corner_ridge_pairs, num_corners, num_ridges, "corner", "ridge"
+        )
+        self.corner_facets = _group(
+            corner_facet_pairs, num_corners, num_facets, "corner", "facet"
+        )
+        self.ridge_facets = _group(
+            ridge_facet_pairs, num_ridges, num_facets, "ridge", "facet"
+        )
         self.ridge_normals = dict(ridge_normals)
         self.facet_normals = dict(facet_normals)
-
-    @staticmethod
-    def _check_index(i: int, count: int, kind: str) -> None:
-        if not 0 <= i < count:
-            raise InvalidInputError(f"{kind} index {i} out of range")
 
     # -- cell id helpers -------------------------------------------------
 
@@ -106,6 +95,21 @@ class StandardFormComplex:
 
     def corners(self):
         return (self.corner_id(i) for i in range(self.num_corners))
+
+
+def _group(pairs, rows: int, cols: int, row_kind: str, col_kind: str):
+    """Lists of the b of each pair (a, b), indexed by a, in pair order.
+
+    One pass with the range check inline; the first index out of range, in
+    pair order and a before b, is reported.
+    """
+    lists = [[] for _ in range(rows)]
+    for a, b in pairs:
+        if not (0 <= a < rows and 0 <= b < cols):
+            kind, i = (row_kind, a) if not 0 <= a < rows else (col_kind, b)
+            raise InvalidInputError(f"{kind} index {i} out of range")
+        lists[a].append(b)
+    return lists
 
 
 def validate_standard(complex: StandardFormComplex) -> None:

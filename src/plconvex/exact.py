@@ -10,6 +10,7 @@ quotients known to be exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,13 +32,28 @@ def as_exact(x) -> Scalar:
 def parse_rational(text: str) -> Scalar:
     """Parse 'p/q', a decimal string, or an integer literal, exactly.
 
-    Decimals convert as p/10^k; no binary floating point is involved.
+    Decimals convert as p/10^k; no binary floating point is involved.  A
+    decimal exponent beyond sys.get_int_max_str_digits() in magnitude raises
+    ValueError: its 10^k would have more digits than int() accepts, and
+    computing it takes seconds for a literal of a few bytes.
     """
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
         return as_exact(Fraction(int(num), int(den)))
     if "." in text or "e" in text or "E" in text:
+        _, e, exponent = text.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if e and limit:
+            try:
+                too_big = abs(int(exponent)) > limit
+            except ValueError:  # malformed; Fraction says so below
+                too_big = False
+            if too_big:
+                raise ValueError(
+                    f"decimal exponent exceeds the limit ({limit}) for "
+                    f"integer string conversion"
+                )
         return as_exact(Fraction(text))
     return int(text)
 

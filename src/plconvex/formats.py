@@ -23,6 +23,34 @@ from .normals import POLYGONAL, SIMPLICIAL, TraditionalFormComplex
 
 
 # ---------------------------------------------------------------------------
+# Row fields
+# ---------------------------------------------------------------------------
+
+
+def _int(token: str, ln: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", ln) from None
+
+
+def _coordinates(fields, ln: int) -> Vector:
+    """Exact coordinates of one row: int first, parse_rational if int fails.
+
+    Exact: a token int accepts has no '/', '.', 'e' or 'E', so
+    parse_rational would return that same int.
+    """
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        pass
+    try:
+        return tuple(map(parse_rational, fields))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad coordinate: {exc}", ln) from None
+
+
+# ---------------------------------------------------------------------------
 # OFF
 # ---------------------------------------------------------------------------
 
@@ -66,10 +94,7 @@ def parse_off(text: str) -> TraditionalFormComplex:
         parts = s.split()
         if len(parts) != 3:
             raise ParseError("vertex line needs 3 coordinates", ln)
-        try:
-            vertices.append(tuple(parse_rational(p) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coordinate: {exc}", ln) from None
+        vertices.append(_coordinates(parts, ln))
     facets: list[tuple[int, ...]] = []
     for ln, s in body[nv:]:
         parts = s.split()
@@ -151,34 +176,36 @@ def serialize_off(t: TraditionalFormComplex) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _plc_tokens(text: str):
-    for i, raw in enumerate(text.splitlines()):
-        s = raw.split("#", 1)[0].strip()
-        if s:
-            yield i + 1, s.split()
-
-
-def _int(token: str, ln: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", ln) from None
+def _records(rows):
+    """(line number, tokens) of each line of `rows` with content."""
+    for ln, line in rows:
+        tok = line.split("#", 1)[0].split()
+        if tok:
+            yield ln, tok
 
 
 def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
-    """Parse a PLC document into the declared in-memory form."""
-    tokens = list(_plc_tokens(text))
-    if not tokens or tokens[0][1][0] != "plc":
-        raise ParseError("missing 'plc' header", tokens[0][0] if tokens else 1)
-    ln, head = tokens[0]
+    """Parse a PLC document into the declared in-memory form.
+
+    One pass over the lines: the header and declarations are read from the
+    same line iterator that the body loop then finishes.
+    """
+    rows = enumerate(text.splitlines(), 1)
+    records = _records(rows)
+    record = next(records, None)
+    if record is None or record[1][0] != "plc":
+        raise ParseError("missing 'plc' header", record[0] if record else 1)
+    ln, head = record
     if len(head) != 2 or head[1] != "1":
         raise ParseError("unsupported plc version", ln)
     form = None
     n = None
     decl_ln = {}
-    i = 1
-    while i < len(tokens) and (form is None or n is None):
-        ln, tok = tokens[i]
+    while form is None or n is None:
+        record = next(records, None)
+        if record is None:
+            break
+        ln, tok = record
         if tok[0] == "form" and len(tok) == 2:
             form = tok[1]
         elif tok[0] == "n" and len(tok) == 2:
@@ -186,49 +213,60 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
         else:
             raise ParseError(f"expected form/n declarations, got {tok[0]!r}", ln)
         decl_ln[tok[0]] = ln
-        i += 1
     # A missing declaration is reported at the last line read.
     if form not in ("standard", "traditional"):
         raise ParseError(f"unknown form {form!r}", decl_ln.get("form", ln))
     if n is None or n < 3:
         raise ParseError(f"bad ambient dimension {n!r}", decl_ln.get("n", ln))
-    body = tokens[i:]
     if form == "traditional":
-        return _parse_plc_traditional(n, body)
-    return _parse_plc_standard(n, body, tokens[-1][0])
+        return _parse_plc_traditional(n, rows, text)
+    return _parse_plc_standard(n, rows, ln)
 
 
-def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
+def _parse_plc_traditional(n, rows, text) -> TraditionalFormComplex:
     vertices = {}
     cells = {"corner": {}, "ridge": {}, "facet": {}}
-    for ln, tok in body:
+    for ln, line in rows:
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tok = line.split()
+        if not tok:
+            continue
         kind = tok[0]
-        if kind == "vertex":
-            if len(tok) != n + 2:
-                raise ParseError(f"vertex line needs id + {n} coordinates", ln)
-            vid = _int(tok[1], ln)
-            if vid in vertices:
-                raise ParseError(f"duplicate vertex id {vid}", ln)
-            try:
-                vertices[vid] = tuple(parse_rational(p) for p in tok[2:])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad coordinate: {exc}", ln) from None
-        elif kind in cells:
+        if kind in cells:
             if len(tok) < 2:
                 raise ParseError(f"{kind} line needs an id", ln)
-            idx = _int(tok[1], ln)
-            if idx in cells[kind]:
+            table = cells[kind]
+            try:
+                row = tuple(map(int, tok[1:]))
+            except ValueError:
+                row = (_int(tok[1], ln),)
+            idx = row[0]
+            if idx in table:
                 raise ParseError(f"duplicate {kind} id {idx}", ln)
-            cells[kind][idx] = tuple(_int(p, ln) for p in tok[2:])
+            # After a fallback the generator raises at the first bad entry.
+            table[idx] = row[1:] or tuple(_int(p, ln) for p in tok[2:])
+        elif kind == "vertex":
+            if len(tok) != n + 2:
+                raise ParseError(f"vertex line needs id + {n} coordinates", ln)
+            try:
+                row = tuple(map(int, tok[1:]))
+            except ValueError:  # a bad id, or a rational coordinate
+                row = (_int(tok[1], ln),)
+            vid = row[0]
+            if vid in vertices:
+                raise ParseError(f"duplicate vertex id {vid}", ln)
+            vertices[vid] = row[1:] or _coordinates(tok[2:], ln)
         else:
             raise ParseError(f"unknown record {kind!r}", ln)
     for name, table in (("vertex", vertices),) + tuple(cells.items()):
-        ids = sorted(table)
-        if ids != list(range(len(ids))):
+        # Ids are distinct, so they are dense iff they run from 0 to len - 1.
+        if table and (min(table) != 0 or max(table) != len(table) - 1):
             # Report the line of the first id out of place; found only now,
             # so valid input keeps no line per record.
+            ids = sorted(table)
             bad = next(idx for pos, idx in enumerate(ids) if idx != pos)
-            ln = next(ln for ln, tok in body
+            ln = next(ln for ln, tok in _records(enumerate(text.splitlines(), 1))
                       if tok[0] == name and int(tok[1]) == bad)
             raise ParseError(f"{name} ids must be dense from 0", ln)
     coords = [vertices[i] for i in range(len(vertices))]
@@ -243,38 +281,44 @@ def _parse_plc_traditional(n, body) -> TraditionalFormComplex:
     )
 
 
-def _parse_plc_standard(n, body, last_ln) -> StandardFormComplex:
+def _parse_plc_standard(n, rows, last_ln) -> StandardFormComplex:
     counts = {}
     incidences = {"corner_ridge": [], "corner_facet": [], "ridge_facet": []}
-    ridge_normals = {}
-    facet_normals = {}
-    for ln, tok in body:
+    normals = {"ridge": {}, "facet": {}}
+    for ln, line in rows:
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tok = line.split()
+        if not tok:
+            continue
+        last_ln = ln
         kind = tok[0]
-        if kind in ("corners", "ridges", "facets"):
-            if len(tok) != 2:
-                raise ParseError(f"{kind} line needs one count", ln)
-            counts[kind] = _int(tok[1], ln)
-        elif kind == "incidence":
-            if len(tok) != 4 or tok[1] not in (
-                "corner_ridge",
-                "corner_facet",
-                "ridge_facet",
-            ):
+        if kind == "incidence":
+            if len(tok) != 4 or tok[1] not in incidences:
                 raise ParseError("incidence line: kind id id", ln)
-            incidences[tok[1]].append((_int(tok[2], ln), _int(tok[3], ln)))
+            try:
+                pair = (int(tok[2]), int(tok[3]))
+            except ValueError:
+                pair = (_int(tok[2], ln), _int(tok[3], ln))
+            incidences[tok[1]].append(pair)
         elif kind == "normal":
-            if len(tok) != 4 + n or tok[1] not in ("ridge", "facet"):
+            if len(tok) != 4 + n or tok[1] not in normals:
                 raise ParseError(
                     f"normal line: ridge|facet cid id + {n} coordinates", ln
                 )
-            key = (_int(tok[2], ln), _int(tok[3], ln))
-            table = ridge_normals if tok[1] == "ridge" else facet_normals
+            try:
+                row = tuple(map(int, tok[2:]))
+            except ValueError:  # a bad id, or a rational coordinate
+                row = (_int(tok[2], ln), _int(tok[3], ln))
+            key = row[:2]
+            table = normals[tok[1]]
             if key in table:
                 raise ParseError(f"duplicate normal for incidence {key}", ln)
-            try:
-                table[key] = tuple(parse_rational(p) for p in tok[4:])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad coordinate: {exc}", ln) from None
+            table[key] = row[2:] or _coordinates(tok[4:], ln)
+        elif kind in ("corners", "ridges", "facets"):
+            if len(tok) != 2:
+                raise ParseError(f"{kind} line needs one count", ln)
+            counts[kind] = _int(tok[1], ln)
         else:
             raise ParseError(f"unknown record {kind!r}", ln)
     for kind in ("corners", "ridges", "facets"):
@@ -288,8 +332,8 @@ def _parse_plc_standard(n, body, last_ln) -> StandardFormComplex:
         corner_ridge_pairs=incidences["corner_ridge"],
         corner_facet_pairs=incidences["corner_facet"],
         ridge_facet_pairs=incidences["ridge_facet"],
-        ridge_normals=ridge_normals,
-        facet_normals=facet_normals,
+        ridge_normals=normals["ridge"],
+        facet_normals=normals["facet"],
     )
 
 

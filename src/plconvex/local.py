@@ -43,6 +43,13 @@ class ConeRealization3D:
             if len(p) != 3 or is_zero(p):
                 raise ValueError("rim points must be nonzero 3-vectors")
 
+    @classmethod
+    def _unchecked(cls, rim: tuple[Vector, ...]) -> ConeRealization3D:
+        """A cone whose caller has already shown every rim point valid."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rim", rim)
+        return cone
+
     @property
     def m(self) -> int:
         return len(self.rim)
@@ -273,7 +280,9 @@ def _reduce(star: WheelStar) -> LocalVerdict:
         fault = _wedge_fault(j, (j + 1) % m, p, g)
         if fault is not None:
             return Inconsistent(fault)
-    return Cone(ConeRealization3D(rim=p))
+    # Every u_j is nonzero, and the rank check put it in the basis's span,
+    # so its n = 3 point or its Gram coordinates are a nonzero 3-vector.
+    return Cone(ConeRealization3D._unchecked(p))
 
 
 def _cross(a: Vector, b: Vector) -> Vector:

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import plconvex.checker
+import plconvex.cli
 from conftest import (
     CUBE_OFF,
     csaszar_torus,
@@ -240,6 +242,34 @@ def test_parse_error_line_numbers(tmp_path, capsys, name, text, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("huge.off", "OFF\n3 1 0\n0 0 0\n1e10000000 0 0\n0 1 0\n3 0 1 2\n", 4),
+    ("huge.plc", _TRAD + "vertex 1 0 -2.5E-10000000 0\n", 5),
+    ("huge.plc", _STD + "normal ridge 0 0 1 1e10000000 0\n", 5),
+], ids=["off_vertex", "plc_vertex", "plc_normal"])
+def test_huge_decimal_exponent_rejected_fast(tmp_path, capsys, name, text, line):
+    # 10^(10^7) alone would take seconds to build from these few bytes.
+    path = tmp_path / name
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: bad coordinate: decimal exponent")
+    assert "Traceback" not in err
+
+
+def test_internal_error_exit_code(cube_off_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(plconvex.cli, "check_complex", broken)
+    assert main(["check", str(cube_off_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError('broken')\n"
+    assert captured.out == ""
 
 
 def test_invalid_input_exit_code(tmp_path, capsys):

@@ -77,6 +77,19 @@ def test_validate_rejects_pinched_vertex():
         validate_standard(std)
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 0), (0, 5), (-1, 0)], "ridge index 5 out of range"),
+    ([(0, 0), (2, 9), (0, 1)], "corner index 2 out of range"),
+    ([(0, 0), (0, -1)], "ridge index -1 out of range"),
+])
+def test_first_out_of_range_index_is_reported(pairs, message):
+    # Pair order first, and within a pair the corner before the ridge.
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        StandardFormComplex(3, 2, 3, 1, pairs, [], [], {}, {})
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        StandardFormComplex(3, 2, 3, 1, iter(pairs), [], [], {}, {})
+
+
 def test_validate_rejects_rank4_normals():
     # Single-corner star whose normals span 4 dimensions (bad data in R^4).
     cr = [(0, 0), (0, 1)]

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,17 @@ def test_rational_parsing_round_trip():
     assert as_exact(Fraction(4, 2)) == 2 and isinstance(as_exact(Fraction(4, 2)), int)
     for text in ["5", "-7", "2/3", "-11/4"]:
         assert format_rational(parse_rational(text)) == text
+
+
+def test_parse_rational_caps_decimal_exponent():
+    # The cap is int()'s own digit limit; at it, the literal still parses.
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+    assert parse_rational("2.5E3") == 2500
+    for text in (f"1e{limit + 1}", f"-0.5E-{limit + 1}", "1e10000000"):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse_rational(text)
+    # A malformed exponent keeps Fraction's own message.
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        parse_rational("1e5e5")

@@ -2,7 +2,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plconvex.formats
 from conftest import CUBE_OFF, cube_traditional, simplex_boundary
 from plconvex import (
     Convex,
@@ -13,7 +16,9 @@ from plconvex import (
     to_standard,
 )
 from plconvex.errors import InvalidInputError, ParseError
+from plconvex.exact import parse_rational
 from plconvex.formats import (
+    _coordinates,
     parse_off,
     parse_plc,
     serialize_off,
@@ -166,3 +171,99 @@ def test_check_equivalence_between_forms():
         assert type(direct) is type(via_std)
         if isinstance(direct, NotConvex):
             assert direct.witness == via_std.witness
+
+
+# ---------------------------------------------------------------------------
+# Integer-first field conversion
+# ---------------------------------------------------------------------------
+
+_NUMERIC = st.text(alphabet=" +-_0123456789./eE", max_size=8)
+
+
+@given(st.lists(_NUMERIC, min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_coordinates_match_parse_rational(tokens):
+    # The int-first converter gives parse_rational's values and types, or
+    # fails with the message of the first token parse_rational rejects.
+    try:
+        want = tuple(parse_rational(t) for t in tokens)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as caught:
+            _coordinates(tokens, 1)
+        assert str(caught.value) == f"line 1: bad coordinate: {exc}"
+        return
+    got = _coordinates(tokens, 1)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _integer_documents():
+    """All-integer OFF, traditional PLC and standard PLC documents."""
+    from plconvex.oracle import gen_convex_surface
+
+    docs = [(p.name, p.read_text()) for p in sorted(DATA.iterdir())]
+    docs.append(("cube.plc", serialize_plc(cube_traditional())))
+    docs.append(("simplex4.plc", serialize_plc(simplex_boundary(4))))
+    hull = gen_convex_surface(seed=5, n=3, num_points=30, coord_bound=100)
+    docs.append(("hull.off", serialize_off(hull)))
+    docs.append(("hull.plc", serialize_plc(hull)))
+    docs.append(("hull_standard.plc", serialize_plc(to_standard(hull))))
+    return [pytest.param(name, text, id=name) for name, text in docs]
+
+
+def _parse(name, text):
+    return parse_off(text) if name.endswith(".off") else parse_plc(text)
+
+
+@pytest.mark.parametrize("name, text", _integer_documents())
+def test_integer_documents_never_call_parse_rational(name, text, monkeypatch):
+    want = vars(_parse(name, text))
+
+    def refuse(token):
+        raise AssertionError(f"parse_rational called on {token!r}")
+
+    monkeypatch.setattr(plconvex.formats, "parse_rational", refuse)
+    assert vars(_parse(name, text)) == want
+
+
+_STD_BODY = """\
+plc 1
+# a standard-form body with comments and blank lines between the rows
+form standard
+n 3
+
+corners 1   # one corner
+ridges 3
+
+facets 3
+incidence corner_ridge 0 0
+# ridge normals follow
+
+normal ridge 0 0 1 0 0
+{row}
+incidence corner_facet 0 0
+"""
+
+
+@pytest.mark.parametrize("row, message", [
+    ("normal ridge 0 1 0 x 0",
+     "bad coordinate: invalid literal for int() with base 10: 'x'"),
+    ("incidence corner_ridge 0 q", "expected an integer, got 'q'"),
+    ("normal ridge 0 0 1 1 0   # again", "duplicate normal for incidence (0, 0)"),
+    ("normal facet 0 1 1 0", "normal line: ridge|facet cid id + 3 coordinates"),
+    ("nromal ridge 0 1 0 1 0", "unknown record 'nromal'"),
+], ids=["bad_coordinate", "bad_incidence_id", "duplicate_normal",
+        "normal_width", "unknown_record"])
+def test_standard_form_errors_name_their_line(row, message):
+    with pytest.raises(ParseError) as caught:
+        parse_plc(_STD_BODY.format(row=row))
+    assert caught.value.line == 14
+    assert str(caught.value).startswith(f"line 14: {message}")
+
+
+def test_standard_form_rational_normal_parses_exactly():
+    std = parse_plc(_STD_BODY.format(row="normal ridge 0 1 1/2 -0.25 3e1"))
+    assert std.ridge_normals[(0, 1)] == (Fraction(1, 2), Fraction(-1, 4), 30)
+    assert [type(x) for x in std.ridge_normals[(0, 1)]] == [Fraction, Fraction, int]
+    assert std.ridge_normals[(0, 0)] == (1, 0, 0)
+    assert std.corner_ridges == [[0]] and std.corner_facets == [[0]]

@@ -374,6 +374,17 @@ def test_cone_square():
     assert check_cone_convex(cone) is True
 
 
+@pytest.mark.parametrize("rim", [
+    ((1, 1, 1), (0, 0, 0), (1, -1, 1)),
+    ((1, 1, 1), (-1, 1), (1, -1, 1)),
+    ((1, 1, 1), (-1, 1, 1, 0), (1, -1, 1)),
+], ids=["zero", "short", "long"])
+def test_cone_realization_rejects_bad_rim_points(rim):
+    # reduce_to_3d builds its cones without this check; direct callers keep it.
+    with pytest.raises(ValueError, match="nonzero 3-vectors"):
+        ConeRealization3D(rim)
+
+
 def test_cone_dented_diamond():
     # Cross-section (4,0),(0,4),(1,1),(0,-4) at height 4 is reflex at (1,1).
     rim = ((4, 0, 4), (0, 4, 4), (1, 1, 4), (0, -4, 4))
