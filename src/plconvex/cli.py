@@ -16,6 +16,7 @@ from . import __version__
 from .checker import Convex, InvalidInput, NotConvex, Verdict, check_complex
 from .complexes import face_counts
 from .errors import InvalidInputError, NotSimplicial, ParseError, PLConvexError
+from .exact import parse_rational
 from .formats import parse_path, serialize_off, serialize_plc
 from .normals import TraditionalFormComplex
 from .oracle import dent, gen_convex_surface, is_hull_boundary
@@ -161,7 +162,11 @@ def _cmd_dent(args) -> int:
     t = parse_path(args.file, None)
     if not isinstance(t, TraditionalFormComplex):
         raise InvalidInputError("dent needs traditional-form input")
-    d = dent(t, args.vertex, args.factor)
+    try:
+        factor = parse_rational(args.factor)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad --factor {args.factor!r}: {exc}") from None
+    d = dent(t, args.vertex, factor)
     _write_surface(d, args.out)
     return 0
 

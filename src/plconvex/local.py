@@ -5,8 +5,11 @@ A corner's star is a wheel of ridge rays and facet wedges inside the
 settles all configurations whose ridge rays stay inside a 2-plane (the star
 must then tile the circle of directions exactly once, up to one out-of-plane
 half-plane facet at an antiparallel ridge pair), and otherwise reduces the
-star to a cone over rim points in R^3 whose convexity is decided by exact
-3x3 determinant signs.
+star to a cone over rim points in R^3.  There every facet normal must lie
+strictly inside the convex sector of its two ridge rays, and one winding
+rule decides the rim: it turns one way, an interior axis lies strictly
+inside every wedge plane, and the rim winds exactly once about that axis.
+All of it reads exact 3x3 determinant signs.
 
 Angle conventions: <v|u|w> is the plane angle with extreme rays v, w whose
 interior contains u.  All predicates work on exact rational vectors.
@@ -28,7 +31,6 @@ from .exact import (
     is_zero,
     rank_le3,
     same_ray,
-    sign_det3,
 )
 
 
@@ -224,9 +226,10 @@ def _reduce(star: WheelStar) -> LocalVerdict:
     if rank == 1:
         # m >= 3 rays on one line must repeat a ray.
         return Inconsistent("ridge normals span a single line")
-    frame = PlaneFrame(basis[0], basis[1])
     if rank == 2:
-        return _planar_verdict(u, f, frame, antiparallel)
+        return _planar_verdict(
+            u, f, PlaneFrame(basis[0], basis[1]), antiparallel
+        )
 
     # Genuinely 3-dimensional star.  A straight ridge pair forces the whole
     # star into two half-planes through that line, i.e. a 2-plane worth of
@@ -237,32 +240,6 @@ def _reduce(star: WheelStar) -> LocalVerdict:
             f"antiparallel consecutive ridge normals {i}, {(i + 1) % m} "
             f"in a 3-dimensional star"
         )
-    escape = u.index(basis[2])
-
-    # The planar prefix (everything before the third basis vector appeared)
-    # is a chain of coplanar wedges; folds there are genuine
-    # self-intersections no matter what the rest of the star does.
-    for j in range(escape - 1):
-        if not frame.contains(f[j]):
-            return Inconsistent(
-                f"facet normal {j} outside the plane of its ridge rays"
-            )
-    for j in range(escape - 1):
-        if same_ray(f[j], u[j]) or same_ray(f[j], u[j + 1]):
-            return Inconsistent(f"facet normal {j} lies on a ridge ray")
-    for j in range(escape - 2):
-        if _folded(u[j], f[j], u[j + 1], f[j + 1], u[j + 2], frame):
-            return Inconsistent(f"planar prefix folds at ridge {j + 1}")
-    # Monotone open chains self-intersect exactly when they sweep past
-    # their starting ray.
-    if escape >= 2:
-        g = u[0]
-        for j in range(1, escape):
-            if j >= 2 and same_ray(u[j], g):
-                return Inconsistent("planar prefix wraps past its start")
-        for j in range(escape - 1):
-            if _ray_in_interior(frame, g, u[j], f[j], u[j + 1]):
-                return Inconsistent("planar prefix wraps past its start")
 
     # At n = 3 the Gram map is invertible: it scales every rim determinant by
     # one sign, which check_cone_convex cannot see.  It is linear, so a facet
@@ -411,34 +388,75 @@ def _planar_verdict(u, f, frame: PlaneFrame, antiparallel) -> LocalVerdict:
 def check_cone_convex(cone: ConeRealization3D) -> bool:
     """True iff the wheel surface over the rim lies on a convex cone boundary.
 
-    Base the orientation on the first consecutive rim triple with nonzero
-    sign; then every consecutive triple must have sign s or 0 (turning the
-    same way, with 0 for flat ridges) and every fan triple from the base
-    point must have sign s or 0 (no self-intersection).
+    Precondition: no two consecutive rim points are collinear (on one ray or
+    on opposite rays); reduce_to_3d rejects such stars before building a
+    cone.  With e_i = p_i x p_(i+1), the normal of wedge plane i, the test is:
+
+    1. every turn det(p_(i-1), p_i, p_(i+1)) has sign s or 0, where s is
+       the sign of a strict turn (the first one found), at rim point b;
+    2. the axis c = s(p_(b-1) + p_b + p_(b+1)) lies strictly on the
+       positive side of every wedge plane: e_i.c > 0;
+    3. the rim winds exactly once about c: exactly one step i -> i+1 has
+       det(c, p_0, p_i) < 0 <= det(c, p_0, p_(i+1)).
+
+    Necessity.  On a convex cone every rim point lies weakly on the s side
+    of every wedge plane, which gives 1.  The three rays at a strict turn
+    are independent, so they span a full-dimensional subcone and no wedge
+    plane holds all three: c is interior, which is 2.  Each half-plane
+    bounded by the line of c meets the cone's boundary in one ray, and the
+    rim is a simple closed curve on that boundary, so it winds once: 3.
+
+    Sufficiency.  By 2 each step turns about c by an angle in (0, pi), so
+    the angle swept from p_0 grows in steps below pi to 2*pi*k, and a step
+    takes det(c, p_0, .) from < 0 to >= 0 exactly when it reaches a
+    multiple of 2*pi: 3 says k = 1.  The rim is then a radial graph about
+    c.  In polar coordinates (theta, phi) about c, psi = cot(phi) is a
+    2*pi-periodic function of theta whose pieces are sinusoids
+    alpha cos(theta) + beta sin(theta) (wedge planes, none through c by
+    2), with c above each.  A turn of sign s or 0 bends psi upward, so
+    psi'' + psi = mu >= 0 as a measure.  The difference d between psi and
+    wedge i's sinusoid vanishes on that wedge's arc, shorter than pi, and
+    d(theta) is the integral of sin(|theta - t|) dmu(t) for up to pi past
+    either end; that covers the circle, so d >= 0 and every rim point lies
+    weakly on the c side of every wedge plane.  A radial graph is simple,
+    so the rim is a convex spherical polygon.
     """
     p = cone.rim
-    m = len(p)
-    if m < 3:
+    if len(p) < 3:
         raise DegenerateCone("cone check needs at least 3 rim points")
-    base = None
-    s = 0
-    for i in range(m):
-        s = sign_det3(p[i], p[(i + 1) % m], p[(i + 2) % m])
-        if s != 0:
-            base = i
+    (a0, a1, a2), (b0, b1, b2) = p[-2], p[-1]
+    for d0, d1, d2 in p:
+        turn = (
+            (a1 * b2 - a2 * b1) * d0
+            + (a2 * b0 - a0 * b2) * d1
+            + (a0 * b1 - a1 * b0) * d2
+        )
+        if turn:
             break
-    if base is None:
+        a0, a1, a2, b0, b1, b2 = b0, b1, b2, d0, d1, d2
+    else:
         raise DegenerateCone("all consecutive rim triples are singular")
-    for i in range(m):
-        t = sign_det3(p[i], p[(i + 1) % m], p[(i + 2) % m])
-        if t not in (0, s):
+    s = 1 if turn > 0 else -1
+    c0, c1, c2 = s * (a0 + b0 + d0), s * (a1 + b1 + d1), s * (a2 + b2 + d2)
+    # det(c, p_0, x) = w.x tells which side of the plane (c, p_0) x is on.
+    z0, z1, z2 = p[0]
+    w0, w1, w2 = c1 * z2 - c2 * z1, c2 * z0 - c0 * z2, c0 * z1 - c1 * z0
+
+    # One pass over the steps b -> d, starting at p_(m-1) -> p_0.  On entry
+    # e is the previous wedge's normal, so e.d is the turn at b; then e
+    # becomes b x d.  h = w.b.
+    (a0, a1, a2), (b0, b1, b2) = p[-2], p[-1]
+    e0, e1, e2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    h = w0 * b0 + w1 * b1 + w2 * b2
+    crossings = 0
+    for d0, d1, d2 in p:
+        if s * (e0 * d0 + e1 * d1 + e2 * d2) < 0:
             return False
-    pb = p[base]
-    for i in range(m):
-        j = (i + 1) % m
-        if i == base or j == base:
-            continue
-        t = sign_det3(pb, p[i], p[j])
-        if t not in (0, s):
+        e0, e1, e2 = b1 * d2 - b2 * d1, b2 * d0 - b0 * d2, b0 * d1 - b1 * d0
+        if e0 * c0 + e1 * c1 + e2 * c2 <= 0:
             return False
-    return True
+        g = w0 * d0 + w1 * d1 + w2 * d2
+        if h < 0 <= g:
+            crossings += 1
+        b0, b1, b2, h = d0, d1, d2, g
+    return crossings == 1

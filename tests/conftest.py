@@ -84,6 +84,24 @@ def octahedron_traditional() -> TraditionalFormComplex:
     return polygonal_surface(verts, tris)
 
 
+def branched_bipyramid(k) -> TraditionalFormComplex:
+    """k-fold cover of the square bipyramid, branched at its two apexes.
+
+    Vertex 0 is the apex T = (0, 0, 1) and vertex 1 the apex B = (0, 0, -1);
+    the equator e_0 .. e_(4k-1) puts e_i at the square's vertex i mod 4, and
+    the triangles are (T, e_i, e_(i+1)) and (B, e_(i+1), e_i).  k = 1 is the
+    octahedron.  Every k has Euler characteristic 2 and passes the edge-count
+    precheck, but for k >= 2 the link of each apex winds k times around the
+    axis, so the surface is not convex and corner 0 must fail.
+    """
+    square = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    r = 4 * k
+    verts = [(0, 0, 1), (0, 0, -1)] + [square[i % 4] for i in range(r)]
+    tris = [(0, 2 + i, 2 + (i + 1) % r) for i in range(r)]
+    tris += [(1, 2 + (i + 1) % r, 2 + i) for i in range(r)]
+    return polygonal_surface(verts, tris)
+
+
 def tetrahedron_traditional() -> TraditionalFormComplex:
     verts = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
     tris = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]

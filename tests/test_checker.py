@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from conftest import (
+    branched_bipyramid,
     csaszar_torus,
     cube_traditional,
     octahedron_traditional,
@@ -17,7 +20,10 @@ from plconvex import (
     precheck_edge_count,
     to_standard,
 )
+from helpers_oracles import oracle_cone_convex
 from plconvex.checker import EDGE_COUNT_EXCEEDED, corners_checked
+from plconvex.complexes import CellId, validate_standard, wheel_star
+from plconvex.local import Cone, reduce_to_3d
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
 
 
@@ -47,6 +53,24 @@ def test_verdict_independent_of_rim_direction(cube_standard):
     forward = check_convexity(cube_standard)
     backward = check_convexity(cube_standard, reverse=True)
     assert forward == backward
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_branched_bipyramid_covers(k):
+    # Every closed surface that is not convex must fail at some corner.  At
+    # the apex of a k-fold cover every consecutive rim triple turns one way,
+    # so only the winding count tells k >= 2 from the octahedron (k = 1).
+    t = branched_bipyramid(k)
+    assert precheck_edge_count(t) == Convex()
+    assert is_hull_boundary(t) is (k == 1)
+    std = to_standard(t)
+    validate_standard(std)
+    apex = reduce_to_3d(wheel_star(std, std.corner_id(0)))
+    assert isinstance(apex, Cone)
+    assert oracle_cone_convex(apex.realization.rim) is (k == 1)
+    expect = Convex() if k == 1 else NotConvex("non_convex_cone", CellId(0, 0))
+    for reverse in (False, True):
+        assert check_convexity(std, reverse=reverse) == expect
 
 
 def test_witness_is_first_failing_corner():

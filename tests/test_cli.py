@@ -142,6 +142,21 @@ def test_l_prism_reflex_corners_fail(capsys):
         assert failed == [3, 9]
 
 
+def test_double_octahedron_fails_at_its_apex(capsys):
+    # The octahedron's double cover branched at its apexes (ROADMAP item 1):
+    # the link of vertex 0 = (0, 0, 1) winds twice around the axis.
+    path = DATA / "double_octahedron.off"
+    assert main(["check", str(path), "--report", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == "non_convex_cone"
+    assert payload["witness"] == {"dim": 0, "index": 0}
+    assert main(["oracle", str(path)]) == 1
+    std = to_standard(parse_off(path.read_text()))
+    for reverse in (False, True):
+        verdict = check_convexity(std, reverse=reverse)
+        assert verdict == NotConvex("non_convex_cone", CellId(0, 0))
+
+
 def test_exhaustive_text_shows_detail(tmp_path, capsys):
     # The corrupted tetrahedron of test_m3_corners_still_run_full_test.
     tet = to_standard(tetrahedron_traditional())
@@ -259,6 +274,25 @@ def test_huge_decimal_exponent_rejected_fast(tmp_path, capsys, name, text, line)
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: bad coordinate: decimal exponent")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("factor, message", [
+    ("abc", "invalid literal"),
+    ("1/0", "Fraction(1, 0)"),
+    ("1e10000000", "decimal exponent exceeds the limit"),
+], ids=["word", "zero_denominator", "huge_exponent"])
+def test_dent_bad_factor_is_parse_error(cube_off_file, tmp_path, capsys,
+                                        factor, message):
+    out = tmp_path / "d.off"
+    start = time.perf_counter()
+    code = main(["dent", str(cube_off_file), "--vertex", "0",
+                 "--factor", factor, "--out", str(out)])
+    assert code == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad --factor {factor!r}: ")
+    assert message in err
+    assert not out.exists()
 
 
 def test_internal_error_exit_code(cube_off_file, capsys, monkeypatch):

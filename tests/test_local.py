@@ -3,12 +3,13 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import (
     _circ_cmp,
     cross2,
+    cross3,
     oracle_cone_convex,
     planar_star_tiles,
     same_dir2,
@@ -364,6 +365,24 @@ def test_reduce_rank3_wedges_must_be_convex_sectors(lift):
     )
 
 
+# Two rims on which every turn has one sign, yet which bound no convex
+# cone: the apex rim of the doubled octahedron
+# (tests/data/double_octahedron.off), which winds twice, and a rim of
+# distinct rays whose ray 3 lies beyond the plane of wedge 0.
+DOUBLED_APEX_RIM = [(1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)] * 2
+DISTINCT_RAY_RIM = [(3, 1, 2), (0, 1, 3), (0, 1, -2), (2, 0, 2), (0, 3, -2)]
+
+
+@pytest.mark.parametrize("lift", [list, _lift4])
+@pytest.mark.parametrize("rim", [DOUBLED_APEX_RIM, DISTINCT_RAY_RIM],
+                         ids=["doubled_apex", "distinct_rays"])
+def test_one_way_rims_bounding_no_convex_cone_rejected(rim, lift):
+    assert oracle_cone_convex(rim) is False
+    verdict = reduce_to_3d(_star_from_rim(lift(rim)))
+    assert isinstance(verdict, Cone)
+    assert check_cone_convex(verdict.realization) is False
+
+
 # ---------------------------------------------------------------------------
 # check_cone_convex
 # ---------------------------------------------------------------------------
@@ -425,6 +444,53 @@ def test_n3_raw_rim_matches_gram_coordinates(rim):
     assume(rank == 3)
     gram = [coords_in_basis(v, *basis) for v in rim]
     assert _cone_outcome(rim) == _cone_outcome(gram)
+
+
+def _no_consecutive_collinear(rim):
+    pairs = zip(rim, rim[1:] + rim[:1])
+    return all(cross3(a, b) != (0, 0, 0) for a, b in pairs)
+
+
+@st.composite
+def _rank3_rims(draw):
+    """Integer rims in [-6, 6]^3, m = 3..9, of rank 3, with no consecutive
+    collinear pair (check_cone_convex's precondition).  Shapes: general
+    rims, rims on z = 1 (many zero turns), rims drawn from a small pool of
+    rays (repeated non-consecutive rays) and rims with a non-consecutive
+    antiparallel pair (non-pointed cones)."""
+    m = draw(st.integers(3, 9))
+    coord = st.integers(-6, 6)
+    ray = st.tuples(coord, coord, coord).filter(any)
+    shape = draw(st.sampled_from(["general", "z1", "repeated", "antiparallel"]))
+    if shape == "z1":
+        rim = [(x, y, 1) for x, y in draw(
+            st.lists(st.tuples(coord, coord), min_size=m, max_size=m))]
+    elif shape == "repeated":
+        pool = draw(st.lists(ray, min_size=3, max_size=5))
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m)
+        rim = [pool[i] for i in draw(picks)]
+    else:
+        rim = draw(st.lists(ray, min_size=m, max_size=m))
+        if shape == "antiparallel" and m >= 4:
+            i = draw(st.integers(0, m - 1))
+            j = (i + draw(st.integers(2, m - 2))) % m
+            rim[j] = tuple(-x for x in rim[i])
+    assume(_no_consecutive_collinear(rim))
+    assume(rank_le3(rim)[0] == 3)
+    return rim
+
+
+@settings(max_examples=600, deadline=None)
+@given(_rank3_rims())
+@example(DOUBLED_APEX_RIM)
+@example(DISTINCT_RAY_RIM)
+@example([(1, 1, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)])
+@example([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1)])
+@example([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, -1)])
+def test_cone_check_matches_spherical_oracle(rim):
+    assert check_cone_convex(ConeRealization3D(tuple(rim))) is (
+        oracle_cone_convex(rim)
+    )
 
 
 def test_cone_scale_invariance():
@@ -571,6 +637,55 @@ def test_random_3d_stars_match_spherical_oracle():
         verdict = reduce_to_3d(star)
         expect = oracle_cone_convex(rim) and not reflex
         assert star_passes(star) == expect, (rim, reflex, verdict)
+
+
+def _prefix_heavy_star(rng):
+    """2-6 rays in the plane z = 0, which may fold or wrap, then 1-3 rays
+    off it, with markers alpha*a + beta*b on each wedge (a, b): positive
+    coefficients, or in a third of the stars any coefficients and sometimes
+    an out-of-plane part.  Returns the rays, the markers and whether every
+    marker lies in the open sector of its wedge, or None."""
+    rays = [(rng.randint(-4, 4), rng.randint(-4, 4), 0)
+            for _ in range(rng.randrange(2, 7))]
+    rays += [(rng.randint(-4, 4), rng.randint(-4, 4),
+              rng.choice((-3, -2, -1, 1, 2, 3)))
+             for _ in range(rng.randrange(1, 4))]
+    if (0, 0, 0) in rays or not _no_consecutive_collinear(rays):
+        return None
+    if rank_le3(rays)[0] != 3:
+        return None
+    mixed = rng.random() < 1 / 3
+    markers, sectors = [], True
+    for a, b in zip(rays, rays[1:] + rays[:1]):
+        if mixed:
+            alpha, beta = rng.randint(-2, 3), rng.randint(-2, 3)
+        else:
+            alpha, beta = rng.randint(1, 3), rng.randint(1, 3)
+        g = [alpha * x + beta * y for x, y in zip(a, b)]
+        sectors = sectors and alpha > 0 and beta > 0
+        if mixed and rng.random() < 0.2:
+            g = [x + y for x, y in zip(g, cross3(a, b))]
+            sectors = False
+        markers.append(tuple(g))
+    return rays, markers, sectors
+
+
+@pytest.mark.parametrize("lift", [list, _lift4])
+def test_prefix_heavy_stars_match_spherical_oracle(lift):
+    # Ridge rays that start with a coplanar run: where the run folds, the
+    # axis lies on the wrong side of a wedge plane; where it wraps past its
+    # start, the rim winds twice.
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 5000:
+        sample = _prefix_heavy_star(rng)
+        if sample is None:
+            continue
+        rays, markers, sectors = sample
+        checked += 1
+        star = make_star(lift(rays), lift(markers))
+        expect = sectors and oracle_cone_convex(rays)
+        assert star_passes(star) is expect, (rays, markers, reduce_to_3d(star))
 
 
 def test_cone_oracle_agreement_on_reduced_realizations():
