@@ -47,11 +47,11 @@ def sphere_hull_surface(num_points: int, seed: int = 0,
     facets = [
         tuple(remap[int(v)] for v in simplex) for simplex in hull.simplices
     ]
-    edge_map = {}
-    for f in facets:
-        for i in range(3):
-            edge_map.setdefault(frozenset((f[i], f[(i + 1) % 3])), None)
-    ridges = sorted(tuple(sorted(e)) for e in edge_map)
+    edges = set()
+    for a, b, c in facets:
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.add((u, v) if u < v else (v, u))
+    ridges = sorted(edges)
     return TraditionalFormComplex(
         n=3,
         vertices=vertices,

@@ -162,6 +162,11 @@ def _cmd_dent(args) -> int:
     t = parse_path(args.file, None)
     if not isinstance(t, TraditionalFormComplex):
         raise InvalidInputError("dent needs traditional-form input")
+    last = len(t.vertices) - 1
+    if not 0 <= args.vertex <= last:
+        raise ParseError(
+            f"bad --vertex {args.vertex}: want a vertex id in 0..{last}"
+        )
     try:
         factor = parse_rational(args.factor)
     except (ValueError, ZeroDivisionError) as exc:

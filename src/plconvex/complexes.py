@@ -76,14 +76,16 @@ class StandardFormComplex:
         self.num_corners = num_corners
         self.num_ridges = num_ridges
         self.num_facets = num_facets
+        # Corner rows are lists, which validate_standard puts in rim order;
+        # ridge rows are tuples.
         self.corner_ridges = _group(
-            corner_ridge_pairs, num_corners, num_ridges, "corner", "ridge"
+            corner_ridge_pairs, num_corners, num_ridges, "corner", "ridge", []
         )
         self.corner_facets = _group(
-            corner_facet_pairs, num_corners, num_facets, "corner", "facet"
+            corner_facet_pairs, num_corners, num_facets, "corner", "facet", []
         )
         self.ridge_facets = _group(
-            ridge_facet_pairs, num_ridges, num_facets, "ridge", "facet"
+            ridge_facet_pairs, num_ridges, num_facets, "ridge", "facet", ()
         )
         self.ridge_normals = dict(ridge_normals)
         self.facet_normals = dict(facet_normals)
@@ -97,19 +99,21 @@ class StandardFormComplex:
         return (self.corner_id(i) for i in range(self.num_corners))
 
 
-def _group(pairs, rows: int, cols: int, row_kind: str, col_kind: str):
-    """Lists of the b of each pair (a, b), indexed by a, in pair order.
+def _group(pairs, rows: int, cols: int, row_kind: str, col_kind: str, empty):
+    """The b of each pair (a, b), indexed by a, in pair order.
 
+    Each row is a copy of empty, a list or a tuple.  Tuples of ints leave
+    the garbage collector's view once it has seen them; lists stay in it.
     One pass with the range check inline; the first index out of range, in
     pair order and a before b, is reported.
     """
-    lists = [[] for _ in range(rows)]
+    groups = [empty[:] for _ in range(rows)]
     for a, b in pairs:
         if not (0 <= a < rows and 0 <= b < cols):
             kind, i = (row_kind, a) if not 0 <= a < rows else (col_kind, b)
             raise InvalidInputError(f"{kind} index {i} out of range")
-        lists[a].append(b)
-    return lists
+        groups[a] += (b,)
+    return groups
 
 
 def validate_standard(complex: StandardFormComplex) -> None:
@@ -134,6 +138,51 @@ def validate_standard(complex: StandardFormComplex) -> None:
         if a == b:
             raise InvalidInputError(f"ridge {r} lists facet {a} twice")
 
+    if not (
+        _attached(cx.ridge_normals, cx.corner_ridges, cx.n)
+        and _attached(cx.facet_normals, cx.corner_facets, cx.n)
+    ):
+        _report_attachment(cx)
+
+    for c in range(cx.num_corners):
+        ridges, facets = cx.corner_ridges[c], cx.corner_facets[c]
+        ridges[:], facets[:] = _walk_wheel(cx, c)
+        if cx.n == 3:  # length-3 normals cannot span 4 dimensions
+            continue
+        normals = [cx.ridge_normals[(c, r)] for r in ridges]
+        normals += [cx.facet_normals[(c, f)] for f in facets]
+        rank, _ = rank_le3(normals)
+        if rank > 3:
+            raise InvalidInputError(
+                f"normals at corner {c} span more than 3 dimensions"
+            )
+
+    _check_connected(cx)
+
+
+def _attached(normals: dict, lists, n: int) -> bool:
+    """True when normals holds one good normal per pair (c, x), x in lists[c].
+
+    No pair is listed twice, no key is stray, and every normal is a nonzero
+    n-vector.  One pass over the normals: as many keys as listed pairs, each
+    key a listed pair, means every pair is a key and none repeats.
+    """
+    if len(normals) != sum(map(len, lists)):
+        return False
+    rows = len(lists)
+    try:
+        for (c, x), v in normals.items():
+            if not (0 <= c < rows and x in lists[c]):
+                return False
+            if len(v) != n or not any(v):
+                return False
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _report_attachment(cx: StandardFormComplex) -> None:
+    """Raise for the first attachment fault, in the order the checks name them."""
     want_rn = {(c, r) for c in range(cx.num_corners) for r in cx.corner_ridges[c]}
     if len(want_rn) != sum(len(rr) for rr in cx.corner_ridges):
         raise InvalidInputError("duplicate corner-ridge incidence pair")
@@ -155,72 +204,63 @@ def validate_standard(complex: StandardFormComplex) -> None:
         if is_zero(v) or len(v) != cx.n:
             raise InvalidInputError(f"bad facet normal at {key}")
 
-    for c in range(cx.num_corners):
-        star_facets = set(cx.corner_facets[c])
-        for r in cx.corner_ridges[c]:
-            for f in cx.ridge_facets[r]:
-                if f not in star_facets:
-                    raise InvalidInputError(
-                        f"incidence not closed: corner {c} on ridge {r} "
-                        f"but not on its facet {f}"
-                    )
-        cx.corner_ridges[c], cx.corner_facets[c] = _walk_wheel(cx, c)
-        if cx.n == 3:  # length-3 normals cannot span 4 dimensions
-            continue
-        normals = [cx.ridge_normals[(c, r)] for r in cx.corner_ridges[c]]
-        normals += [cx.facet_normals[(c, f)] for f in cx.corner_facets[c]]
-        rank, _ = rank_le3(normals)
-        if rank > 3:
-            raise InvalidInputError(
-                f"normals at corner {c} span more than 3 dimensions"
-            )
-
-    _check_connected(cx)
-
 
 def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
-    """Walk the ridge-facet cycle of corner c's star; raise if not one cycle."""
-    ridges = sorted(cx.corner_ridges[c])
-    facets = sorted(set(cx.corner_facets[c]))
+    """Walk the ridge-facet cycle of corner c's star; raise if not one cycle.
+
+    Closure comes first: the star's facet set holds both facets of each of
+    the corner's ridges.  Those ridges are distinct and give 2m facet ends,
+    so each of the m facets has two of them exactly when each has a second.
+    """
+    ridges = cx.corner_ridges[c]
+    star = set(cx.corner_facets[c])
+    for r in ridges:
+        for f in cx.ridge_facets[r]:
+            if f not in star:
+                raise InvalidInputError(
+                    f"incidence not closed: corner {c} on ridge {r} "
+                    f"but not on its facet {f}"
+                )
     m = len(ridges)
     if m < 2:
         raise InvalidInputError(f"corner {c} has {m} ridges, expected >= 2")
-    if len(facets) != m:
+    if len(star) != m:
         raise InvalidInputError(
-            f"corner {c} star has {m} ridges but {len(facets)} facets"
+            f"corner {c} star has {m} ridges but {len(star)} facets"
         )
-    facet_ridges = {f: [] for f in facets}
-    ridge_star_facets = {r: [] for r in ridges}
+    first, second = {}, {}  # the two star ridges on each facet
     for r in ridges:
         for f in cx.ridge_facets[r]:
-            facet_ridges[f].append(r)
-            ridge_star_facets[r].append(f)
-    for f, rr in facet_ridges.items():
-        if len(rr) != 2:
-            raise InvalidInputError(
-                f"facet {f} meets corner {c}'s star in {len(rr)} ridges, "
-                f"expected 2 (pinched or broken star)"
-            )
+            if f in first:
+                second[f] = r
+            else:
+                first[f] = r
+    if len(second) != m:
+        ends = [f for r in ridges for f in cx.ridge_facets[r]]
+        f = next(f for f in sorted(star) if ends.count(f) != 2)
+        raise InvalidInputError(
+            f"facet {f} meets corner {c}'s star in {ends.count(f)} ridges, "
+            f"expected 2 (pinched or broken star)"
+        )
     # Deterministic start and direction: lowest ridge, then its lower facet.
-    r0 = ridges[0]
-    f0 = min(ridge_star_facets[r0])
+    r0 = min(ridges)
+    f0 = min(cx.ridge_facets[r0])
     rim_r, rim_f = [r0], [f0]
     r, f = r0, f0
     for _ in range(m - 1):
-        a, b = facet_ridges[f]
-        r = b if a == r else a
+        a = first[f]
+        r = second[f] if a == r else a
         if r == r0:
             raise InvalidInputError(
                 f"corner {c} star closes after {len(rim_r)} ridges of {m} "
                 f"(multiple cycles)"
             )
         rim_r.append(r)
-        fa, fb = ridge_star_facets[r]
+        fa, fb = cx.ridge_facets[r]
         f = fb if fa == f else fa
         rim_f.append(f)
     # The last facet must close the cycle back to r0.
-    a, b = facet_ridges[rim_f[-1]]
-    if {a, b} != {rim_r[-1], r0}:
+    if {first[f], second[f]} != {r, r0}:
         raise InvalidInputError(f"corner {c} star does not close into a cycle")
     return rim_r, rim_f
 
@@ -264,23 +304,23 @@ def face_counts(complex: StandardFormComplex) -> FaceCounts:
 
 
 def _check_connected(cx: StandardFormComplex) -> None:
+    """Raise unless the ridges join all facets into one component.
+
+    Union-find over the ridges' facet pairs, with path halving.
+    """
     if cx.num_facets == 0:
         raise InvalidInputError("complex has no facets")
-    seen = [False] * cx.num_facets
-    stack = [0]
-    seen[0] = True
-    adjacency = [[] for _ in range(cx.num_facets)]
-    for r in range(cx.num_ridges):
-        a, b = cx.ridge_facets[r]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    while stack:
-        f = stack.pop()
-        for g in adjacency[f]:
-            if not seen[g]:
-                seen[g] = True
-                stack.append(g)
-    if not all(seen):
+    root = list(range(cx.num_facets))
+    parts = cx.num_facets
+    for a, b in cx.ridge_facets:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            parts -= 1
+    if parts != 1:
         raise InvalidInputError(
             "facet adjacency graph is disconnected (two surfaces glued?)"
         )

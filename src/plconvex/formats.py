@@ -58,77 +58,86 @@ def _coordinates(fields, ln: int) -> Vector:
 def parse_off(text: str) -> TraditionalFormComplex:
     """Parse an OFF document into an R^3 polygonal traditional complex.
 
-    Edges are derived from consecutive facet-boundary pairs; every vertex
-    becomes a corner.  Structural and geometric validation (manifold edges,
-    exact facet planarity) happens in the traditional-form validator invoked
-    by the conversion step; this parser only enforces the file syntax.
+    Edges are derived from consecutive facet-boundary pairs, keyed by their
+    ordered (min, max) vertex pair, in order of first appearance; every
+    vertex becomes a corner.  Structural and geometric validation (manifold
+    edges, exact facet planarity) happens in the traditional-form validator
+    invoked by the conversion step; this parser only enforces the file
+    syntax.  One pass over the lines; of several faults, a wrong row count
+    is reported first, then the first bad row, then the first degenerate
+    edge.
     """
-    lines = text.splitlines()
-    rows = [
-        (i + 1, line.split("#", 1)[0].strip())
-        for i, line in enumerate(lines)
-    ]
-    rows = [(ln, s) for ln, s in rows if s]
-    if not rows:
+    records = _records(enumerate(text.splitlines(), 1))
+    record = next(records, None)
+    if record is None:
         raise ParseError("empty OFF document")
-    ln, header = rows[0]
-    if header != "OFF":
+    ln, tok = record
+    if tok != ["OFF"]:
+        header = text.splitlines()[ln - 1].split("#", 1)[0].strip()
         raise ParseError(f"expected OFF header, got {header!r}", ln)
-    if len(rows) < 2:
+    record = next(records, None)
+    if record is None:
         raise ParseError("missing counts line", ln)
-    ln, counts = rows[1]
-    parts = counts.split()
+    counts_ln, parts = record
     if len(parts) != 3:
-        raise ParseError("counts line must be 'V F E'", ln)
+        raise ParseError("counts line must be 'V F E'", counts_ln)
     try:
-        nv, nf, _ne = (int(p) for p in parts)
+        nv, nf, _ne = map(int, parts)
     except ValueError as exc:
-        raise ParseError(f"bad counts line: {exc}", ln) from None
-    body = rows[2:]
-    if len(body) != nv + nf:
-        raise ParseError(
-            f"expected {nv} vertex and {nf} facet lines, got {len(body)}", ln
-        )
+        raise ParseError(f"bad counts line: {exc}", counts_ln) from None
+    if nv < 0 or nf < 0:
+        raise ParseError("bad counts line: negative count", counts_ln)
+    expected = nv + nf
     vertices: list[Vector] = []
-    for ln, s in body[:nv]:
-        parts = s.split()
-        if len(parts) != 3:
-            raise ParseError("vertex line needs 3 coordinates", ln)
-        vertices.append(_coordinates(parts, ln))
     facets: list[tuple[int, ...]] = []
-    for ln, s in body[nv:]:
-        parts = s.split()
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"bad facet line: {exc}", ln) from None
-        if not nums or len(nums) != nums[0] + 1:
-            raise ParseError("facet line must be 'k i1 ... ik'", ln)
-        cycle = tuple(nums[1:])
-        if nums[0] < 3:
-            raise ParseError("facet needs at least 3 vertices", ln)
-        for v in cycle:
-            if not 0 <= v < nv:
-                raise ParseError(f"facet vertex {v} out of range", ln)
-        facets.append(cycle)
-    edges = {}
-    for fi, cycle in enumerate(facets):
-        k = len(cycle)
-        for i in range(k):
-            a, b = cycle[i], cycle[(i + 1) % k]
-            if a == b:
-                raise ParseError(
-                    f"degenerate edge ({a},{b}) in a facet", body[nv + fi][0]
-                )
-            edges.setdefault(frozenset((a, b)), len(edges))
-    ridges = [None] * len(edges)
-    for key, idx in edges.items():
-        ridges[idx] = tuple(sorted(key))
+    edges: dict[tuple[int, int], None] = {}
+    degenerate = None  # the first, raised once every row has parsed
+    got = 0
+    try:
+        for ln, tok in records:
+            got += 1
+            if got <= nv:
+                if len(tok) != 3:
+                    raise ParseError("vertex line needs 3 coordinates", ln)
+                vertices.append(_coordinates(tok, ln))
+                continue
+            if got > expected:
+                break
+            try:
+                nums = tuple(map(int, tok))
+            except ValueError as exc:
+                raise ParseError(f"bad facet line: {exc}", ln) from None
+            if len(nums) != nums[0] + 1:
+                raise ParseError("facet line must be 'k i1 ... ik'", ln)
+            cycle = nums[1:]
+            if nums[0] < 3:
+                raise ParseError("facet needs at least 3 vertices", ln)
+            for v in cycle:
+                if not 0 <= v < nv:
+                    raise ParseError(f"facet vertex {v} out of range", ln)
+            facets.append(cycle)
+            for a, b in zip(cycle, (*cycle[1:], cycle[0])):
+                if a == b and degenerate is None:
+                    degenerate = ParseError(
+                        f"degenerate edge ({a},{b}) in a facet", ln
+                    )
+                edges[(a, b) if a < b else (b, a)] = None
+    except ParseError as exc:
+        fault = exc
+    else:
+        fault = degenerate
+    got += sum(1 for _ in records)
+    if got != expected:
+        raise ParseError(
+            f"expected {nv} vertex and {nf} facet lines, got {got}", counts_ln
+        )
+    if fault is not None:
+        raise fault
     return TraditionalFormComplex(
         n=3,
         vertices=vertices,
         corners=[(v,) for v in range(nv)],
-        ridges=ridges,
+        ridges=list(edges),
         facets=facets,
         mode=POLYGONAL,
     )
@@ -179,7 +188,9 @@ def serialize_off(t: TraditionalFormComplex) -> str:
 def _records(rows):
     """(line number, tokens) of each line of `rows` with content."""
     for ln, line in rows:
-        tok = line.split("#", 1)[0].split()
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tok = line.split()
         if tok:
             yield ln, tok
 

@@ -311,11 +311,16 @@ def validate_polygon(cycle, coords, parsed=None):
     if len(set(cycle)) != k:
         raise InvalidInputError(f"facet cycle repeats a vertex: {cycle}")
     pts = [coords(v) for v in cycle]
-    for i in range(k):
-        if is_zero(vsub(pts[(i + 1) % k], pts[i])):
+    prev = pts[-1]
+    for p in pts:
+        if p == prev:
             raise InvalidInputError("coincident consecutive polygon vertices")
+        prev = p
     if k == 3:
-        if collinear(vsub(pts[1], pts[0]), vsub(pts[2], pts[0])):
+        (px, py, pz), (qx, qy, qz), (rx, ry, rz) = pts
+        ux, uy, uz = qx - px, qy - py, qz - pz
+        vx, vy, vz = rx - px, ry - py, rz - pz
+        if uy * vz == uz * vy and uz * vx == ux * vz and ux * vy == uy * vx:
             raise NotPlanar("polygon has collinear vertices only")
         return None
     framed = polygon_frame(cycle, coords, parsed)
@@ -372,6 +377,18 @@ def _corner_edges(vid: int, cycle, coords) -> tuple[Vector, Vector]:
     )
 
 
+def _triangle_normals(p, q, r) -> list[Vector]:
+    """Inner directions at the corners p, q, r of a triangle, in that order.
+
+    Every triangle corner is convex, so prev + next - 2v points inside; with
+    the vertex sum s that is s - 3v.
+    """
+    sx = p[0] + q[0] + r[0]
+    sy = p[1] + q[1] + r[1]
+    sz = p[2] + q[2] + r[2]
+    return [(sx - 3 * x, sy - 3 * y, sz - 3 * z) for x, y, z in (p, q, r)]
+
+
 def _inner_direction(vid: int, cycle, coords, framed) -> Vector:
     """facet_inner_direction_polygon on a polygon already validated.
 
@@ -379,9 +396,7 @@ def _inner_direction(vid: int, cycle, coords, framed) -> Vector:
     are all convex, else polygon_frame's (frame, orientation).
     """
     if framed is None:
-        # Triangle corners are all convex: prev + next - 2 vid.
-        p, q = (coords(u) for u in cycle if u != vid)
-        return tuple(x + y - 2 * z for x, y, z in zip(p, q, coords(vid)))
+        return _triangle_normals(*map(coords, cycle))[cycle.index(vid)]
     a, b = _corner_edges(vid, cycle, coords)
     frame, orientation = framed
     chi = frame.orient(a, b)
@@ -406,54 +421,60 @@ def _inner_direction(vid: int, cycle, coords, framed) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def _cell_key(vertices) -> frozenset:
-    return frozenset(vertices)
+def _index(cells, keys, kind) -> dict:
+    """Position of each cell by its key; a key that repeats is an error."""
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys):
+        seen = set()
+        for cell, key in zip(cells, keys):
+            if key in seen:
+                raise InvalidInputError(f"duplicate {kind} {cell}")
+            seen.add(key)
+    return index
 
 
 def derive_incidences(t: TraditionalFormComplex):
     """Corner-ridge, corner-facet, and ridge-facet incidence pairs.
 
-    Polygonal mode matches edges to consecutive boundary pairs; simplicial
-    mode uses vertex-set containment.
+    Polygonal mode matches edges to consecutive boundary pairs by their
+    ordered (min, max) vertex pair and corners by their one vertex, so it
+    needs the cell shapes validate_traditional checks.  It lists both
+    corners of each edge in edge order, then each facet's edges and corners
+    in cycle order.  Simplicial mode uses vertex-set containment.
     """
-    corner_of = {}
-    for ci, c in enumerate(t.corners):
-        key = _cell_key(c)
-        if key in corner_of:
-            raise InvalidInputError(f"duplicate corner {c}")
-        corner_of[key] = ci
-    ridge_of = {}
-    for ri, r in enumerate(t.ridges):
-        key = _cell_key(r)
-        if key in ridge_of:
-            raise InvalidInputError(f"duplicate ridge {r}")
-        ridge_of[key] = ri
+    if t.mode == POLYGONAL:
+        # Vertex ids are checked, so a list by vertex finds each corner.
+        corner_of = [None] * len(t.vertices)
+        for ci, c in enumerate(t.corners):
+            if corner_of[c[0]] is not None:
+                raise InvalidInputError(f"duplicate corner {c}")
+            corner_of[c[0]] = ci
+        ridge_keys = [(a, b) if a < b else (b, a) for a, b in t.ridges]
+    else:
+        corner_of = _index(
+            t.corners, [frozenset(c) for c in t.corners], "corner"
+        )
+        ridge_keys = [frozenset(r) for r in t.ridges]
+    ridge_of = _index(t.ridges, ridge_keys, "ridge")
 
     cr, cf, rf = [], [], []
     if t.mode == POLYGONAL:
         for ri, r in enumerate(t.ridges):
-            if len(set(r)) != 2:
-                raise InvalidInputError(f"edge {r} needs two distinct vertices")
             for v in r:
-                ci = corner_of.get(frozenset((v,)))
+                ci = corner_of[v]
                 if ci is None:
                     raise InvalidInputError(f"edge vertex {v} is not a corner")
                 cr.append((ci, ri))
         for fi, cycle in enumerate(t.facets):
-            k = len(cycle)
-            for idx in range(k):
-                a, b = cycle[idx], cycle[(idx + 1) % k]
-                ri = ridge_of.get(frozenset((a, b)))
+            for a, b in zip(cycle, (*cycle[1:], cycle[0])):
+                ri = ridge_of.get((a, b) if a < b else (b, a))
                 if ri is None:
                     raise InvalidInputError(
                         f"facet {fi} uses edge ({a},{b}) not in the ridge list"
                     )
                 rf.append((ri, fi))
-            for v in cycle:
-                ci = corner_of.get(frozenset((v,)))
-                if ci is None:
-                    raise InvalidInputError(f"facet vertex {v} is not a corner")
-                cf.append((ci, fi))
+            # Each vertex ends an edge just found, so it is a corner.
+            cf.extend((corner_of[v], fi) for v in cycle)
     else:
         n = t.n
         for fi, fverts in enumerate(t.facets):
@@ -496,10 +517,10 @@ def validate_traditional(t: TraditionalFormComplex):
     Every geometric predicate runs on the vertex table scaled to integers
     (_integer_coords): a uniform positive scaling keeps coplanarity,
     orientation, segment contact and rank, and messages still print the
-    parsed coordinates.  Returns (coords, frames) for to_standard: the
-    integer coordinate lookup and, per polygonal facet, validate_polygon's
-    (frame, orientation) or None for a triangle; frames is empty in
-    simplicial mode.
+    parsed coordinates.  Returns (table, frames, edges) for to_standard: the
+    integer coordinate table, per polygonal facet validate_polygon's
+    (frame, orientation) or None for a triangle, and per polygonal edge
+    (a, b) the vector b - a; frames and edges are empty in simplicial mode.
     """
     for v in t.vertices:
         if len(v) != t.n:
@@ -510,19 +531,25 @@ def validate_traditional(t: TraditionalFormComplex):
             for v in cell:
                 if v not in all_ids:
                     raise InvalidInputError(f"unknown vertex id {v}")
-    coords = _integer_coords(t)
+    table = _integer_coords(t)
+    coords = table.__getitem__
     if t.mode == POLYGONAL:
         for c in t.corners:
             if len(c) != 1:
                 raise InvalidInputError("polygonal corners are single vertices")
+        edges = []
         for r in t.ridges:
-            if len(set(r)) != 2:
+            if len(r) != 2 or r[0] == r[1]:
                 raise InvalidInputError(f"bad edge {r}")
-            if is_zero(vsub(coords(r[0]), coords(r[1]))):
+            (ax, ay, az), (bx, by, bz) = table[r[0]], table[r[1]]
+            d = (bx - ax, by - ay, bz - az)
+            if not (d[0] or d[1] or d[2]):
                 raise DegenerateCell(f"edge {r} has coincident endpoints")
-        return coords, [
+            edges.append(d)
+        frames = [
             validate_polygon(cycle, coords, t.coords) for cycle in t.facets
         ]
+        return table, frames, edges
     n = t.n
     sizes = ((t.corners, n - 2), (t.ridges, n - 1), (t.facets, n))
     for cells, want in sizes:
@@ -532,7 +559,7 @@ def validate_traditional(t: TraditionalFormComplex):
                     f"simplicial cell {cell} needs {want} distinct vertices"
                 )
             _check_affinely_independent(cell, coords)
-    return coords, []
+    return table, [], []
 
 
 def _check_affinely_independent(cell, coords) -> None:
@@ -556,8 +583,8 @@ def _full_rank(vectors) -> int:
     return len(echelon)
 
 
-def _integer_coords(t: TraditionalFormComplex):
-    """Coordinate lookup over the vertices scaled by their common denominator.
+def _integer_coords(t: TraditionalFormComplex) -> list[Vector]:
+    """The vertices scaled by their common denominator.
 
     A uniform positive scaling keeps every ray, so normals built from the
     scaled table are positive multiples of the true ones; integer
@@ -565,11 +592,12 @@ def _integer_coords(t: TraditionalFormComplex):
     itself is left as it is.
     """
     scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
-    table = [
+    if scale == 1:  # as_exact has already made every coordinate an int
+        return t.vertices
+    return [
         tuple(c.numerator * (scale // c.denominator) for c in v)
         for v in t.vertices
     ]
-    return table.__getitem__
 
 
 def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
@@ -597,21 +625,28 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
     indices carry over unchanged, so witnesses agree between a traditional
     check and a converted standard-form check.
     """
-    coords, frames = validate_traditional(t)
+    table, frames, edges = validate_traditional(t)
+    coords = table.__getitem__
     cr, cf, rf = derive_incidences(t)
     ridge_normals = {}
     facet_normals = {}
     try:
         if t.mode == POLYGONAL:
-            for ci, ri in cr:
-                v = t.corners[ci][0]
-                a, b = t.ridges[ri]
-                other = b if a == v else a
-                ridge_normals[(ci, ri)] = vsub(coords(other), coords(v))
-            for ci, fi in cf:
-                facet_normals[(ci, fi)] = _inner_direction(
-                    t.corners[ci][0], t.facets[fi], coords, frames[fi]
-                )
+            # Edge (a, b) gives b - a at a and a - b at b, in cr's order.
+            pairs = iter(cr)
+            for d, at_a, at_b in zip(edges, pairs, pairs):
+                ridge_normals[at_a] = d
+                ridge_normals[at_b] = (-d[0], -d[1], -d[2])
+            pairs = iter(cf)
+            for cycle, framed in zip(t.facets, frames):
+                if framed is None:
+                    for d in _triangle_normals(*map(coords, cycle)):
+                        facet_normals[next(pairs)] = d
+                else:
+                    for v in cycle:
+                        facet_normals[next(pairs)] = _inner_direction(
+                            v, cycle, coords, framed
+                        )
         else:
             cells_at = [[] for _ in t.corners]
             for ci, ri in cr:

@@ -295,6 +295,17 @@ def test_dent_bad_factor_is_parse_error(cube_off_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("vertex", [99, -1, 8])
+def test_dent_vertex_out_of_range_is_parse_error(capsys, tmp_path, vertex):
+    out = tmp_path / "d.off"
+    code = main(["dent", str(DATA / "cube.off"), "--vertex", str(vertex),
+                 "--factor", "1/2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad --vertex {vertex}: want a vertex id in 0..7\n"
+    assert not out.exists()
+
+
 def test_internal_error_exit_code(cube_off_file, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken")

@@ -90,6 +90,101 @@ def test_first_out_of_range_index_is_reported(pairs, message):
         StandardFormComplex(3, 2, 3, 1, iter(pairs), [], [], {}, {})
 
 
+def _break_cube(fault):
+    """The cube's standard form with one fault; returns (complex, message)."""
+    std = to_standard(cube_traditional())
+    r, f = std.corner_ridges[0][0], std.corner_facets[0][0]
+    if fault == "ridge facet twice":
+        std.ridge_facets[r] = (std.ridge_facets[r][0],) * 2
+        return std, f"ridge {r} lists facet {std.ridge_facets[r][0]} twice"
+    if fault == "duplicate ridge pair":
+        std.corner_ridges[0].append(r)
+        return std, "duplicate corner-ridge incidence pair"
+    if fault == "duplicate facet pair":
+        std.corner_facets[0].append(f)
+        return std, "duplicate corner-facet incidence pair"
+    if fault == "missing ridge normal":
+        del std.ridge_normals[(0, r)]
+        return std, f"missing ridge normal for incidence (0, {r})"
+    if fault == "stray facet normal":
+        std.facet_normals[(1, 99)] = (1, 0, 0)
+        return std, "facet normal without incidence: (1, 99)"
+    if fault == "zero ridge normal":
+        std.ridge_normals[(0, r)] = (0, 0, 0)
+        return std, f"bad ridge normal at (0, {r})"
+    if fault == "short facet normal":
+        std.facet_normals[(0, f)] = (1, 1)
+        return std, f"bad facet normal at (0, {f})"
+    if fault == "not closed":
+        std.corner_facets[0].remove(f)
+        del std.facet_normals[(0, f)]
+        ridge = next(x for x in std.corner_ridges[0] if f in std.ridge_facets[x])
+        return std, (
+            f"incidence not closed: corner 0 on ridge {ridge} "
+            f"but not on its facet {f}"
+        )
+    if fault == "extra star facet":
+        g = next(x for x in range(std.num_facets) if x not in std.corner_facets[0])
+        std.corner_facets[0].append(g)
+        std.facet_normals[(0, g)] = (1, 1, 1)
+        return std, "corner 0 star has 3 ridges but 4 facets"
+    raise AssertionError(fault)
+
+
+@pytest.mark.parametrize("fault", [
+    "ridge facet twice",
+    "duplicate ridge pair",
+    "duplicate facet pair",
+    "missing ridge normal",
+    "stray facet normal",
+    "zero ridge normal",
+    "short facet normal",
+    "not closed",
+    "extra star facet",
+])
+def test_validate_standard_messages(fault):
+    std, message = _break_cube(fault)
+    with pytest.raises(InvalidInputError) as caught:
+        validate_standard(std)
+    assert str(caught.value) == message
+
+
+def test_attachment_faults_are_named_in_check_order():
+    # A duplicate pair is named before a stray normal, and ridge faults
+    # before facet faults, whichever the dicts list first.
+    std, _ = _break_cube("stray facet normal")
+    std.ridge_normals[(0, 99)] = (1, 0, 0)
+    with pytest.raises(InvalidInputError, match=r"^ridge normal without"):
+        validate_standard(std)
+    std.corner_facets[2].append(std.corner_facets[2][0])
+    with pytest.raises(InvalidInputError, match=r"^duplicate corner-facet"):
+        validate_standard(std)
+
+
+def test_star_facet_on_three_ridges_is_named():
+    # Corner 0 has ridges 0, 1, 2 and facets 0, 1, 2; facet 0 lies on all
+    # three ridges and facet 2 on one.
+    rf = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]
+    std = StandardFormComplex(
+        3, 1, 3, 3,
+        [(0, 0), (0, 1), (0, 2)], [(0, 0), (0, 1), (0, 2)], rf,
+        {(0, r): (1, r, 0) for r in range(3)},
+        {(0, f): (1, 0, f) for f in range(3)},
+    )
+    with pytest.raises(InvalidInputError) as caught:
+        validate_standard(std)
+    assert str(caught.value) == (
+        "facet 0 meets corner 0's star in 3 ridges, expected 2 "
+        "(pinched or broken star)"
+    )
+
+
+def test_complex_without_facets_is_rejected():
+    std = StandardFormComplex(3, 0, 0, 0, [], [], [], {}, {})
+    with pytest.raises(InvalidInputError, match="^complex has no facets$"):
+        validate_standard(std)
+
+
 def test_validate_rejects_rank4_normals():
     # Single-corner star whose normals span 4 dimensions (bad data in R^4).
     cr = [(0, 0), (0, 1)]

@@ -48,6 +48,26 @@ def test_parse_off_reports_line_numbers():
         parse_off(bad)
 
 
+def test_parse_off_line_numbers_count_comment_and_blank_lines():
+    # A comment line and a blank line before the second facet row, which
+    # also carries a trailing comment: that row is line 14.
+    bad = CUBE_OFF.replace(
+        "4 7 6 5 4", "# the top\n\n4 7 6 x 4  # top", 1
+    )
+    with pytest.raises(ParseError) as caught:
+        parse_off(bad)
+    assert str(caught.value) == (
+        "line 14: bad facet line: invalid literal for int() with base 10: 'x'"
+    )
+
+
+@pytest.mark.parametrize("counts", ["-1 1 0", "8 -6 12"])
+def test_parse_off_rejects_negative_counts(counts):
+    with pytest.raises(ParseError) as caught:
+        parse_off(CUBE_OFF.replace("8 6 12", counts, 1))
+    assert str(caught.value) == "line 2: bad counts line: negative count"
+
+
 def test_parse_off_edge_in_three_facets():
     text = CUBE_OFF.strip() + "\n3 0 1 5\n"
     text = text.replace("8 6 12", "8 7 12")

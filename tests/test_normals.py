@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import plconvex.exact
 import plconvex.normals
 from conftest import (
+    cube_traditional,
     octahedron_traditional,
     polygonal_surface,
     simplex_boundary,
@@ -20,6 +22,7 @@ from conftest import (
 )
 from plconvex import (
     Convex,
+    InvalidInput,
     NotConvex,
     check_convexity,
     facet_inner_direction_polygon,
@@ -44,7 +47,10 @@ from plconvex.normals import (
     validate_polygon,
     validate_traditional,
 )
+from plconvex.formats import parse_off
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
+
+DATA = Path(__file__).parent / "data"
 
 
 def _coords(table):
@@ -666,14 +672,39 @@ def test_to_standard_preserves_cell_indexing(cube):
         assert w == vsub(cube.vertices[other], cube.vertices[v])
 
 
+def _polygonal_builder_cases():
+    from plconvex.bench import sphere_hull_surface
+
+    files = [parse_off((DATA / name).read_text())
+             for name in ("l_prism.off", "double_octahedron.off")]
+    integer = [
+        *files,
+        octahedron_traditional(),
+        _split_top_cube(),
+        _prism(_subdivided_ring(3), levels=2),  # straight cap vertices
+        sphere_hull_surface(200, seed=3),
+    ]
+    # Rational input: to_standard clears the denominator 3 and must build
+    # the integer original's normals.
+    return [(t, t) for t in integer] + [(_divided(_split_top_cube(), 3),
+                                         _split_top_cube())]
+
+
 def test_to_standard_normals_equal_public_builders():
-    # to_standard skips the checks validation has already made; on integer
-    # input its normals are the checked public builders' exactly.
-    for t in (octahedron_traditional(), _split_top_cube()):
+    # to_standard skips the checks validation has already made; its normals
+    # are the checked public builders' exactly: a vertex difference for each
+    # ridge, facet_inner_direction_polygon for each facet.
+    for t, original in _polygonal_builder_cases():
         std = to_standard(t)
+        assert len(std.ridge_normals) == 2 * len(t.ridges)
+        assert len(std.facet_normals) == sum(map(len, t.facets))
+        for (c, r), w in std.ridge_normals.items():
+            v = t.corners[c][0]
+            (other,) = (u for u in t.ridges[r] if u != v)
+            assert w == vsub(original.coords(other), original.coords(v))
         for (c, f), w in std.facet_normals.items():
             assert w == facet_inner_direction_polygon(
-                t.corners[c][0], t.facets[f], t.coords
+                t.corners[c][0], t.facets[f], original.coords
             )
     t = _cyclic_polytope_4d(12)
     std = to_standard(t)
@@ -694,3 +725,103 @@ def test_to_standard_propagates_degenerate_cells():
     )
     with pytest.raises(InvalidInputError):
         to_standard(t)
+
+
+# ---------------------------------------------------------------------------
+# Polygonal conversion: one message per fault
+# ---------------------------------------------------------------------------
+
+
+def _cube_with(vertices=(), **changes):
+    """The cube of conftest with cells replaced and vertices 8, 9, ... added.
+
+    Each change is a function of the cube's cell list of that name.
+    """
+    t = cube_traditional()
+    cells = {name: fn(getattr(t, name)) for name, fn in changes.items()}
+    return dataclasses.replace(t, vertices=[*t.vertices, *vertices], **cells)
+
+
+def _first_replaced(cell):
+    return lambda cells: [cell, *cells[1:]]
+
+
+def _added(*extra):
+    return lambda cells: [*cells, *extra]
+
+
+def _removed(cell):
+    return lambda cells: [c for c in cells if c != cell]
+
+
+# The cube's vertices 0 = (0, 0, 0) and 1 = (2, 0, 0); its first ridge is
+# (0, 1) and its first facet (0, 1, 2, 3).
+_POLYGONAL_FAULTS = {
+    "vertex_dimension": (
+        _cube_with(vertices=[(0, 2)]), "vertex of dimension 2, want 3"),
+    "unknown_vertex_id": (
+        _cube_with(facets=_first_replaced((0, 1, 2, 9))), "unknown vertex id 9"),
+    "corner_not_single": (
+        _cube_with(corners=_first_replaced((0, 1))),
+        "polygonal corners are single vertices"),
+    "bad_edge_loop": (
+        _cube_with(ridges=_first_replaced((0, 0))), "bad edge (0, 0)"),
+    "bad_edge_triple": (
+        _cube_with(ridges=_first_replaced((0, 1, 2))), "bad edge (0, 1, 2)"),
+    "coincident_endpoints": (
+        _cube_with(ridges=_added((0, 8)), vertices=[(0, 0, 0)]),
+        "edge (0, 8) has coincident endpoints"),
+    "short_cycle": (
+        _cube_with(facets=_added((0, 1))), "facet cycle of length 2"),
+    "repeated_vertex": (
+        _cube_with(facets=_first_replaced((0, 1, 2, 1))),
+        "facet cycle repeats a vertex: (0, 1, 2, 1)"),
+    "repeated_vertex_triangle": (
+        _cube_with(facets=_added((0, 1, 0))),
+        "facet cycle repeats a vertex: (0, 1, 0)"),
+    "coincident_triangle_vertices": (
+        _cube_with(facets=_added((0, 8, 1)), vertices=[(0, 0, 0)]),
+        "coincident consecutive polygon vertices"),
+    "coincident_polygon_vertices": (
+        _cube_with(facets=_first_replaced((0, 8, 1, 2, 3)),
+                   vertices=[(0, 0, 0)]),
+        "coincident consecutive polygon vertices"),
+    "collinear_triangle": (
+        _cube_with(facets=_added((0, 8, 1)), vertices=[(1, 0, 0)]),
+        "polygon has collinear vertices only"),
+    "collinear_quad": (
+        _cube_with(facets=_added((0, 8, 1, 9)),
+                   vertices=[(1, 0, 0), (3, 0, 0)]),
+        "polygon has collinear vertices only"),
+    "duplicate_corner": (
+        _cube_with(corners=_added((3,))), "duplicate corner (3,)"),
+    "duplicate_ridge": (
+        _cube_with(ridges=_added((1, 0))), "duplicate ridge (1, 0)"),
+    "edge_vertex_not_corner": (
+        _cube_with(corners=_removed((7,))), "edge vertex 7 is not a corner"),
+    "edge_not_listed": (
+        _cube_with(ridges=_removed((0, 1))),
+        "facet 0 uses edge (0,1) not in the ridge list"),
+    # Validation runs before incidences: the degenerate triangle is
+    # reported although the cube's first edge is missing from the list.
+    "triangle_before_missing_edge": (
+        _cube_with(ridges=_removed((0, 1)), facets=_added((0, 8, 1)),
+                   vertices=[(1, 0, 0)]),
+        "polygon has collinear vertices only"),
+}
+
+
+@pytest.mark.parametrize("name", _POLYGONAL_FAULTS)
+def test_polygonal_conversion_messages(name):
+    t, reason = _POLYGONAL_FAULTS[name]
+    verdict = check_complex(t).verdict
+    assert isinstance(verdict, InvalidInput)
+    assert verdict.reason == reason
+
+
+def test_edge_listing_a_vertex_twice_is_a_bad_edge():
+    # Three entries with two distinct ids are still not an edge.
+    t = _cube_with(ridges=_first_replaced((0, 1, 0)))
+    verdict = check_complex(t).verdict
+    assert isinstance(verdict, InvalidInput)
+    assert verdict.reason == "bad edge (0, 1, 0)"
