@@ -92,17 +92,6 @@ def check_convexity(
     return _verdict_of(_corner_results(complex, reverse))
 
 
-def corners_checked(complex: StandardFormComplex, verdict: Verdict) -> int:
-    """How many local tests the fail-fast driver ran for this verdict."""
-    if isinstance(verdict, InvalidInput):
-        return 0
-    if isinstance(verdict, Convex):
-        return complex.num_corners
-    if verdict.witness is None:
-        return 0
-    return verdict.witness.index + 1
-
-
 def corner_report(
     complex: StandardFormComplex, reverse: bool = False
 ) -> list[CornerResult]:
@@ -148,11 +137,16 @@ class CheckRun:
 
     @property
     def corners_checked(self) -> int:
+        """How many local tests the driver ran for this verdict."""
         if self.results is not None:
             return len(self.results)
-        if self.standard is None:
+        if self.standard is None or isinstance(self.verdict, InvalidInput):
             return 0
-        return corners_checked(self.standard, self.verdict)
+        if isinstance(self.verdict, Convex):
+            return self.standard.num_corners
+        if self.verdict.witness is None:
+            return 0
+        return self.verdict.witness.index + 1
 
 
 def check_complex(

@@ -56,6 +56,8 @@ class StandardFormComplex:
     """P[n-3, n-2, n-1] with normals per corner-ridge/corner-facet incidence.
 
     Cells are addressed by (dim, index) with indices dense per dimension.
+    The complex owns the ridge_normals and facet_normals dicts it is given
+    (no copy is made), so callers hand over dicts they no longer change.
     """
 
     def __init__(
@@ -87,8 +89,8 @@ class StandardFormComplex:
         self.ridge_facets = _group(
             ridge_facet_pairs, num_ridges, num_facets, "ridge", "facet", ()
         )
-        self.ridge_normals = dict(ridge_normals)
-        self.facet_normals = dict(facet_normals)
+        self.ridge_normals = ridge_normals
+        self.facet_normals = facet_normals
 
     # -- cell id helpers -------------------------------------------------
 

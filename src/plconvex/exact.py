@@ -3,9 +3,9 @@
 Scalars are plain Python ints or fractions.Fraction; both are exact and mix
 freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
-operations the checker actually needs live here: signs of 2- and 3-frames,
-ranks up to 3, collinearity coefficients, dot-product coordinates, and
-quotients known to be exact.
+operations the checker actually needs live here: orientation signs in a
+plane frame, ranks up to 3, collinearity coefficients, dot-product
+coordinates, and quotients known to be exact.
 """
 
 from __future__ import annotations
@@ -83,18 +83,6 @@ def dot(u: Vector, v: Vector) -> Scalar:
 
 def is_zero(u: Vector) -> bool:
     return not any(u)
-
-
-def sign_det3(a: Vector, b: Vector, c: Vector) -> int:
-    """Exact sign of det[a; b; c] for 3-vectors (rows in given order)."""
-    if not (len(a) == len(b) == len(c) == 3):
-        raise ValueError("sign_det3 requires 3-vectors")
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-    return (det > 0) - (det < 0)
 
 
 def _multiple_pivot(v: Vector, w: Vector) -> int | None:

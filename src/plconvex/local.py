@@ -1,18 +1,21 @@
 """Per-corner local convexity test.
 
 A corner's star is a wheel of ridge rays and facet wedges inside the
-3-dimensional orthogonal complement of the corner.  The test below first
-settles all configurations whose ridge rays stay inside a 2-plane (the star
-must then tile the circle of directions exactly once, up to one out-of-plane
-half-plane facet at an antiparallel ridge pair), and otherwise reduces the
-star to a cone over rim points in R^3.  There every facet normal must lie
-strictly inside the convex sector of its two ridge rays, and one winding
-rule decides the rim: it turns one way, an interior axis lies strictly
-inside every wedge plane, and the rim winds exactly once about that axis.
-All of it reads exact 3x3 determinant signs.
+3-dimensional orthogonal complement of the corner.  A star whose ridge rays
+stay inside a 2-plane, digons included, must tile the circle of directions
+exactly once, up to one out-of-plane half-plane facet at an antiparallel
+ridge pair.  One turning pass decides it: every in-plane wedge turns the
+same way, and the sweep reaches its start ray only when it closes.  Every
+other star reduces to a cone over rim points in R^3.  There every facet
+normal must lie strictly inside the convex sector of its two ridge rays,
+and one winding rule decides the rim: it turns one way, an interior axis
+lies strictly inside every wedge plane, and the rim winds exactly once
+about that axis.  All of it reads exact 2x2 and 3x3 determinant signs.
 
-Angle conventions: <v|u|w> is the plane angle with extreme rays v, w whose
-interior contains u.  All predicates work on exact rational vectors.
+predicate_P and is_folded are the paper's angle predicates for planar
+stars; the test itself does not call them.  Angle conventions: <v|u|w> is
+the plane angle with extreme rays v, w whose interior contains u.  All
+predicates work on exact rational vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .complexes import WheelStar
-from .errors import DegenerateCone, NotInPlane, PreconditionViolated, ZeroVector
+from .errors import DegenerateCone, PreconditionViolated
 from .exact import (
     PlaneFrame,
     Vector,
@@ -128,7 +131,11 @@ def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
     """True iff the interiors of <a|b|c> and <c|d|e> intersect.
 
     Preconditions: coplanar nonzero vectors, with a, b, c on pairwise
-    distinct rays and c, d, e on pairwise distinct rays.
+    distinct rays and c, d, e on pairwise distinct rays.  A shared extreme
+    ray (a, e) is handled via P(c|b,d|a); otherwise the angles are disjoint
+    exactly when P(a|b,e|c) is false while P(c|d,e|a) and P(b|c,d|e) hold.
+    The inner P calls use the raw sign recipe; short-circuit order keeps
+    their arguments within the recipe's valid range.
     """
     _require_in_plane(frame, (a, b, c, d, e))
     for x, y in ((a, b), (a, c), (b, c)):
@@ -137,18 +144,6 @@ def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
     for x, y in ((c, d), (c, e), (d, e)):
         if same_ray(x, y):
             raise PreconditionViolated("c, d, e must span pairwise distinct rays")
-    return _folded(a, b, c, d, e, frame)
-
-
-def _folded(a, b, c, d, e, frame: PlaneFrame) -> bool:
-    """is_folded without its precondition checks; callers guarantee them.
-
-    A shared extreme ray (a, e) is handled via P(c|b,d|a); otherwise the
-    angles are disjoint exactly when P(a|b,e|c) is false while P(c|d,e|a)
-    and P(b|c,d|e) hold.  The inner P calls use the raw sign recipe;
-    short-circuit order keeps their arguments within the recipe's valid
-    range.
-    """
     if same_ray(a, e):
         return _angles_equal(frame, c, b, d, a)
     return not (
@@ -156,19 +151,6 @@ def _folded(a, b, c, d, e, frame: PlaneFrame) -> bool:
         and _angles_equal(frame, c, d, e, a)
         and _angles_equal(frame, b, c, d, e)
     )
-
-
-def _ray_in_interior(frame: PlaneFrame, g, v, marker, w) -> bool:
-    """Is ray(g) strictly inside the angle <v|marker|w>?  All in-plane."""
-    s = frame.orient(v, w)
-    if s == 0:
-        # Half-plane angle: interior is the open side holding the marker.
-        return frame.orient(v, g) == frame.orient(v, marker)
-    minor = frame.orient(v, marker) == s and frame.orient(marker, w) == s
-    g_minor = frame.orient(v, g) == s and frame.orient(g, w) == s
-    if minor:
-        return g_minor
-    return not (g_minor or same_ray(g, v) or same_ray(g, w))
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +162,16 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
     """Classify a wheel star: Inconsistent, FlatPass, or a 3D cone.
 
     Ridge normals are scanned in rim order for a maximal independent set;
-    stars whose ridge rays stay in a 2-plane are decided by the
-    circle-tiling criterion, and a third basis vector sends the star to the
-    cone check, via Gram coordinates when n >= 4.
+    stars whose ridge rays stay in a 2-plane, digons included, are decided
+    by one turning pass, and a third basis vector sends the star to the cone
+    check, via Gram coordinates when n >= 4.
     """
-    for x in star.ridge_normals + star.facet_normals:
-        if is_zero(x):
-            return Inconsistent("zero normal vector")
-
-    try:
-        return _reduce(star)
-    except (PreconditionViolated, NotInPlane, ZeroVector) as exc:
-        # Angle preconditions only break on degenerate normal data; that is
-        # an integrity violation of the input, not an internal error.
-        return Inconsistent(f"degenerate normal data: {exc}")
-
-
-def _reduce(star: WheelStar) -> LocalVerdict:
     m = star.m
     u = star.ridge_normals
     f = star.facet_normals
+    for x in u + f:
+        if is_zero(x):
+            return Inconsistent("zero normal vector")
     if m == 1:
         return Inconsistent("wheel of size 1")
 
@@ -217,19 +189,20 @@ def _reduce(star: WheelStar) -> LocalVerdict:
                 )
             antiparallel.append(i)
 
-    if m == 2:
-        return _check_digon(u, f)
-
     rank, basis = rank_le3(u)
     if rank > 3:
         return Inconsistent("ridge normals span more than 3 dimensions")
     if rank == 1:
-        # m >= 3 rays on one line must repeat a ray.
-        return Inconsistent("ridge normals span a single line")
-    if rank == 2:
-        return _planar_verdict(
-            u, f, PlaneFrame(basis[0], basis[1]), antiparallel
-        )
+        if m > 2:
+            # m >= 3 rays on one line must repeat a ray.
+            return Inconsistent("ridge normals span a single line")
+        # A digon on one ridge line: its plane holds that line and the
+        # first facet normal off it.
+        basis = rank_le3(u[:1] + f)[1][:2]
+        if len(basis) == 1:
+            return Inconsistent("facet normal 0 lies on a ridge ray")
+    if len(basis) == 2:
+        return _planar_verdict(u, f, PlaneFrame(*basis), antiparallel)
 
     # Genuinely 3-dimensional star.  A straight ridge pair forces the whole
     # star into two half-planes through that line, i.e. a 2-plane worth of
@@ -292,91 +265,77 @@ def _wedge_fault(j: int, k: int, p, g: Vector) -> str | None:
     return f"facet angle {j} between ridges {j} and {k} is reflex"
 
 
-def _check_digon(u, f) -> LocalVerdict:
-    """m = 2: two facets sharing both ridges.
-
-    The star folds exactly when both facet wedges occupy the same half-plane:
-    rank{n1, n12, n21} = 2 with both facet normals strictly on the same side
-    of line(n1).  Everything else (complementary planar wedges, or a lune of
-    two half-planes in distinct planes) is convex.
-    """
-    rank, basis = rank_le3([u[0], f[0], f[1]])
-    if rank == 2:
-        frame = PlaneFrame(basis[0], basis[1])
-        if not (frame.contains(f[0]) and frame.contains(f[1])):
-            return Inconsistent("degenerate digon data")
-        s0 = frame.orient(u[0], f[0])
-        s1 = frame.orient(u[0], f[1])
-        if s0 == s1 and s0 != 0:
-            return Inconsistent(
-                "digon facets on the same side of the ridge line"
-            )
-    return FlatPass()
-
-
 def _planar_verdict(u, f, frame: PlaneFrame, antiparallel) -> LocalVerdict:
-    """Ridge rays span exactly 2 dimensions: decide by circle tiling.
+    """Ridge rays span a plane: one turning pass decides the star.
 
-    A closed chain of in-plane wedges passes iff adjacent wedges never fold
-    over each other and the chain winds around the circle exactly once.  One
-    facet normal may leave the plane when its ridge pair is antiparallel
-    (an out-of-plane half-plane facet: the star is a subdivided dihedral
-    corner); the remaining in-plane chain must then sweep a half-circle
-    monotonically.  Two or more such facets can never bound a convex cone.
-    antiparallel lists the indices i whose ridge pair (i, i + 1) is
-    antiparallel.
+    Wedge j turns from u_j to u_(j+1) through its facet normal f_j.  With
+    s = orient(u_j, u_(j+1)) it turns by the minor angle in sense s when f_j
+    lies strictly inside that angle, else by the major angle in sense -s; a
+    half-plane (s = 0) turns in sense orient(u_j, f_j).  The star tiles the
+    circle exactly once iff every in-plane wedge turns the same way and the
+    sweep first reaches its start ray when it closes: two wedges turning
+    opposite ways overlap next to their shared ray, and wedges laid end to
+    end in one sense cover the circle as often as the sweep passes its
+    start.  One facet normal may
+    leave the plane, and only at an antiparallel ridge pair (an out-of-plane
+    half-plane facet: the star is a subdivided dihedral corner); the sweep
+    then runs from the ray after that facet to the opposite ray and may not
+    reach its start at all.  Two or more such facets can never bound a
+    convex cone.  antiparallel lists the indices i whose ridge pair
+    (i, i + 1) is antiparallel.
     """
     m = len(u)
-
-    jumps = []
-    for j in range(m):
-        if not frame.contains(f[j]):
+    orient = frame.orient
+    # Each wedge's turn, and whether it turns by pi or more; None for the
+    # out-of-plane half-plane facets.
+    turns, jumps = [], []
+    for j, (a, b, g) in enumerate(zip(u, u[1:] + u[:1], f)):
+        if not frame.contains(g):
             if j not in antiparallel:
                 return Inconsistent(
                     f"facet normal {j} outside the plane of its ridge rays"
                 )
             jumps.append(j)
-        elif same_ray(f[j], u[j]) or same_ray(f[j], u[(j + 1) % m]):
+            turns.append(None)
+            continue
+        s, ag = orient(a, b), orient(a, g)
+        if s:
+            gb = orient(g, b)
+            if (ag == 0 and dot(a, g) > 0) or (gb == 0 and dot(g, b) > 0):
+                return Inconsistent(f"facet normal {j} lies on a ridge ray")
+            turn = s if ag == s == gb else -s
+        elif ag:
+            turn = ag
+        else:
             return Inconsistent(f"facet normal {j} lies on a ridge ray")
-
+        turns.append((turn, turn != s))
     if len(jumps) > 1:
         return Inconsistent(
             "more than one out-of-plane half-plane facet in a planar star"
         )
 
-    if not jumps:
-        for j in range(m):
-            k, l = (j + 1) % m, (j + 2) % m
-            if _folded(u[j], f[j], u[k], f[k], u[l], frame):
-                return Inconsistent(f"facet angles fold at ridge {k}")
-        winding = 0
-        g = tuple(-c for c in u[0])
-        for j in range(m):
-            if j > 0 and same_ray(u[j], g):
-                winding += 1
-            if _ray_in_interior(frame, g, u[j], f[j], u[(j + 1) % m]):
-                winding += 1
-        if winding != 1:
-            return Inconsistent(
-                f"facet angles cover the circle {winding} times, expected 1"
-            )
-        return FlatPass()
-
-    # One out-of-plane half-plane facet: the in-plane chain runs from ray w
-    # to ray -w and may not revisit any direction.
-    J = jumps[0]
-    start = (J + 1) % m
-    chain = [(J + 1 + t) % m for t in range(m - 1)]  # in-plane angle indices
-    for a, b in zip(chain, chain[1:]):
-        shared = (a + 1) % m
-        if _folded(u[a], f[a], u[shared], f[b], u[(b + 1) % m], frame):
-            return Inconsistent(f"facet angles fold at ridge {shared}")
-    w0 = u[start]
-    for t, j in enumerate(chain):
-        if t > 0 and same_ray(u[j], w0):
-            return Inconsistent("planar chain revisits its starting ray")
-        if _ray_in_interior(frame, w0, u[j], f[j], u[(j + 1) % m]):
-            return Inconsistent("planar chain wraps past its starting ray")
+    # Sweep from r in the first wedge's sense.  upper: the sweep stands in
+    # the half-turn [pi, 2*pi) past r.  A wedge passes r when it drops from
+    # the upper half-turn to the lower one, or turns by pi or more and ends
+    # in the half-turn it started in.
+    start = jumps[0] + 1 if jumps else 0
+    r = u[start % m]
+    sense, upper, passes = turns[start % m][0], False, 0
+    for t in range(start, start + m - len(jumps)):
+        turn, wide = turns[t % m]
+        if turn != sense:
+            return Inconsistent(f"facet angles fold at ridge {t % m}")
+        b = u[(t + 1) % m]
+        h = sense * orient(r, b)
+        b_upper = h < 0 or (h == 0 and dot(r, b) < 0)
+        passes += upper > b_upper or (upper == b_upper and wide)
+        upper = b_upper
+    if jumps and passes:
+        return Inconsistent("planar chain wraps past its starting ray")
+    if not jumps and passes != 1:
+        return Inconsistent(
+            f"facet angles cover the circle {passes} times, expected 1"
+        )
     return FlatPass()
 
 

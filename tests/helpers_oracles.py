@@ -2,7 +2,9 @@
 
 Angular-interval oracle for planar stars: decide whether the facet angles
 tile the circle of directions exactly once by counting coverage of every
-elementary arc between consecutive distinct ray directions.
+elementary arc between consecutive distinct ray directions.  A planar star
+with one half-plane facet out of the plane is decided by folding that facet
+into the plane on either side of its ridge line.
 
 Spherical oracle for 3D cones: a wheel realization lies on a convex cone
 boundary iff some orientation puts every rim point weakly on one side of
@@ -88,6 +90,18 @@ def planar_star_tiles(rays, markers):
         if count != 1:
             return False
     return True
+
+
+def half_plane_star_tiles(rays, markers, j):
+    """Planar star whose facet j is a half-plane out of the plane, at the
+    antiparallel pair (rays[j], rays[j+1]): the in-plane facets must tile
+    one side of that ridge line, so the star passes iff marker j replaced by
+    either in-plane perpendicular of the line tiles the circle."""
+    x, y = rays[j]
+    return any(
+        planar_star_tiles(rays, markers[:j] + [side] + markers[j + 1:])
+        for side in ((-y, x), (y, -x))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from plconvex import (
     to_standard,
 )
 from helpers_oracles import oracle_cone_convex
-from plconvex.checker import EDGE_COUNT_EXCEEDED, corners_checked
+from plconvex.checker import EDGE_COUNT_EXCEEDED, check_complex
 from plconvex.complexes import CellId, validate_standard, wheel_star
 from plconvex.local import Cone, reduce_to_3d
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
@@ -82,7 +82,7 @@ def test_witness_is_first_failing_corner():
     report = corner_report(std)
     failing = [r.corner.index for r in report if not r.passed]
     assert verdict.witness.index == min(failing)
-    assert corners_checked(std, verdict) == verdict.witness.index + 1
+    assert check_complex(std).corners_checked == verdict.witness.index + 1
 
 
 def test_corner_report_cube(cube_standard):

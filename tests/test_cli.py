@@ -12,10 +12,16 @@ from conftest import (
     cube_traditional,
     tetrahedron_traditional,
 )
-from plconvex import NotConvex, check_convexity, corner_report, to_standard
+from plconvex import (
+    Convex,
+    NotConvex,
+    check_convexity,
+    corner_report,
+    to_standard,
+)
 from plconvex.cli import main
 from plconvex.complexes import CellId
-from plconvex.formats import parse_off, serialize_off, serialize_plc
+from plconvex.formats import parse_off, parse_plc, serialize_off, serialize_plc
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,6 +161,25 @@ def test_double_octahedron_fails_at_its_apex(capsys):
     for reverse in (False, True):
         verdict = check_convexity(std, reverse=reverse)
         assert verdict == NotConvex("non_convex_cone", CellId(0, 0))
+
+
+@pytest.mark.parametrize("name, code, verdict", [
+    ("digon_seam", 0, Convex()),
+    ("digon_offplane", 1, NotConvex("inconsistent", CellId(0, 8))),
+])
+def test_bent_seam_digon(capsys, name, code, verdict):
+    # The cube [0,4]^3 with its top face split along the bent seam
+    # (0,0,4) -> (1,3,4) -> (4,4,4): corner 8 = (1,3,4) is a digon whose
+    # ridge normals (-1,-3,0), (3,1,0) span a plane.  Facet 6's normal
+    # there is (1,2,0), inside that facet's reflex angle, or (1,2,1), off
+    # the plane.
+    path = DATA / f"{name}.plc"
+    assert main(["check", str(path), "--report", "json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["witness"] == (None if code == 0 else {"dim": 0, "index": 8})
+    std = parse_plc(path.read_text())
+    for reverse in (False, True):
+        assert check_convexity(std, reverse=reverse) == verdict
 
 
 def test_exhaustive_text_shows_detail(tmp_path, capsys):

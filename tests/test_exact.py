@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_oracles import det3
 from plconvex.errors import NotInPlane, ZeroVector
 from plconvex.exact import (
     PlaneFrame,
@@ -15,28 +16,8 @@ from plconvex.exact import (
     parse_rational,
     rank_le3,
     same_ray,
-    sign_det3,
+    sign,
 )
-
-
-def test_sign_det3_examples():
-    assert sign_det3((1, 0, 0), (0, 1, 0), (0, 0, 1)) == 1
-    assert sign_det3((1, 0, 0), (0, 1, 0), (1, 1, 0)) == 0
-    assert sign_det3((0, 1, 0), (1, 0, 0), (0, 0, 1)) == -1
-
-
-def test_sign_det3_antisymmetry_and_scaling():
-    rng = random.Random(7)
-    for _ in range(200):
-        a, b, c = (
-            tuple(rng.randrange(-5, 6) for _ in range(3)) for _ in range(3)
-        )
-        s = sign_det3(a, b, c)
-        assert sign_det3(b, a, c) == -s
-        assert sign_det3(a, c, b) == -s
-        lam = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
-        scaled = tuple(lam * x for x in a)
-        assert sign_det3(scaled, b, c) == s
 
 
 def orient2(frame: PlaneFrame, a, b) -> int:
@@ -180,7 +161,7 @@ def test_gram_coordinates_preserve_orientation():
         ]
         mapped = [coords_in_basis(v, *e) for v in vectors]
         # Reference orientation: determinant of the coefficient matrix.
-        assert sign_det3(*mapped) == sign_det3(*coeffs)
+        assert sign(det3(*mapped)) == sign(det3(*coeffs))
 
 
 def test_rational_parsing_round_trip():

@@ -10,6 +10,7 @@ from helpers_oracles import (
     _circ_cmp,
     cross2,
     cross3,
+    half_plane_star_tiles,
     oracle_cone_convex,
     planar_star_tiles,
     same_dir2,
@@ -571,6 +572,90 @@ def test_planar_random_stars_match_angular_oracle():
         assert got == expect, (rays, markers, verdict)
 
 
+@st.composite
+def _flat_stars(draw):
+    """Stars whose ridge rays span at most a plane: m = 2..9 integer rays in
+    [-6, 6]^2, sometimes sorted around the circle, sometimes with a forced
+    antiparallel pair.  Each marker is a + b, -(a + b) or a random in-plane
+    vector; sometimes one marker (x, y, z), z != 0, leaves the plane, most
+    often at an antiparallel pair."""
+    m = draw(st.integers(2, 9))
+    coord = st.integers(-6, 6)
+    vec = st.tuples(coord, coord).filter(any)
+    rays = draw(st.lists(vec, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rays.sort(key=cmp_to_key(_circ_cmp))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        rays[(i + 1) % m] = tuple(-draw(st.integers(1, 3)) * c for c in rays[i])
+    markers = []
+    for a, b in zip(rays, rays[1:] + rays[:1]):
+        kind = draw(st.sampled_from(["sum", "negated sum", "in-plane"]))
+        if kind == "in-plane":
+            markers.append(draw(vec))
+        else:
+            sign = 1 if kind == "sum" else -1
+            markers.append((sign * (a[0] + b[0]), sign * (a[1] + b[1])))
+    if draw(st.booleans()):
+        anti = [i for i in range(m) if cross2(rays[i], rays[(i + 1) % m]) == 0]
+        j = draw(st.sampled_from(anti if anti and draw(st.booleans())
+                                 else range(m)))
+        markers[j] = draw(vec) + (draw(coord.filter(bool)),)
+    return rays, markers
+
+
+def _flat_star_tiles(rays, markers):
+    """Oracle verdict for a _flat_stars sample."""
+    m = len(rays)
+    off = [j for j, mk in enumerate(markers) if len(mk) == 3]
+    for j, mk in enumerate(markers):
+        if j not in off and (
+            mk == (0, 0)
+            or same_dir2(mk, rays[j])
+            or same_dir2(mk, rays[(j + 1) % m])
+        ):
+            return False
+    if not off:
+        return planar_star_tiles(rays, markers)
+    j = off[0]
+    return cross2(rays[j], rays[(j + 1) % m]) == 0 and half_plane_star_tiles(
+        rays, markers, j
+    )
+
+
+def _in_r3(v):
+    return tuple(v) + (0,) * (3 - len(v))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_flat_stars())
+# Digons that "both facet normals strictly on one side of the line of ridge
+# normal 0" decides wrongly: both facets in the major angle, a facet normal
+# off the ridge plane and a facet normal on a ridge ray (all must fail, yet
+# pass that test), and the bent seam of tests/data/digon_seam.plc, whose second
+# facet normal stays inside that facet's reflex angle (convex, yet fails).
+@example(([(1, 0), (0, 1)], [(-1, 1), (1, -1)]))
+@example(([(1, 0), (0, 1)], [(1, 1), (-1, -1, 1)]))
+@example(([(1, 0), (0, 1)], [(1, 1), (2, 0)]))
+@example(([(-1, -3), (3, 1)], [(2, -2), (1, 2)]))
+# A lune of two half-planes and a subdivided dihedral corner: both convex.
+@example(([(1, 0), (-1, 0)], [(0, 1), (0, 1, 1)]))
+@example(([(1, 0), (0, 1), (-1, 0)], [(1, 1), (-1, 1), (0, -1, 1)]))
+# A half-plane star whose in-plane chain sweeps three half-turns.
+@example(([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 0)],
+          [(1, 1), (-1, 1), (-1, -1), (1, 0), (0, 1), (0, -1, 1)]))
+def test_flat_stars_match_tiling_oracles(sample):
+    rays, markers = sample
+    expect = _flat_star_tiles(rays, markers)
+    for lift in (list, _lift4):
+        star = make_star(
+            lift([_in_r3(r) for r in rays]), lift([_in_r3(mk) for mk in markers])
+        )
+        verdict = reduce_to_3d(star)
+        assert isinstance(verdict, (FlatPass, Inconsistent)), verdict
+        assert isinstance(verdict, FlatPass) is expect, (lift, verdict)
+
+
 def _convex_position_2d(rng, m):
     """m distinct integer points in strictly convex position, ccw order."""
     pts = set()
@@ -785,17 +870,18 @@ def _pivots_per_incidence(monkeypatch, t):
     return len(calls) / sum(s.m for s in stars)
 
 
-# Each consecutive ridge pair is classified once.  Measured 1.37 on the
-# hull (every corner a cone) and 3.38 on the prism (two thirds flat); the
-# bounds leave about 17% headroom.  Classifying pairs again in each check
-# gave 2.37 and 6.95.
+# Each consecutive ridge pair is classified once, and neither the flat pass
+# nor the wedge test classifies a pair again: one call per incidence on the
+# hull (every corner a cone) and on the prism (two thirds flat).
+# Classifying pairs again in each check gave 2.37 and 6.95, and same-ray
+# tests in the flat pass gave 3.0 on the prism.
 def test_hull_pivots_per_incidence(monkeypatch):
     t = gen_convex_surface(1, 3, 40, 50)
-    assert _pivots_per_incidence(monkeypatch, t) <= 1.6
+    assert _pivots_per_incidence(monkeypatch, t) == 1.0
 
 
 def test_prism_pivots_per_incidence(monkeypatch):
     from test_normals import _prism, _subdivided_ring
 
     t = _prism(_subdivided_ring(3), levels=3)
-    assert _pivots_per_incidence(monkeypatch, t) <= 4.0
+    assert _pivots_per_incidence(monkeypatch, t) == 1.0
