@@ -144,7 +144,15 @@ def _cmd_check(args) -> int:
     return exit_code_for(verdict)
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ParseError(f"bad {flag} {value}: want an integer >= {least}")
+
+
 def _cmd_gen(args) -> int:
+    _require_at_least("--dim", args.dim, 3)
+    _require_at_least("--bound", args.bound, 1)
+    _require_at_least("--points", args.points, args.dim + 1)
     t = gen_convex_surface(
         seed=args.seed, n=args.dim, num_points=args.points,
         coord_bound=args.bound,
@@ -205,7 +213,15 @@ def _cmd_stats(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import format_bench, run_bench
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ParseError(
+            f"bad --sizes {args.sizes!r}: want comma-separated integers"
+        ) from None
+    for size in sizes:
+        _require_at_least("--sizes", size, 4)  # a hull needs 4 points
+    _require_at_least("--seed", args.seed, 0)
     rows = run_bench(sizes, seed=args.seed)
     print(format_bench(rows))
     return 0

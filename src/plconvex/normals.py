@@ -32,6 +32,7 @@ from .exact import (
     PlaneFrame,
     Scalar,
     Vector,
+    _reduce,
     as_exact,
     collinear,
     dot,
@@ -233,20 +234,20 @@ def polygon_frame(cycle, coords, parsed=None) -> tuple[PlaneFrame, int]:
     return frame, orientation
 
 
-def _convex_certificate(pts, frame) -> bool:
-    """True only if the closed in-plane polygon pts is simple (it is convex).
+def _convex_certificate(edges, turns, frame) -> bool:
+    """True only if the closed in-plane polygon is simple (it is convex).
 
-    An exact O(k) sufficient test: every nonzero turn has one sign, every
-    zero turn goes straight on (dot > 0), and the edge directions wind
-    exactly once.  The winding is measured from the edge after the first
-    strict turn.  From there the direction angle only grows, by less than pi
-    per vertex, so it reaches 2*pi exactly when the sweep, having entered
-    the far half-plane of that edge, comes back to its side; directions that
-    wind once close the polygon before that.  False means "don't know".
+    edges are its edge vectors e_i = p_(i+1) - p_i in cycle order and turns
+    the signs orient(e_(i-1), e_i).  An exact O(k) sufficient test: every
+    nonzero turn has one sign, every zero turn goes straight on (dot > 0),
+    and the edge directions wind exactly once.  The winding is measured
+    from the edge after the first strict turn.  From there the direction
+    angle only grows, by less than pi per vertex, so it reaches 2*pi exactly
+    when the sweep, having entered the far half-plane of that edge, comes
+    back to its side; directions that wind once close the polygon before
+    that.  False means "don't know".
     """
-    k = len(pts)
-    edges = [vsub(pts[(i + 1) % k], pts[i]) for i in range(k)]
-    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
+    k = len(edges)
     start = next((i for i, t in enumerate(turns) if t), None)
     if start is None:
         return False
@@ -297,13 +298,16 @@ def _segments_intersect(frame, p1, p2, q1, q2) -> bool:
     return False
 
 
-def validate_polygon(cycle, coords, parsed=None):
+def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
     """Simple planar polygon with positive area and no spikes.
 
-    Returns polygon_frame's (frame, orientation), or None for a triangle,
-    which needs only one cross product.  A convex polygon is certified in
-    O(k); any other goes through the pairwise spike and segment tests.
-    parsed is the lookup error messages print (see polygon_frame).
+    Returns the inner direction of each corner, in cycle order.  A triangle
+    needs only one cross product, and its normals come from the same two
+    edge vectors.  Any other polygon gets one edge list and one turn list,
+    which the O(k) convex certificate and the corner rule both read; a
+    polygon the certificate cannot vouch for goes through the pairwise spike
+    and segment tests.  parsed is the lookup error messages print (see
+    polygon_frame).
     """
     k = len(cycle)
     if k < 3:
@@ -322,11 +326,21 @@ def validate_polygon(cycle, coords, parsed=None):
         vx, vy, vz = rx - px, ry - py, rz - pz
         if uy * vz == uz * vy and uz * vx == ux * vz and ux * vy == uy * vx:
             raise NotPlanar("polygon has collinear vertices only")
-        return None
-    framed = polygon_frame(cycle, coords, parsed)
-    if not _convex_certificate(pts, framed[0]):
-        _check_simple(cycle, pts, framed[0])
-    return framed
+        # Every triangle corner is convex, so prev + next - 2v points inside.
+        return [
+            (ux + vx, uy + vy, uz + vz),
+            (vx - 2 * ux, vy - 2 * uy, vz - 2 * uz),
+            (ux - 2 * vx, uy - 2 * vy, uz - 2 * vz),
+        ]
+    frame, orientation = polygon_frame(cycle, coords, parsed)
+    edges = [vsub(q, p) for p, q in zip(pts, (*pts[1:], pts[0]))]
+    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
+    if not _convex_certificate(edges, turns, frame):
+        _check_simple(cycle, pts, frame)
+    return [
+        _corner_normal(edges[i - 1], edges[i], turns[i], frame, orientation)
+        for i in range(k)
+    ]
 
 
 def _check_simple(cycle, pts, frame) -> None:
@@ -351,69 +365,31 @@ def _check_simple(cycle, pts, frame) -> None:
 def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
     """In-plane direction d with vid + eps*d interior to the polygon.
 
-    Convex corner: sum of the edge vectors.  Reflex corner: its negation.
-    Straight corner: in-plane perpendicular to the edge, on the interior
-    side fixed by the polygon's orientation.  Avoids angle bisectors, which
-    would need square roots.
+    The converter's own rule: validate_polygon's direction at vid, so a
+    polygon it rejects (one that is not simple, say, and has no interior)
+    raises here too.  Avoids angle bisectors, which would need square roots.
     """
-    a, b = _corner_edges(vid, cycle, coords)
-    if is_zero(a) or is_zero(b):
-        raise DegenerateVertex(f"zero-length edge at vertex {vid}")
-    if len(cycle) == 3:
-        if collinear(a, b):
-            raise NotPlanar(f"degenerate triangle at vertex {vid}")
-        return _inner_direction(vid, cycle, coords, None)
-    return _inner_direction(vid, cycle, coords, polygon_frame(cycle, coords))
+    return validate_polygon(cycle, coords)[cycle.index(vid)]
 
 
-def _corner_edges(vid: int, cycle, coords) -> tuple[Vector, Vector]:
-    """Edge vectors from vid to its predecessor and successor on cycle."""
-    k = len(cycle)
-    j = cycle.index(vid)
-    v = coords(vid)
-    return (
-        vsub(coords(cycle[(j - 1) % k]), v),
-        vsub(coords(cycle[(j + 1) % k]), v),
-    )
+def _corner_normal(a, b, turn, frame, orientation) -> Vector:
+    """Inner direction at the polygon vertex entered along a, left along b.
 
-
-def _triangle_normals(p, q, r) -> list[Vector]:
-    """Inner directions at the corners p, q, r of a triangle, in that order.
-
-    Every triangle corner is convex, so prev + next - 2v points inside; with
-    the vertex sum s that is s - 3v.
+    turn is orient(a, b) and orientation the polygon's (polygon_frame), on a
+    polygon validate_polygon has shown simple.  A turning vertex gets b - a,
+    the sum of the edge vectors pointing away from it: inside at a convex
+    vertex (turn with the orientation), outside at a reflex one, where it is
+    negated.  A straight vertex gets the in-plane perpendicular to a on the
+    interior side, where orient(a, d) is the polygon's orientation.
     """
-    sx = p[0] + q[0] + r[0]
-    sy = p[1] + q[1] + r[1]
-    sz = p[2] + q[2] + r[2]
-    return [(sx - 3 * x, sy - 3 * y, sz - 3 * z) for x, y, z in (p, q, r)]
-
-
-def _inner_direction(vid: int, cycle, coords, framed) -> Vector:
-    """facet_inner_direction_polygon on a polygon already validated.
-
-    framed is validate_polygon's result: None for a triangle, whose corners
-    are all convex, else polygon_frame's (frame, orientation).
-    """
-    if framed is None:
-        return _triangle_normals(*map(coords, cycle))[cycle.index(vid)]
-    a, b = _corner_edges(vid, cycle, coords)
-    frame, orientation = framed
-    chi = frame.orient(a, b)
-    if chi != 0:
-        d = vadd(a, b)
-        return d if orientation * chi < 0 else tuple(-c for c in d)
-    if not collinear(a, b) or same_ray(a, b):
-        raise DegenerateVertex(f"zero interior angle at vertex {vid}")
-    # Straight vertex: perpendicular to the edge on the interior side,
-    # scaled by |a|^2 so that no division is needed.
+    if turn:
+        d = vsub(b, a)
+        return d if orientation * turn > 0 else tuple(-c for c in d)
+    # Perpendicular to a, scaled by |a|^2 so that no division is needed.
     x = frame.e2 if collinear(a, frame.e1) else frame.e1
     aa, xa = dot(a, a), dot(x, a)
     d = tuple(aa * xc - xa * ac for xc, ac in zip(x, a))
-    travel = tuple(-c for c in a)
-    if frame.orient(travel, d) != orientation:
-        d = tuple(-c for c in d)
-    return d
+    return d if frame.orient(a, d) == orientation else tuple(-c for c in d)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +493,11 @@ def validate_traditional(t: TraditionalFormComplex):
     Every geometric predicate runs on the vertex table scaled to integers
     (_integer_coords): a uniform positive scaling keeps coplanarity,
     orientation, segment contact and rank, and messages still print the
-    parsed coordinates.  Returns (table, frames, edges) for to_standard: the
-    integer coordinate table, per polygonal facet validate_polygon's
-    (frame, orientation) or None for a triangle, and per polygonal edge
-    (a, b) the vector b - a; frames and edges are empty in simplicial mode.
+    parsed coordinates.  Returns (table, corner_normals, edges) for
+    to_standard: the integer coordinate table, validate_polygon's inner
+    direction at each polygon corner (facet by facet, each in cycle order),
+    and per polygonal edge (a, b) the vector b - a; corner_normals and
+    edges are empty in simplicial mode.
     """
     for v in t.vertices:
         if len(v) != t.n:
@@ -546,10 +523,10 @@ def validate_traditional(t: TraditionalFormComplex):
             if not (d[0] or d[1] or d[2]):
                 raise DegenerateCell(f"edge {r} has coincident endpoints")
             edges.append(d)
-        frames = [
-            validate_polygon(cycle, coords, t.coords) for cycle in t.facets
-        ]
-        return table, frames, edges
+        corner_normals = []
+        for cycle in t.facets:
+            corner_normals += validate_polygon(cycle, coords, t.coords)
+        return table, corner_normals, edges
     n = t.n
     sizes = ((t.corners, n - 2), (t.ridges, n - 1), (t.facets, n))
     for cells, want in sizes:
@@ -570,16 +547,13 @@ def _check_affinely_independent(cell, coords) -> None:
 
 
 def _full_rank(vectors) -> int:
-    # Fraction-free echelon; uncapped (cells can have up to n-1 directions).
+    # Uncapped, unlike rank_le3: cells can have up to n-1 directions.
     echelon: list[tuple[Vector, int]] = []
     for v in vectors:
-        for row, pivot in echelon:
-            if v[pivot] != 0:
-                rp, vp = row[pivot], v[pivot]
-                v = tuple(a * rp - b * vp for a, b in zip(v, row, strict=True))
-        pivot = next((i for i, c in enumerate(v) if c != 0), None)
+        r = _reduce(v, echelon)
+        pivot = next((i for i, c in enumerate(r) if c != 0), None)
         if pivot is not None:
-            echelon.append((v, pivot))
+            echelon.append((r, pivot))
     return len(echelon)
 
 
@@ -621,54 +595,44 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
 
     Normals are built from the vertices scaled to integers, so every normal
     of every traditional input is an integer vector.  Validation has proved
-    every cell non-degenerate, so nothing is checked twice here.  Cell
+    every cell non-degenerate and built each polygon's corner normals, so
+    nothing is checked twice here and nothing here can fail.  Cell
     indices carry over unchanged, so witnesses agree between a traditional
     check and a converted standard-form check.
     """
-    table, frames, edges = validate_traditional(t)
-    coords = table.__getitem__
+    table, corner_normals, edges = validate_traditional(t)
     cr, cf, rf = derive_incidences(t)
     ridge_normals = {}
     facet_normals = {}
-    try:
-        if t.mode == POLYGONAL:
-            # Edge (a, b) gives b - a at a and a - b at b, in cr's order.
-            pairs = iter(cr)
-            for d, at_a, at_b in zip(edges, pairs, pairs):
-                ridge_normals[at_a] = d
-                ridge_normals[at_b] = (-d[0], -d[1], -d[2])
-            pairs = iter(cf)
-            for cycle, framed in zip(t.facets, frames):
-                if framed is None:
-                    for d in _triangle_normals(*map(coords, cycle)):
-                        facet_normals[next(pairs)] = d
-                else:
-                    for v in cycle:
-                        facet_normals[next(pairs)] = _inner_direction(
-                            v, cycle, coords, framed
-                        )
-        else:
-            cells_at = [[] for _ in t.corners]
-            for ci, ri in cr:
-                cells_at[ci].append(t.ridges[ri])
-            for ci, fi in cf:
-                cells_at[ci].append(t.facets[fi])
-            residuals = [
-                _link_residuals(c, cells, coords)
-                for c, cells in zip(t.corners, cells_at)
-            ]
-            for ci, ri in cr:
-                res = residuals[ci]
-                ridge_normals[(ci, ri)] = next(
-                    res[v] for v in t.ridges[ri] if v in res
-                )
-            for ci, fi in cf:
-                res = residuals[ci]
-                facet_normals[(ci, fi)] = vadd(
-                    *(res[v] for v in t.facets[fi] if v in res)
-                )
-    except (DegenerateCell, DegenerateVertex, NotPlanar) as exc:
-        raise InvalidInputError(f"normal construction failed: {exc}") from exc
+    if t.mode == POLYGONAL:
+        # Edge (a, b) gives b - a at a and a - b at b, in cr's order; cf
+        # lists each facet's corners in cycle order, as validation does.
+        pairs = iter(cr)
+        for d, at_a, at_b in zip(edges, pairs, pairs):
+            ridge_normals[at_a] = d
+            ridge_normals[at_b] = (-d[0], -d[1], -d[2])
+        facet_normals.update(zip(cf, corner_normals))
+    else:
+        coords = table.__getitem__
+        cells_at = [[] for _ in t.corners]
+        for ci, ri in cr:
+            cells_at[ci].append(t.ridges[ri])
+        for ci, fi in cf:
+            cells_at[ci].append(t.facets[fi])
+        residuals = [
+            _link_residuals(c, cells, coords)
+            for c, cells in zip(t.corners, cells_at)
+        ]
+        for ci, ri in cr:
+            res = residuals[ci]
+            ridge_normals[(ci, ri)] = next(
+                res[v] for v in t.ridges[ri] if v in res
+            )
+        for ci, fi in cf:
+            res = residuals[ci]
+            facet_normals[(ci, fi)] = vadd(
+                *(res[v] for v in t.facets[fi] if v in res)
+            )
     return StandardFormComplex(
         n=t.n,
         num_corners=len(t.corners),

@@ -362,3 +362,43 @@ def test_bench_command_smoke(capsys):
     assert main(["bench", "--sizes", "300", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "f0" in out and "check-s" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sizes", "abc"], "bad --sizes 'abc': want comma-separated integers"),
+    (["--sizes", "-5"], "bad --sizes -5: want an integer >= 4"),
+    (["--sizes", "3"], "bad --sizes 3: want an integer >= 4"),
+    (["--sizes", "4,3"], "bad --sizes 3: want an integer >= 4"),
+    (["--sizes", "4", "--seed", "-1"], "bad --seed -1: want an integer >= 0"),
+], ids=["word", "negative", "too_few", "second_too_few", "negative_seed"])
+def test_bench_bad_numbers_are_parse_errors(capsys, args, message):
+    assert main(["bench", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_bench_smallest_hull(capsys):
+    assert main(["bench", "--sizes", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("4\t12\t")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dim", "2"], "bad --dim 2: want an integer >= 3"),
+    (["--bound", "-3"], "bad --bound -3: want an integer >= 1"),
+    (["--bound", "0"], "bad --bound 0: want an integer >= 1"),
+    (["--points", "2"], "bad --points 2: want an integer >= 4"),
+    (["--dim", "4", "--points", "4"], "bad --points 4: want an integer >= 5"),
+], ids=["dim", "negative_bound", "zero_bound", "points", "points_dim4"])
+def test_gen_bad_numbers_are_parse_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "g.off"
+    assert main(["gen", "--seed", "1", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_smallest_arguments(tmp_path, capsys):
+    out = tmp_path / "g.off"
+    args = ["--dim", "3", "--points", "4", "--bound", "1"]
+    assert main(["gen", "--seed", "1", *args, "--out", str(out)]) == 0
+    assert main(["check", str(out)]) == 0

@@ -375,7 +375,7 @@ def test_star_polygon_winding_twice_rejected():
     ))
     coords = _coords(table)
     frame, _ = polygon_frame(tuple(range(5)), coords)
-    assert not _convex_certificate([table[v] for v in range(5)], frame)
+    assert not _certify([table[v] for v in range(5)], frame)
     with pytest.raises(InvalidInputError, match="self-intersect"):
         validate_polygon(tuple(range(5)), coords)
 
@@ -451,6 +451,14 @@ def _lattice_polygons(draw, kinds=("random", "convex", "dented", "star")):
     ]
 
 
+def _certify(pts, frame):
+    """_convex_certificate on a closed point list, with its edges and turns."""
+    k = len(pts)
+    edges = [vsub(pts[(i + 1) % k], pts[i]) for i in range(k)]
+    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
+    return _convex_certificate(edges, turns, frame)
+
+
 def _framed(pts):
     """polygon_frame of a point list, or None if it is not a valid frame."""
     k = len(pts)
@@ -469,7 +477,7 @@ def test_convex_certificate_implies_pairwise_simple(case):
     _, pts = case
     frame = _framed(pts)
     assume(frame is not None)
-    if _convex_certificate(pts, frame):
+    if _certify(pts, frame):
         _check_simple(tuple(range(len(pts))), pts, frame)
 
 
@@ -479,7 +487,7 @@ def test_convex_certificate_fires_on_convex_polygons(case):
     _, pts = case
     frame = _framed(pts)
     assert frame is not None
-    assert _convex_certificate(pts, frame)
+    assert _certify(pts, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +617,26 @@ def test_prism_orient_calls_linear_in_cap_size(monkeypatch, cap):
     assert len(calls) <= ORIENT_PER_CAP_VERTEX * cap
 
 
+class _IndexCountingCycle(tuple):
+    """A facet cycle that counts calls of its O(k) vertex search."""
+
+    def index(self, *args):
+        self.index_calls = getattr(self, "index_calls", 0) + 1
+        return super().index(*args)
+
+
+@pytest.mark.parametrize("cap", [12, 24, 48, 96, 2004])
+def test_prism_conversion_searches_no_cycle(cap):
+    # Validation builds each corner normal in its pass over the cycle, so
+    # conversion never looks a vertex up in a cycle: one such search per
+    # cap vertex would make a k-gon cost O(k^2).
+    prism = _prism(_subdivided_ring(cap // 6))
+    facets = [_IndexCountingCycle(f) for f in prism.facets]
+    std = to_standard(dataclasses.replace(prism, facets=facets))
+    assert len(std.facet_normals) == sum(map(len, facets))
+    assert [getattr(f, "index_calls", 0) for f in facets] == [0] * len(facets)
+
+
 def test_one_gram_elimination_per_corner_n4(monkeypatch):
     link = _count_calls(monkeypatch, plconvex.normals, "_link_residuals")
     solves = _count_calls(monkeypatch, plconvex.normals, "_adjugate_solve")
@@ -672,6 +700,11 @@ def test_to_standard_preserves_cell_indexing(cube):
         assert w == vsub(cube.vertices[other], cube.vertices[v])
 
 
+# An L hexagon in doubled coordinates with two edges split at their
+# midpoints: a reflex vertex (2, 2) and straight vertices (2, 0), (0, 2).
+_L_RING = [(0, 0), (2, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4), (0, 2)]
+
+
 def _polygonal_builder_cases():
     from plconvex.bench import sphere_hull_surface
 
@@ -682,6 +715,8 @@ def _polygonal_builder_cases():
         octahedron_traditional(),
         _split_top_cube(),
         _prism(_subdivided_ring(3), levels=2),  # straight cap vertices
+        _prism(_L_RING, levels=2),  # reflex and straight, both orientations
+        _prism(_L_RING[::-1], levels=2),
         sphere_hull_surface(200, seed=3),
     ]
     # Rational input: to_standard clears the denominator 3 and must build
@@ -693,7 +728,9 @@ def _polygonal_builder_cases():
 def test_to_standard_normals_equal_public_builders():
     # to_standard skips the checks validation has already made; its normals
     # are the checked public builders' exactly: a vertex difference for each
-    # ridge, facet_inner_direction_polygon for each facet.
+    # ridge, facet_inner_direction_polygon for each facet.  The facet case
+    # also pins the pairing of validation's per-polygon lists, in cycle
+    # order, with the corner-facet pairs.
     for t, original in _polygonal_builder_cases():
         std = to_standard(t)
         assert len(std.ridge_normals) == 2 * len(t.ridges)
