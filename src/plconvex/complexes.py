@@ -2,16 +2,17 @@
 
 The standard-form complex stores the three top dimensions of the face poset
 together with one Euclidean inner normal per corner-ridge and corner-facet
-incidence.  Geometry never enters this module beyond the normals' rank; all
-structure checks are combinatorial.
+incidence.  Geometry never enters this module beyond the normals' rank and
+the coordinate axes that carry it; all structure checks are combinatorial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidInputError
-from .exact import Vector, is_zero, rank_le3
+from .exact import Vector, is_zero, pivot_columns
 
 
 @dataclass(frozen=True, order=True)
@@ -28,7 +29,9 @@ class WheelStar:
     """A corner's star as a wheel: cyclically ordered rim of ridges and facets.
 
     rim_facets[i] is the facet joining rim_ridges[i] and rim_ridges[(i+1) % m];
-    normals are attached in the same order.
+    normals are attached in the same order, as 3-vectors: the complex's own
+    normals at n = 3, their coordinates on the corner's three axes at n >= 4
+    (see wheel_star).
     """
 
     corner: CellId
@@ -58,6 +61,8 @@ class StandardFormComplex:
     Cells are addressed by (dim, index) with indices dense per dimension.
     The complex owns the ridge_normals and facet_normals dicts it is given
     (no copy is made), so callers hand over dicts they no longer change.
+    At n >= 4, validate_standard fills corner_axes with three coordinate
+    axes per corner, on which wheel_star reads that corner's normals.
     """
 
     def __init__(
@@ -91,6 +96,7 @@ class StandardFormComplex:
         )
         self.ridge_normals = ridge_normals
         self.facet_normals = facet_normals
+        self.corner_axes: list[tuple[int, int, int]] = []
 
     # -- cell id helpers -------------------------------------------------
 
@@ -128,6 +134,9 @@ def validate_standard(complex: StandardFormComplex) -> None:
     normals at a corner span at most 3 dimensions (automatic at n = 3), and
     the facet adjacency graph is connected.  Each corner's corner_ridges and
     corner_facets are left in the walk's rim order, which wheel_star reads.
+    At n >= 4 the one elimination of the span check also gives the corner's
+    axes: the pivot columns of its echelon, padded with the lowest other
+    columns up to three when the rank is below 3.
     """
     cx = complex
     for r in range(cx.num_ridges):
@@ -146,6 +155,7 @@ def validate_standard(complex: StandardFormComplex) -> None:
     ):
         _report_attachment(cx)
 
+    axes = []
     for c in range(cx.num_corners):
         ridges, facets = cx.corner_ridges[c], cx.corner_facets[c]
         ridges[:], facets[:] = _walk_wheel(cx, c)
@@ -153,11 +163,13 @@ def validate_standard(complex: StandardFormComplex) -> None:
             continue
         normals = [cx.ridge_normals[(c, r)] for r in ridges]
         normals += [cx.facet_normals[(c, f)] for f in facets]
-        rank, _ = rank_le3(normals)
-        if rank > 3:
+        _, pivots = pivot_columns(normals, 4)
+        if len(pivots) > 3:
             raise InvalidInputError(
                 f"normals at corner {c} span more than 3 dimensions"
             )
+        axes.append((*pivots, *(k for k in range(cx.n) if k not in pivots))[:3])
+    cx.corner_axes = axes
 
     _check_connected(cx)
 
@@ -270,11 +282,23 @@ def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
 def wheel_star(
     complex: StandardFormComplex, corner: CellId, reverse: bool = False
 ) -> WheelStar:
-    """The corner's star as a wheel, read from a validated complex.
+    """The corner's star as a wheel of 3-vectors, read from a validated complex.
 
     validate_standard leaves each corner's lists in rim order.  `reverse`
     flips the rim direction; verdicts downstream are required to be
     invariant under it (exercised by tests).
+
+    At n = 3 the normals are handed over unchanged.  At n >= 4 each normal v
+    becomes (v[i], v[j], v[k]) on the corner's axes (i, j, k) from
+    validate_standard, and this is exact.  Each row of the echelon that
+    chose the pivot columns is zero at the earlier pivots, so the minor on
+    those columns is triangular with a nonzero diagonal: the projection is
+    linear and injective on the span of the corner's normals, and padding
+    columns keep it so.  Within one corner it therefore multiplies every
+    3x3 determinant of normals by one common nonzero factor, keeps which
+    normals are collinear and on which ray, and keeps each facet normal's
+    coefficients on its two ridge rays.  check_cone_convex, the wedge test
+    and the turning pass read only those facts and cannot see that sign.
     """
     c = corner.index
     rim_r, rim_f = complex.corner_ridges[c], complex.corner_facets[c]
@@ -283,12 +307,17 @@ def wheel_star(
         # rim ridges i and i+1.
         rim_r = [rim_r[0]] + rim_r[:0:-1]
         rim_f = rim_f[::-1]
+    u = tuple(complex.ridge_normals[(c, r)] for r in rim_r)
+    f = tuple(complex.facet_normals[(c, x)] for x in rim_f)
+    if complex.n > 3:
+        axes = itemgetter(*complex.corner_axes[c])
+        u, f = tuple(map(axes, u)), tuple(map(axes, f))
     return WheelStar(
         corner=corner,
         rim_ridges=tuple(rim_r),
         rim_facets=tuple(rim_f),
-        ridge_normals=tuple(complex.ridge_normals[(c, r)] for r in rim_r),
-        facet_normals=tuple(complex.facet_normals[(c, f)] for f in rim_f),
+        ridge_normals=u,
+        facet_normals=f,
     )
 
 

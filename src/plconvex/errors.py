@@ -28,10 +28,6 @@ class ZeroVector(PLConvexError):
     """An operation received the zero vector where a direction was required."""
 
 
-class NotInPlane(PLConvexError):
-    """A vector lies outside the span of a plane frame."""
-
-
 class PreconditionViolated(PLConvexError):
     """Arguments of an angle predicate violate its stated preconditions."""
 

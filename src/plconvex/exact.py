@@ -4,8 +4,8 @@ Scalars are plain Python ints or fractions.Fraction; both are exact and mix
 freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
 operations the checker actually needs live here: orientation signs in a
-plane frame, ranks up to 3, collinearity coefficients, dot-product
-coordinates, and quotients known to be exact.
+plane frame, collinearity and ray tests, fraction-free echelon forms with
+their pivot columns, and quotients known to be exact.
 """
 
 from __future__ import annotations
@@ -102,17 +102,6 @@ def _multiple_pivot(v: Vector, w: Vector) -> int | None:
     return pivot
 
 
-def collinearity_coefficient(v: Vector, w: Vector) -> Scalar | None:
-    """Return lambda with w == lambda * v, or None if w is not a multiple.
-
-    Raises ZeroVector for v == 0.
-    """
-    pivot = _multiple_pivot(v, w)
-    if pivot is None:
-        return None
-    return as_exact(Fraction(w[pivot]) / Fraction(v[pivot]))
-
-
 def collinear(v: Vector, w: Vector) -> bool:
     """True iff w is a multiple of v; raises ZeroVector for v == 0."""
     return _multiple_pivot(v, w) is not None
@@ -147,6 +136,34 @@ def _reduce(v: Vector, echelon: list[tuple[Vector, int]]) -> Vector:
     return v
 
 
+def pivot_columns(
+    vectors, limit: int
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """The first independent vectors and the pivot columns of their echelon.
+
+    Scans in order and keeps each vector that is independent of those kept
+    before it, stopping once `limit` are kept or they span the ambient
+    space.  Row k of the fraction-free echelon is zero at the pivots of
+    rows before it, so the minor on the pivot columns is triangular with a
+    nonzero diagonal: the coordinates on those columns are injective and
+    linear on the span of everything scanned.
+    """
+    basis: list[Vector] = []
+    pivots: list[int] = []
+    echelon: list[tuple[Vector, int]] = []
+    for v in vectors:
+        r = _reduce(v, echelon)
+        pivot = next((i for i, c in enumerate(r) if c != 0), None)
+        if pivot is None:
+            continue
+        basis.append(v)
+        pivots.append(pivot)
+        if len(basis) == limit or len(basis) == len(v):
+            break
+        echelon.append((r, pivot))
+    return tuple(basis), tuple(pivots)
+
+
 def rank_le3(vectors) -> tuple[int, tuple[Vector, ...]]:
     """Greedy rank of a vector list, capped at 4.
 
@@ -155,30 +172,8 @@ def rank_le3(vectors) -> tuple[int, tuple[Vector, ...]]:
     back without a basis.  The scan stops once the basis spans the ambient
     space, so at n = 3 it ends at the first independent triple.
     """
-    basis: list[Vector] = []
-    echelon: list[tuple[Vector, int]] = []
-    for v in vectors:
-        r = _reduce(v, echelon)
-        pivot = next((i for i, c in enumerate(r) if c != 0), None)
-        if pivot is None:
-            continue
-        basis.append(v)
-        if len(basis) == 4:
-            return 4, ()
-        if len(basis) == len(v):
-            break
-        echelon.append((r, pivot))
-    return len(basis), tuple(basis)
-
-
-def coords_in_basis(v: Vector, e1: Vector, e2: Vector, e3: Vector) -> Vector:
-    """Dot-product coordinate triple (e1.v, e2.v, e3.v).
-
-    This is a Gram coordinate map, not an orthonormal projection: it is
-    injective on span{e1,e2,e3} and preserves orientation signs there because
-    the Gram matrix of an independent triple is positive definite.
-    """
-    return (dot(e1, v), dot(e2, v), dot(e3, v))
+    basis, _ = pivot_columns(vectors, 4)
+    return (4, ()) if len(basis) == 4 else (len(basis), basis)
 
 
 @dataclass(frozen=True)

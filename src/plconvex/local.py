@@ -1,16 +1,19 @@
 """Per-corner local convexity test.
 
 A corner's star is a wheel of ridge rays and facet wedges inside the
-3-dimensional orthogonal complement of the corner.  A star whose ridge rays
-stay inside a 2-plane, digons included, must tile the circle of directions
-exactly once, up to one out-of-plane half-plane facet at an antiparallel
-ridge pair.  One turning pass decides it: every in-plane wedge turns the
-same way, and the sweep reaches its start ray only when it closes.  Every
-other star reduces to a cone over rim points in R^3.  There every facet
-normal must lie strictly inside the convex sector of its two ridge rays,
-and one winding rule decides the rim: it turns one way, an interior axis
-lies strictly inside every wedge plane, and the rim winds exactly once
-about that axis.  All of it reads exact 2x2 and 3x3 determinant signs.
+3-dimensional orthogonal complement of the corner.  wheel_star hands it over
+as 3-vectors at every n (at n >= 4, the normals' coordinates on three axes
+that are injective on their span), so every test here runs in R^3.  A
+star whose ridge rays stay inside a 2-plane, digons included, must tile the
+circle of directions exactly once, up to one out-of-plane half-plane facet
+at an antiparallel ridge pair.  One turning pass decides it: every in-plane
+wedge turns the same way, and the sweep reaches its start ray only when it
+closes.  Every other star is a cone over its rim of ridge normals.  There
+every facet normal must lie strictly inside the convex sector of its two
+ridge rays, and one winding rule decides the rim: it turns one way, an
+interior axis lies strictly inside every wedge plane, and the rim winds
+exactly once about that axis.  All of it reads exact 2x2 and 3x3
+determinant signs.
 
 predicate_P and is_folded are the paper's angle predicates for planar
 stars; the test itself does not call them.  Angle conventions: <v|u|w> is
@@ -29,7 +32,6 @@ from .exact import (
     PlaneFrame,
     Vector,
     _multiple_pivot,
-    coords_in_basis,
     dot,
     is_zero,
     rank_le3,
@@ -159,18 +161,21 @@ def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
 
 
 def reduce_to_3d(star: WheelStar) -> LocalVerdict:
-    """Classify a wheel star: Inconsistent, FlatPass, or a 3D cone.
+    """Classify a wheel star of 3-vectors: Inconsistent, FlatPass, or a cone.
 
     Ridge normals are scanned in rim order for a maximal independent set;
     stars whose ridge rays stay in a 2-plane, digons included, are decided
-    by one turning pass, and a third basis vector sends the star to the cone
-    check, via Gram coordinates when n >= 4.
+    by one turning pass, and a third basis vector sends the rim of ridge
+    normals itself to the cone check.  Normals of any other length raise
+    PreconditionViolated: wheel_star reads them on three axes at n >= 4.
     """
     m = star.m
     u = star.ridge_normals
     f = star.facet_normals
     for x in u + f:
-        if is_zero(x):
+        if len(x) != 3:
+            raise PreconditionViolated("wheel star normals must be 3-vectors")
+        if not any(x):
             return Inconsistent("zero normal vector")
     if m == 1:
         return Inconsistent("wheel of size 1")
@@ -190,8 +195,6 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
             antiparallel.append(i)
 
     rank, basis = rank_le3(u)
-    if rank > 3:
-        return Inconsistent("ridge normals span more than 3 dimensions")
     if rank == 1:
         if m > 2:
             # m >= 3 rays on one line must repeat a ray.
@@ -214,25 +217,16 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
             f"in a 3-dimensional star"
         )
 
-    # At n = 3 the Gram map is invertible: it scales every rim determinant by
-    # one sign, which check_cone_convex cannot see.  It is linear, so a facet
-    # normal keeps its coefficients on its two ridge rays, and each wedge is
-    # tested on the rim's coordinates.
-    n3 = len(u[0]) == 3
-    p = u if n3 else tuple(coords_in_basis(x, *basis) for x in u)
     for j, (a, b, g) in enumerate(zip(u, u[1:] + u[:1], f)):
         # Triangles, convex polygon corners and simplicial facets all get
         # f = u_j + u_(j+1) from the converter: strictly inside the sector.
         if g == tuple(map(add, a, b)):
             continue
-        if not n3:
-            g = coords_in_basis(g, *basis)
-        fault = _wedge_fault(j, (j + 1) % m, p, g)
+        fault = _wedge_fault(j, (j + 1) % m, u, g)
         if fault is not None:
             return Inconsistent(fault)
-    # Every u_j is nonzero, and the rank check put it in the basis's span,
-    # so its n = 3 point or its Gram coordinates are a nonzero 3-vector.
-    return Cone(ConeRealization3D._unchecked(p))
+    # Every u_j is a nonzero 3-vector, checked above.
+    return Cone(ConeRealization3D._unchecked(u))
 
 
 def _cross(a: Vector, b: Vector) -> Vector:

@@ -32,12 +32,12 @@ from .exact import (
     PlaneFrame,
     Scalar,
     Vector,
-    _reduce,
     as_exact,
     collinear,
     dot,
     exact_quotient,
     is_zero,
+    pivot_columns,
     same_ray,
     sign,
     vadd,
@@ -140,11 +140,6 @@ def orthogonal_components(xs, basis: list[Vector]) -> list[Vector]:
             w = vsub(w, tuple(coeff * c for c in b))
         out.append(w)
     return out
-
-
-def orthogonal_component(x: Vector, basis: list[Vector]) -> Vector:
-    """orthogonal_components for a single x."""
-    return orthogonal_components([x], basis)[0]
 
 
 def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
@@ -542,19 +537,8 @@ def validate_traditional(t: TraditionalFormComplex):
 def _check_affinely_independent(cell, coords) -> None:
     base = coords(cell[0])
     vectors = [vsub(coords(v), base) for v in cell[1:]]
-    if _full_rank(vectors) != len(vectors):
+    if len(pivot_columns(vectors, len(vectors))[1]) != len(vectors):
         raise DegenerateCell(f"cell {tuple(cell)} is not cellwise-flat")
-
-
-def _full_rank(vectors) -> int:
-    # Uncapped, unlike rank_le3: cells can have up to n-1 directions.
-    echelon: list[tuple[Vector, int]] = []
-    for v in vectors:
-        r = _reduce(v, echelon)
-        pivot = next((i for i, c in enumerate(r) if c != 0), None)
-        if pivot is not None:
-            echelon.append((r, pivot))
-    return len(echelon)
 
 
 def _integer_coords(t: TraditionalFormComplex) -> list[Vector]:

@@ -5,19 +5,34 @@ from fractions import Fraction
 import pytest
 
 from helpers_oracles import det3
-from plconvex.errors import NotInPlane, ZeroVector
+from plconvex.errors import ZeroVector
 from plconvex.exact import (
     PlaneFrame,
+    _multiple_pivot,
     as_exact,
-    collinearity_coefficient,
-    coords_in_basis,
     exact_quotient,
     format_rational,
     parse_rational,
+    pivot_columns,
     rank_le3,
     same_ray,
     sign,
 )
+
+
+class NotInPlane(Exception):
+    """A vector lies outside the span of a plane frame."""
+
+
+def collinearity_coefficient(v, w):
+    """Return lambda with w == lambda * v, or None if w is not a multiple.
+
+    Raises ZeroVector for v == 0.
+    """
+    pivot = _multiple_pivot(v, w)
+    if pivot is None:
+        return None
+    return as_exact(Fraction(w[pivot]) / Fraction(v[pivot]))
 
 
 def orient2(frame: PlaneFrame, a, b) -> int:
@@ -133,21 +148,26 @@ def test_exact_quotient():
         exact_quotient(7, 2)
 
 
-def test_coords_in_basis_examples():
-    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert coords_in_basis((0, 0, 1), *e) == (0, 0, 1)
-    assert coords_in_basis((1, 1, 0), *e) == (1, 1, 0)
-    assert coords_in_basis(
-        (1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
-    ) == (1, 0, 0)
+def test_pivot_columns_examples():
+    # A dependent vector is skipped; each kept one adds its echelon pivot.
+    vecs = [(0, 2, 0, 0), (0, 4, 0, 0), (1, 1, 0, 0), (3, 0, 5, 0)]
+    assert pivot_columns(vecs, 4) == (
+        ((0, 2, 0, 0), (1, 1, 0, 0), (3, 0, 5, 0)), (1, 0, 2)
+    )
+    # The limit and the ambient dimension both end the scan.
+    assert pivot_columns(vecs, 2) == (((0, 2, 0, 0), (1, 1, 0, 0)), (1, 0))
+    assert pivot_columns([(1, 0), (0, 1), (1, 2)], 4)[1] == (0, 1)
+    assert pivot_columns([], 0) == ((), ())
 
 
-def test_gram_coordinates_preserve_orientation():
-    # Orientation of triples inside span(e1,e2,e3) survives the dot-product
-    # coordinate map because the Gram matrix is positive definite.
+def test_pivot_axes_preserve_orientation():
+    # Coordinates on the pivot columns are injective on the span, so within
+    # one 3-dimensional subspace every determinant keeps its sign up to one
+    # common sign: the sign the projection gives the spanning triple e.
     rng = random.Random(3)
-    for _ in range(200):
-        e = [tuple(rng.randrange(-4, 5) for _ in range(4)) for _ in range(3)]
+    for _ in range(300):
+        n = rng.choice((4, 5))
+        e = [tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(3)]
         if rank_le3(e)[0] != 3:
             continue
         coeffs = [
@@ -155,13 +175,22 @@ def test_gram_coordinates_preserve_orientation():
         ]
         vectors = [
             tuple(
-                sum(c[k] * e[k][i] for k in range(3)) for i in range(4)
+                sum(c[k] * e[k][i] for k in range(3)) for i in range(n)
             )
             for c in coeffs
         ]
-        mapped = [coords_in_basis(v, *e) for v in vectors]
+        _, axes = pivot_columns(vectors + e, 4)
+        assert len(axes) == 3
+
+        def project(v):
+            return tuple(v[i] for i in axes)
+
+        common = sign(det3(*map(project, e)))
+        assert common != 0
         # Reference orientation: determinant of the coefficient matrix.
-        assert sign(det3(*mapped)) == sign(det3(*coeffs))
+        assert sign(det3(*map(project, vectors))) == common * sign(
+            det3(*coeffs)
+        )
 
 
 def test_rational_parsing_round_trip():

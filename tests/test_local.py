@@ -15,11 +15,21 @@ from helpers_oracles import (
     planar_star_tiles,
     same_dir2,
 )
+import plconvex.checker
+import plconvex.complexes
 import plconvex.exact
 import plconvex.local
-from plconvex.complexes import CellId, WheelStar, validate_standard, wheel_star
-from plconvex.errors import DegenerateCone, PreconditionViolated
-from plconvex.exact import PlaneFrame, coords_in_basis, rank_le3
+import plconvex.normals
+from plconvex.checker import NotConvex, check_complex
+from plconvex.complexes import (
+    CellId,
+    StandardFormComplex,
+    WheelStar,
+    validate_standard,
+    wheel_star,
+)
+from plconvex.errors import DegenerateCone, InvalidInputError, PreconditionViolated
+from plconvex.exact import PlaneFrame, dot, rank_le3
 from plconvex.local import (
     Cone,
     ConeRealization3D,
@@ -31,7 +41,7 @@ from plconvex.local import (
     reduce_to_3d,
 )
 from plconvex.normals import to_standard
-from plconvex.oracle import gen_convex_surface
+from plconvex.oracle import dent, gen_convex_surface
 
 FRAME2 = PlaneFrame((1, 0), (0, 1))
 
@@ -45,6 +55,34 @@ def make_star(ridge_normals, facet_normals) -> WheelStar:
         ridge_normals=tuple(tuple(v) for v in ridge_normals),
         facet_normals=tuple(tuple(v) for v in facet_normals),
     )
+
+
+def _complex_star(ridge_normals, facet_normals) -> WheelStar:
+    """wheel_star of a validated one-corner complex with these normals.
+
+    Ridge i joins facets i - 1 and i, so the rim runs ridge 0, facet 0,
+    ridge 1, ... as in make_star.  At n >= 4 the star holds the normals'
+    coordinates on the axes validate_standard picked for the corner.
+    """
+    m = len(ridge_normals)
+    std = StandardFormComplex(
+        len(ridge_normals[0]), 1, m, m,
+        [(0, i) for i in range(m)],
+        [(0, i) for i in range(m)],
+        [(i, (i - 1) % m) for i in range(m)] + [(i, i) for i in range(m)],
+        {(0, i): tuple(v) for i, v in enumerate(ridge_normals)},
+        {(0, i): tuple(v) for i, v in enumerate(facet_normals)},
+    )
+    validate_standard(std)
+    return wheel_star(std, std.corner_id(0))
+
+
+def _star_in(lift, ridge_normals, facet_normals) -> WheelStar:
+    """make_star at n = 3 (lift is list); a lifted star goes through
+    _complex_star, whose validation rejects a zero normal."""
+    if lift is list:
+        return make_star(ridge_normals, facet_normals)
+    return _complex_star(lift(ridge_normals), lift(facet_normals))
 
 
 def star_passes(star) -> bool:
@@ -202,14 +240,19 @@ def test_reduce_n3_rim_is_ridge_normals(cube_standard):
         assert verdict.realization.rim == s.ridge_normals
 
 
-def test_reduce_ridge_normals_spanning_4_dimensions():
-    star = make_star(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-        [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)],
-    )
-    assert reduce_to_3d(star) == Inconsistent(
-        "ridge normals span more than 3 dimensions"
-    )
+def test_reduce_rejects_normals_that_are_not_3_vectors():
+    # wheel_star hands over 3-vectors at every n; validate_standard rejects
+    # normals spanning 4 dimensions (test_validate_rejects_rank4_normals).
+    for star in (
+        make_star(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+            [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)],
+        ),
+        make_star(CUBE_RAYS, [(1, 1, 0), (0, 1), (1, 0, 1)]),
+        make_star(CUBE_RAYS, [(1, 1, 0), (0, 1, 1), (0, 0, 0, 0)]),
+    ):
+        with pytest.raises(PreconditionViolated, match="3-vectors"):
+            reduce_to_3d(star)
 
 
 def test_reduce_flat_interior_vertex():
@@ -329,7 +372,8 @@ CUBE_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 def _lift4(vectors):
     """An injective integer linear map R^3 -> R^4 that is not a coordinate
-    embedding, so the n >= 4 path sees nontrivial Gram coordinates."""
+    embedding, so the star's coordinates on the corner's axes are not the
+    n = 3 normals themselves."""
     return [(x + y, y - z, 2 * z + x, x - y + z) for x, y, z in vectors]
 
 
@@ -339,7 +383,7 @@ def test_reduce_rank3_wedges_must_be_convex_sectors(lift):
     # sector test sees its marker.  n = 3 and an injective map into R^4.
     def verdict(marker):
         return reduce_to_3d(
-            make_star(lift(CUBE_RAYS), lift([(1, 1, 0), (0, 1, 1), marker]))
+            _star_in(lift, CUBE_RAYS, [(1, 1, 0), (0, 1, 1), marker])
         )
 
     for marker in [(1, 0, 1), (3, 0, 1)]:
@@ -358,9 +402,7 @@ def test_reduce_rank3_wedges_must_be_convex_sectors(lift):
     )
     # A reflex wedge in the planar prefix (the L-prism's reflex corner)
     # passes the prefix checks; the sector test rejects it.
-    star = make_star(
-        lift(CUBE_RAYS), lift([(-1, -1, 0), (0, 1, 1), (1, 0, 1)])
-    )
+    star = _star_in(lift, CUBE_RAYS, [(-1, -1, 0), (0, 1, 1), (1, 0, 1)])
     assert reduce_to_3d(star) == Inconsistent(
         "facet angle 0 between ridges 0 and 1 is reflex"
     )
@@ -379,7 +421,7 @@ DISTINCT_RAY_RIM = [(3, 1, 2), (0, 1, 3), (0, 1, -2), (2, 0, 2), (0, 3, -2)]
                          ids=["doubled_apex", "distinct_rays"])
 def test_one_way_rims_bounding_no_convex_cone_rejected(rim, lift):
     assert oracle_cone_convex(rim) is False
-    verdict = reduce_to_3d(_star_from_rim(lift(rim)))
+    verdict = reduce_to_3d(_star_from_rim(rim, lift=lift))
     assert isinstance(verdict, Cone)
     assert check_cone_convex(verdict.realization) is False
 
@@ -443,7 +485,7 @@ def test_n3_raw_rim_matches_gram_coordinates(rim):
     # determinant by one sign and the cone check cannot tell the rims apart.
     rank, basis = rank_le3(rim)
     assume(rank == 3)
-    gram = [coords_in_basis(v, *basis) for v in rim]
+    gram = [tuple(dot(e, v) for e in basis) for v in rim]
     assert _cone_outcome(rim) == _cone_outcome(gram)
 
 
@@ -648,9 +690,13 @@ def test_flat_stars_match_tiling_oracles(sample):
     rays, markers = sample
     expect = _flat_star_tiles(rays, markers)
     for lift in (list, _lift4):
-        star = make_star(
-            lift([_in_r3(r) for r in rays]), lift([_in_r3(mk) for mk in markers])
-        )
+        try:
+            star = _star_in(
+                lift, [_in_r3(r) for r in rays], [_in_r3(mk) for mk in markers]
+            )
+        except InvalidInputError as exc:
+            assert "bad facet normal" in str(exc) and not expect
+            continue
         verdict = reduce_to_3d(star)
         assert isinstance(verdict, (FlatPass, Inconsistent)), verdict
         assert isinstance(verdict, FlatPass) is expect, (lift, verdict)
@@ -684,7 +730,7 @@ def _convex_position_2d(rng, m):
     return hull if len(hull) >= m else None
 
 
-def _star_from_rim(rim, reflex=()):
+def _star_from_rim(rim, reflex=(), lift=list):
     """Star over a rim with marker a + b per wedge, or -(a + b) (reflex)."""
     m = len(rim)
     markers = []
@@ -692,7 +738,7 @@ def _star_from_rim(rim, reflex=()):
         a, b = rim[i], rim[(i + 1) % m]
         sign = -1 if i in reflex else 1
         markers.append(tuple(sign * (x + y) for x, y in zip(a, b)))
-    return make_star(rim, markers)
+    return _star_in(lift, rim, markers)
 
 
 def test_random_3d_stars_match_spherical_oracle():
@@ -768,13 +814,80 @@ def test_prefix_heavy_stars_match_spherical_oracle(lift):
             continue
         rays, markers, sectors = sample
         checked += 1
-        star = make_star(lift(rays), lift(markers))
         expect = sectors and oracle_cone_convex(rays)
+        try:
+            star = _star_in(lift, rays, markers)
+        except InvalidInputError as exc:
+            assert "bad facet normal" in str(exc) and not expect
+            continue
         assert star_passes(star) is expect, (rays, markers, reduce_to_3d(star))
 
 
+@st.composite
+def _n3_stars(draw):
+    """Stars of nonzero integer 3-vectors: a _flat_stars sample (flat,
+    digon, folded, one half-plane facet off the plane), or a _rank3_rims rim
+    whose wedges take a + b, -(a + b) (reflex), alpha*a + beta*b with
+    any small coefficients, a ridge ray, or a + b pushed off the plane."""
+    if draw(st.booleans()):
+        rays, markers = draw(_flat_stars())
+        u, f = [_in_r3(r) for r in rays], [_in_r3(mk) for mk in markers]
+    else:
+        u = draw(_rank3_rims())
+        f = []
+        for a, b in zip(u, u[1:] + u[:1]):
+            kind = draw(st.sampled_from(
+                ["sum", "reflex", "combination", "ray", "off-plane"]))
+            alpha, beta = {
+                "sum": (1, 1), "reflex": (-1, -1), "ray": (0, 2),
+            }.get(kind) or (draw(st.integers(-2, 3)), draw(st.integers(-2, 3)))
+            g = tuple(alpha * x + beta * y for x, y in zip(a, b))
+            if kind == "off-plane":
+                g = tuple(x + y for x, y in zip(g, cross3(a, b)))
+            f.append(g)
+    assume(all(map(any, f)))
+    return u, f
+
+
+@st.composite
+def _injective_maps(draw):
+    """An integer n x 3 matrix of rank 3, n = 4 or 5, as a map on vector
+    lists.  Negating its first column reverses the orientation of every
+    3x3 minor, so both image orientations are drawn."""
+    n = draw(st.sampled_from([4, 5]))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3),
+                         min_size=n, max_size=n))
+    assume(rank_le3(list(zip(*rows)))[0] == 3)
+    if draw(st.booleans()):
+        rows = [(-x, y, z) for x, y, z in rows]
+
+    def lift(vectors):
+        return [tuple(dot(row, v) for row in rows) for v in vectors]
+
+    return lift
+
+
+@settings(max_examples=500, deadline=None)
+@given(_n3_stars(), _injective_maps())
+def test_lifted_stars_keep_their_verdicts(star, lift):
+    # A star mapped into R^4 or R^5 by an injective linear map, through a
+    # validated complex, gets the n = 3 star's verdict and reason; rank 1
+    # and rank 2 stars pad the corner's axes.
+    u, f = star
+    base = reduce_to_3d(make_star(u, f))
+    lifted = reduce_to_3d(_star_in(lift, u, f))
+    assert type(lifted) is type(base)
+    if isinstance(base, Inconsistent):
+        assert lifted.reason == base.reason
+    if isinstance(base, Cone):
+        assert check_cone_convex(lifted.realization) is check_cone_convex(
+            base.realization
+        )
+
+
 def test_cone_oracle_agreement_on_reduced_realizations():
-    # The oracle also holds on the Gram-mapped rim the checker actually sees.
+    # The oracle also holds on the rim of the realization reduce_to_3d
+    # returns, the one the checker actually sees.
     rng = random.Random(123)
     checked = 0
     while checked < 120:
@@ -885,3 +998,46 @@ def test_prism_pivots_per_incidence(monkeypatch):
 
     t = _prism(_subdivided_ring(3), levels=3)
     assert _pivots_per_incidence(monkeypatch, t) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# One elimination per corner
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dented", [False, True], ids=["convex", "dented"])
+def test_one_elimination_per_corner_n4(monkeypatch, dented):
+    # validate_standard's span check is the only elimination on n-vectors:
+    # it also picks the axes on which wheel_star hands over 3-vectors, so
+    # the local test eliminates nothing longer.
+    from test_normals import _cyclic_polytope_4d
+
+    t = _cyclic_polytope_4d(12)
+    if dented:
+        t = dent(t, 5, Fraction(3, 4))
+    std = to_standard(t)
+    long_scans, stars = [], []
+    pivot_columns = plconvex.exact.pivot_columns
+
+    def counting(vectors, limit):
+        vectors = list(vectors)
+        if any(len(v) > 3 for v in vectors):
+            long_scans.append(None)
+        return pivot_columns(vectors, limit)
+
+    for module in (plconvex.exact, plconvex.complexes, plconvex.local,
+                   plconvex.normals):
+        monkeypatch.setattr(module, "pivot_columns", counting, raising=False)
+    reduce = plconvex.checker.reduce_to_3d
+
+    def recording(star):
+        stars.append(star)
+        return reduce(star)
+
+    monkeypatch.setattr(plconvex.checker, "reduce_to_3d", recording)
+    run = check_complex(std, exhaustive=True)
+    assert isinstance(run.verdict, NotConvex) is dented
+    assert len(long_scans) == len(stars) == std.num_corners
+    assert all(
+        len(v) == 3 for s in stars for v in s.ridge_normals + s.facet_normals
+    )

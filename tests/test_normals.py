@@ -42,19 +42,25 @@ from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
     _convex_certificate,
-    orthogonal_component,
+    orthogonal_components,
     polygon_frame,
     validate_polygon,
     validate_traditional,
 )
 from plconvex.formats import parse_off
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
+from test_exact import collinearity_coefficient
 
 DATA = Path(__file__).parent / "data"
 
 
 def _coords(table):
     return lambda v: table[v]
+
+
+def orthogonal_component(x, basis):
+    """orthogonal_components for a single x."""
+    return orthogonal_components([x], basis)[0]
 
 
 def in_span(v, basis) -> bool:
@@ -259,8 +265,6 @@ def _assert_inner_direction(vid, cycle, table, expected_parallel=None):
     coords = _coords(table)
     d = facet_inner_direction_polygon(vid, cycle, coords)
     if expected_parallel is not None:
-        from plconvex.exact import collinearity_coefficient
-
         lam = collinearity_coefficient(tuple(expected_parallel), d)
         assert lam is not None and lam > 0, (d, expected_parallel)
     assert d[2] == 0  # in the polygon's horizontal plane
@@ -308,8 +312,6 @@ def test_inner_direction_orientation_independent():
     coords = _coords(table)
     fwd = facet_inner_direction_polygon(3, (0, 1, 2, 3, 4, 5), coords)
     rev = facet_inner_direction_polygon(3, (5, 4, 3, 2, 1, 0), coords)
-    from plconvex.exact import collinearity_coefficient
-
     assert collinearity_coefficient(fwd, rev) is not None and \
         collinearity_coefficient(fwd, rev) > 0
 
