@@ -232,8 +232,11 @@ def _write_surface(t: TraditionalFormComplex, path: str) -> None:
         text = serialize_off(t)
     else:
         text = serialize_plc(t)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -179,14 +179,22 @@ def _attached(normals: dict, lists, n: int) -> bool:
 
     No pair is listed twice, no key is stray, and every normal is a nonzero
     n-vector.  One pass over the normals: as many keys as listed pairs, each
-    key a listed pair, means every pair is a key and none repeats.
+    key a listed pair, means every pair is a key and none repeats.  A row
+    longer than 8 is searched through a set built once, so a corner of
+    degree d costs O(d), not O(d^2).
     """
     if len(normals) != sum(map(len, lists)):
         return False
     rows = len(lists)
+    long_rows = {}
     try:
         for (c, x), v in normals.items():
-            if not (0 <= c < rows and x in lists[c]):
+            if not 0 <= c < rows:
+                return False
+            row = lists[c]
+            if len(row) > 8:
+                row = long_rows.get(c) or long_rows.setdefault(c, set(row))
+            if x not in row:
                 return False
             if len(v) != n or not any(v):
                 return False

@@ -164,18 +164,6 @@ def pivot_columns(
     return tuple(basis), tuple(pivots)
 
 
-def rank_le3(vectors) -> tuple[int, tuple[Vector, ...]]:
-    """Greedy rank of a vector list, capped at 4.
-
-    Returns (rank, basis) where basis is the maximal independent subset in
-    first-seen order.  Rank 4 means "spans more than 3 dimensions" and comes
-    back without a basis.  The scan stops once the basis spans the ambient
-    space, so at n = 3 it ends at the first independent triple.
-    """
-    basis, _ = pivot_columns(vectors, 4)
-    return (4, ()) if len(basis) == 4 else (len(basis), basis)
-
-
 @dataclass(frozen=True)
 class PlaneFrame:
     """An ordered pair of independent vectors fixing an oriented 2-subspace.

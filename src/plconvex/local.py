@@ -3,17 +3,21 @@
 A corner's star is a wheel of ridge rays and facet wedges inside the
 3-dimensional orthogonal complement of the corner.  wheel_star hands it over
 as 3-vectors at every n (at n >= 4, the normals' coordinates on three axes
-that are injective on their span), so every test here runs in R^3.  A
-star whose ridge rays stay inside a 2-plane, digons included, must tile the
+that are injective on their span), so every test here runs in R^3.  One
+pass over the consecutive ridge pairs computes e_i = u_i x u_(i+1) inline
+and classifies the star from those vectors alone: e_i = 0 marks a
+collinear pair, the first nonzero e_i is a plane normal N, and the ridge
+rays span three dimensions exactly when some N.u_k is nonzero.  A star
+whose ridge rays stay inside a 2-plane, digons included, must tile the
 circle of directions exactly once, up to one out-of-plane half-plane facet
-at an antiparallel ridge pair.  One turning pass decides it: every in-plane
-wedge turns the same way, and the sweep reaches its start ray only when it
-closes.  Every other star is a cone over its rim of ridge normals.  There
-every facet normal must lie strictly inside the convex sector of its two
-ridge rays, and one winding rule decides the rim: it turns one way, an
-interior axis lies strictly inside every wedge plane, and the rim winds
-exactly once about that axis.  All of it reads exact 2x2 and 3x3
-determinant signs.
+at an antiparallel ridge pair.  One turning pass decides it, with
+orientations sign(N.(a x b)): every in-plane wedge turns the same way, and
+the sweep reaches its start ray only when it closes.  Every other star is
+a cone over its rim of ridge normals.  There every facet normal must lie
+strictly inside the convex sector of its two ridge rays, and one winding
+rule decides the rim: it turns one way, an interior axis lies strictly
+inside every wedge plane, and the rim winds exactly once about that axis.
+All of it reads the signs of exact 3x3 determinants and dot products.
 
 predicate_P and is_folded are the paper's angle predicates for planar
 stars; the test itself does not call them.  Angle conventions: <v|u|w> is
@@ -24,19 +28,10 @@ predicates work on exact rational vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .complexes import WheelStar
 from .errors import DegenerateCone, PreconditionViolated
-from .exact import (
-    PlaneFrame,
-    Vector,
-    _multiple_pivot,
-    dot,
-    is_zero,
-    rank_le3,
-    same_ray,
-)
+from .exact import PlaneFrame, Vector, dot, is_zero, same_ray
 
 
 @dataclass(frozen=True)
@@ -163,10 +158,19 @@ def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
 def reduce_to_3d(star: WheelStar) -> LocalVerdict:
     """Classify a wheel star of 3-vectors: Inconsistent, FlatPass, or a cone.
 
-    Ridge normals are scanned in rim order for a maximal independent set;
-    stars whose ridge rays stay in a 2-plane, digons included, are decided
-    by one turning pass, and a third basis vector sends the rim of ridge
-    normals itself to the cone check.  Normals of any other length raise
+    One pass over the m consecutive ridge pairs computes each
+    e_i = u_i x u_(i+1) and reads everything from those vectors.  Every
+    normal is checked nonzero first, so e_i = 0 exactly when the pair is
+    collinear: on one ray when u_i.u_(i+1) > 0 (a zero-angle wedge, which
+    fails the star), antiparallel when u_i.u_(i+1) < 0.  The first nonzero
+    e_i is a normal N of the plane of its pair, and the ridge rays span
+    three dimensions exactly when N.u_k != 0 for some k.  With no nonzero
+    e_i every ridge ray lies on one line: m >= 3 such rays repeat a ray,
+    and a digon takes N = u_0 x (its first facet normal not collinear with
+    u_0).  Stars whose ridge rays span at most a plane go to
+    _planar_verdict with N; a rank-3 star sends the rim of ridge normals
+    itself to the cone check once every facet normal lies strictly inside
+    the sector of its two ridge rays.  Normals of any other length raise
     PreconditionViolated: wheel_star reads them on three axes at n >= 4.
     """
     m = star.m
@@ -180,32 +184,36 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
     if m == 1:
         return Inconsistent("wheel of size 1")
 
-    # One pass over the consecutive ridge pairs.  A repeated ray is a
-    # zero-angle wedge (a spike); antiparallel pairs are recorded for the
-    # verdicts below.
-    antiparallel = []
-    for i, (a, b) in enumerate(zip(u, u[1:] + u[:1])):
-        pivot = _multiple_pivot(a, b)
-        if pivot is not None:
-            if a[pivot] * b[pivot] > 0:
+    # Antiparallel pairs are recorded for the verdicts below, and wedges
+    # whose facet normal is not u_i + u_(i+1) for the sector test.
+    crosses, antiparallel, off_sum = [], [], []
+    pairs = zip(u, u[1:] + u[:1], f)
+    for i, ((a0, a1, a2), (b0, b1, b2), g) in enumerate(pairs):
+        e = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        crosses.append(e)
+        if not any(e):
+            if a0 * b0 + a1 * b1 + a2 * b2 > 0:
                 return Inconsistent(
                     f"consecutive ridge normals {i} and {(i + 1) % m} "
                     f"positively collinear"
                 )
             antiparallel.append(i)
+        if g != (a0 + b0, a1 + b1, a2 + b2):
+            off_sum.append(i)
 
-    rank, basis = rank_le3(u)
-    if rank == 1:
+    normal = next(filter(any, crosses), None)
+    if normal is None:
         if m > 2:
             # m >= 3 rays on one line must repeat a ray.
             return Inconsistent("ridge normals span a single line")
         # A digon on one ridge line: its plane holds that line and the
         # first facet normal off it.
-        basis = rank_le3(u[:1] + f)[1][:2]
-        if len(basis) == 1:
+        normal = next(filter(any, (_cross(u[0], g) for g in f)), None)
+        if normal is None:
             return Inconsistent("facet normal 0 lies on a ridge ray")
-    if len(basis) == 2:
-        return _planar_verdict(u, f, PlaneFrame(*basis), antiparallel)
+    n0, n1, n2 = normal
+    if not any(n0 * x0 + n1 * x1 + n2 * x2 for x0, x1, x2 in u):
+        return _planar_verdict(u, f, normal, antiparallel)
 
     # Genuinely 3-dimensional star.  A straight ridge pair forces the whole
     # star into two half-planes through that line, i.e. a 2-plane worth of
@@ -217,12 +225,10 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
             f"in a 3-dimensional star"
         )
 
-    for j, (a, b, g) in enumerate(zip(u, u[1:] + u[:1], f)):
-        # Triangles, convex polygon corners and simplicial facets all get
-        # f = u_j + u_(j+1) from the converter: strictly inside the sector.
-        if g == tuple(map(add, a, b)):
-            continue
-        fault = _wedge_fault(j, (j + 1) % m, u, g)
+    # Triangles, convex polygon corners and simplicial facets all get
+    # f = u_j + u_(j+1) from the converter: strictly inside the sector.
+    for j in off_sum:
+        fault = _wedge_fault(j, (j + 1) % m, u, f[j], crosses[j])
         if fault is not None:
             return Inconsistent(fault)
     # Every u_j is a nonzero 3-vector, checked above.
@@ -237,17 +243,16 @@ def _cross(a: Vector, b: Vector) -> Vector:
     )
 
 
-def _wedge_fault(j: int, k: int, p, g: Vector) -> str | None:
+def _wedge_fault(j: int, k: int, p, g: Vector, c: Vector) -> str | None:
     """None iff g = alpha*p[j] + beta*p[k] with alpha, beta > 0, else why not.
 
-    3-vectors, p[j] and p[k] independent.  With c = p[j] x p[k], g is in
+    3-vectors, p[j] and p[k] independent, and c = p[j] x p[k].  g is in
     their plane iff c.g = 0, and then c.(g x p[k]) and c.(p[j] x g) are
     alpha and beta times |c|^2.  A convex cone over a rank-3 wheel has no
     reflex wedge, so a facet normal outside the open sector of its ridge
     rays rules the star out.
     """
     a, b = p[j], p[k]
-    c = _cross(a, b)
     if dot(c, g):
         return f"facet normal {j} outside the plane of its ridge rays"
     alpha = dot(c, _cross(g, b))
@@ -259,32 +264,54 @@ def _wedge_fault(j: int, k: int, p, g: Vector) -> str | None:
     return f"facet angle {j} between ridges {j} and {k} is reflex"
 
 
-def _planar_verdict(u, f, frame: PlaneFrame, antiparallel) -> LocalVerdict:
-    """Ridge rays span a plane: one turning pass decides the star.
+def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
+    """Ridge rays span a plane with normal N: one turning pass decides it.
 
-    Wedge j turns from u_j to u_(j+1) through its facet normal f_j.  With
-    s = orient(u_j, u_(j+1)) it turns by the minor angle in sense s when f_j
-    lies strictly inside that angle, else by the major angle in sense -s; a
-    half-plane (s = 0) turns in sense orient(u_j, f_j).  The star tiles the
-    circle exactly once iff every in-plane wedge turns the same way and the
-    sweep first reaches its start ray when it closes: two wedges turning
-    opposite ways overlap next to their shared ray, and wedges laid end to
-    end in one sense cover the circle as often as the sweep passes its
-    start.  One facet normal may
+    A facet normal g lies in the plane iff N.g = 0, and in-plane vectors
+    a, b have orient(a, b) = sign(N.(a x b)).  Wedge j turns from u_j to
+    u_(j+1) through its facet normal f_j.  With s = orient(u_j, u_(j+1)) it
+    turns by the minor angle in sense s when f_j lies strictly inside that
+    angle, else by the major angle in sense -s; a half-plane (s = 0) turns
+    in sense orient(u_j, f_j).  The star tiles the circle exactly once iff
+    every in-plane wedge turns the same way and the sweep first reaches its
+    start ray when it closes: two wedges turning opposite ways overlap next
+    to their shared ray, and wedges laid end to end in one sense cover the
+    circle as often as the sweep passes its start.  One facet normal may
     leave the plane, and only at an antiparallel ridge pair (an out-of-plane
     half-plane facet: the star is a subdivided dihedral corner); the sweep
     then runs from the ray after that facet to the opposite ray and may not
     reach its start at all.  Two or more such facets can never bound a
     convex cone.  antiparallel lists the indices i whose ridge pair
     (i, i + 1) is antiparallel.
+
+    The verdict and its message do not depend on which normal of the plane
+    N is.  Two normals differ by a nonzero factor lambda, which multiplies
+    every orient by one sign sigma = sign(lambda) and leaves N.g = 0 as it
+    is.  Then s, orient(u_j, f_j) and orient(f_j, u_(j+1)) all change by
+    sigma, so the on-ray tests (which ask whether an orient is 0) do not
+    change; each turn changes by sigma, so whether it turns by pi or more
+    (turn != s) does not; the sweep's sense changes by sigma, so the fold
+    test (turn != sense) does not, and sense * orient(r, b) changes by
+    sigma^2 = 1.  The half-turn flags, the pass count and every message
+    are therefore the same for N and -N, and for the orientation of any
+    frame of the plane, which is sign(N'.(a x b)) for its own normal N'.
     """
     m = len(u)
-    orient = frame.orient
+    n0, n1, n2 = normal
+
+    def orient(a, b):
+        d = (
+            n0 * (a[1] * b[2] - a[2] * b[1])
+            + n1 * (a[2] * b[0] - a[0] * b[2])
+            + n2 * (a[0] * b[1] - a[1] * b[0])
+        )
+        return (d > 0) - (d < 0)
+
     # Each wedge's turn, and whether it turns by pi or more; None for the
     # out-of-plane half-plane facets.
     turns, jumps = [], []
     for j, (a, b, g) in enumerate(zip(u, u[1:] + u[:1], f)):
-        if not frame.contains(g):
+        if n0 * g[0] + n1 * g[1] + n2 * g[2]:
             if j not in antiparallel:
                 return Inconsistent(
                     f"facet normal {j} outside the plane of its ridge rays"

@@ -402,3 +402,20 @@ def test_gen_smallest_arguments(tmp_path, capsys):
     args = ["--dim", "3", "--points", "4", "--bound", "1"]
     assert main(["gen", "--seed", "1", *args, "--out", str(out)]) == 0
     assert main(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--seed", "1"],
+    ["dent", str(DATA / "cube.off"), "--vertex", "0", "--factor", "1/2"],
+], ids=["gen", "dent"])
+@pytest.mark.parametrize("where, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command, where,
+                                          reason):
+    # An --out path that cannot be opened is user input, like a file that
+    # cannot be read: exit 2 with one line, not an internal error.
+    out = tmp_path / "no_such_dir" / "x.plc" if where == "missing" else tmp_path
+    assert main([*command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"

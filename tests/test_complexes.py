@@ -1,9 +1,13 @@
+import gc
+import time
+
 import pytest
 
 import plconvex.complexes
 from conftest import (
     cube_traditional,
     octahedron_traditional,
+    polygonal_surface,
     simplex_boundary,
     tetrahedron_traditional,
 )
@@ -17,6 +21,7 @@ from plconvex import (
 )
 from plconvex.checker import check_complex
 from plconvex.errors import InvalidInputError
+from plconvex.formats import parse_plc, serialize_plc
 from plconvex.oracle import gen_convex_surface
 
 
@@ -358,3 +363,46 @@ def test_check_walks_each_wheel_once(monkeypatch, exhaustive):
     run = check_complex(t, exhaustive=exhaustive)
     assert run.verdict == Convex()
     assert calls == list(range(run.standard.num_corners))
+
+
+def _pyramid(k):
+    """Pyramid over a convex lattice k-gon (k a multiple of 6): the apex is
+    a corner of degree k."""
+    from test_normals import _subdivided_ring
+
+    ring = _subdivided_ring(k // 6)
+    base = [(x, y, 0) for x, y in ring]
+    facets = [tuple(reversed(range(k)))]
+    facets += [(i, (i + 1) % k, k) for i in range(k)]
+    return polygonal_surface(base + [(1, 1, 5)], facets)
+
+
+def _best_seconds(run, repeat=3):
+    gc.collect()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
+        return best
+    finally:
+        gc.enable()
+
+
+def test_high_degree_corner_costs_linear_time():
+    # Conversion, parsing and validation are linear in the incidences, also
+    # for one corner of degree k: a list search of its row for each of its
+    # normals made a tenfold k cost about thirty times as much, where a
+    # linear pass costs 10-12 times as much.
+    times = {"convert": [], "parse": []}
+    for k in (60, 600, 6000):
+        t = _pyramid(k)
+        text = serialize_plc(to_standard(t))
+        times["convert"].append(
+            _best_seconds(lambda: validate_standard(to_standard(t))))
+        times["parse"].append(
+            _best_seconds(lambda: validate_standard(parse_plc(text))))
+    for route, (small, mid, large) in times.items():
+        assert mid / small < 20 and large / mid < 20, (route, small, mid, large)

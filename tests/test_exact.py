@@ -14,7 +14,6 @@ from plconvex.exact import (
     format_rational,
     parse_rational,
     pivot_columns,
-    rank_le3,
     same_ray,
     sign,
 )
@@ -33,6 +32,18 @@ def collinearity_coefficient(v, w):
     if pivot is None:
         return None
     return as_exact(Fraction(w[pivot]) / Fraction(v[pivot]))
+
+
+def rank_le3(vectors):
+    """Greedy rank of a vector list, capped at 4.
+
+    Returns (rank, basis) where basis is the maximal independent subset in
+    first-seen order.  Rank 4 means "spans more than 3 dimensions" and comes
+    back without a basis.  The scan stops once the basis spans the ambient
+    space, so at n = 3 it ends at the first independent triple.
+    """
+    basis, _ = pivot_columns(vectors, 4)
+    return (4, ()) if len(basis) == 4 else (len(basis), basis)
 
 
 def orient2(frame: PlaneFrame, a, b) -> int:

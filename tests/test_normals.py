@@ -37,7 +37,7 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.checker import check_complex
-from plconvex.exact import dot, rank_le3, vsub
+from plconvex.exact import dot, vsub
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
@@ -49,7 +49,7 @@ from plconvex.normals import (
 )
 from plconvex.formats import parse_off
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
-from test_exact import collinearity_coefficient
+from test_exact import collinearity_coefficient, rank_le3
 
 DATA = Path(__file__).parent / "data"
 
