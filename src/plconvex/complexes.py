@@ -107,20 +107,34 @@ class StandardFormComplex:
         return (self.corner_id(i) for i in range(self.num_corners))
 
 
+_SHORT_ROW = 8  # a valid ridge row holds 2 facets
+
+
 def _group(pairs, rows: int, cols: int, row_kind: str, col_kind: str, empty):
     """The b of each pair (a, b), indexed by a, in pair order.
 
     Each row is a copy of empty, a list or a tuple.  Tuples of ints leave
     the garbage collector's view once it has seen them; lists stay in it.
     One pass with the range check inline; the first index out of range, in
-    pair order and a before b, is reported.
+    pair order and a before b, is reported.  A list row grows in place, but
+    a tuple row is copied on each append, so a tuple row past _SHORT_ROW
+    entries collects the rest in a side list, joined once at the end:
+    linear for any row length, and no side list on input whose rows are
+    short.
     """
     groups = [empty[:] for _ in range(rows)]
+    copied = isinstance(empty, tuple)
+    rest = {}
     for a, b in pairs:
         if not (0 <= a < rows and 0 <= b < cols):
             kind, i = (row_kind, a) if not 0 <= a < rows else (col_kind, b)
             raise InvalidInputError(f"{kind} index {i} out of range")
-        groups[a] += (b,)
+        if copied and len(groups[a]) >= _SHORT_ROW:
+            rest.setdefault(a, []).append(b)
+        else:
+            groups[a] += (b,)
+    for a, tail in rest.items():
+        groups[a] += tuple(tail)
     return groups
 
 

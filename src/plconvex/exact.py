@@ -4,8 +4,8 @@ Scalars are plain Python ints or fractions.Fraction; both are exact and mix
 freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
 operations the checker actually needs live here: orientation signs in a
-plane frame, collinearity and ray tests, fraction-free echelon forms with
-their pivot columns, and quotients known to be exact.
+plane frame, same-ray tests, fraction-free echelon forms with their pivot
+columns, and quotients known to be exact.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ def _multiple_pivot(v: Vector, w: Vector) -> int | None:
         if a * wp != b * vp:
             return None
     return pivot
-
-
-def collinear(v: Vector, w: Vector) -> bool:
-    """True iff w is a multiple of v; raises ZeroVector for v == 0."""
-    return _multiple_pivot(v, w) is not None
 
 
 def same_ray(v: Vector, w: Vector) -> bool:
@@ -209,14 +204,3 @@ class PlaneFrame:
         """Orientation sign of (a, b); caller guarantees both are in-plane."""
         i, j = self._pi, self._pj
         return sign(a[i] * b[j] - a[j] * b[i]) * self._psign
-
-    def cross_value(self, a: Vector, b: Vector) -> Scalar:
-        """Scaled in-plane cross product; its sign matches orient(a, b).
-
-        Values differ from true frame-coordinate determinants by the fixed
-        positive factor |pivot determinant|, so sums of these may be compared
-        and signed consistently.
-        """
-        i, j = self._pi, self._pj
-        return (a[i] * b[j] - a[j] * b[i]) * self._psign
-

@@ -291,10 +291,19 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
     sigma, so the on-ray tests (which ask whether an orient is 0) do not
     change; each turn changes by sigma, so whether it turns by pi or more
     (turn != s) does not; the sweep's sense changes by sigma, so the fold
-    test (turn != sense) does not, and sense * orient(r, b) changes by
-    sigma^2 = 1.  The half-turn flags, the pass count and every message
-    are therefore the same for N and -N, and for the orientation of any
-    frame of the plane, which is sign(N'.(a x b)) for its own normal N'.
+    test (turn != sense) does not.  The half-turn flags, the pass count
+    (next paragraph) and every message are therefore the same for N and
+    -N, and for the orientation of any frame of the plane, which is
+    sign(N'.(a x b)) for its own normal N'.
+
+    The pass count reads orient(r, b) in the plane's sense, not the
+    sweep's.  Measure the sweep's angle theta from r in its own sense.
+    When the two senses agree, the marked half-turn (orient(r, b) < 0, or
+    b on -r) is theta in [pi, 2*pi), and each pass is one crossing of r.
+    When they differ, it is theta in (0, pi], and each pass is one crossing
+    of -r.  A sweep that closes after turning 2*pi*W crosses r W times and
+    -r W times.  A chain from r that ends on -r after pi + 2*pi*J crosses
+    each J times before its end.  So both readings give the same count.
     """
     m = len(u)
     n0, n1, n2 = normal
@@ -336,9 +345,10 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
         )
 
     # Sweep from r in the first wedge's sense.  upper: the sweep stands in
-    # the half-turn [pi, 2*pi) past r.  A wedge passes r when it drops from
-    # the upper half-turn to the lower one, or turns by pi or more and ends
-    # in the half-turn it started in.
+    # the half-turn where orient(r, .) < 0, or on -r.  A wedge passes the
+    # boundary ray (r or -r, see above) when it drops from the upper
+    # half-turn to the lower one, or turns by pi or more and ends in the
+    # half-turn it started in.
     start = jumps[0] + 1 if jumps else 0
     r = u[start % m]
     sense, upper, passes = turns[start % m][0], False, 0
@@ -347,7 +357,7 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
         if turn != sense:
             return Inconsistent(f"facet angles fold at ridge {t % m}")
         b = u[(t + 1) % m]
-        h = sense * orient(r, b)
+        h = orient(r, b)
         b_upper = h < 0 or (h == 0 and dot(r, b) < 0)
         passes += upper > b_upper or (upper == b_upper and wide)
         upper = b_upper

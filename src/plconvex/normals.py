@@ -5,7 +5,10 @@ modes are supported: simplicial complexes in any ambient dimension n >= 3
 (normals via exact orthogonal projection against the corner's direction
 space), and arbitrary polygonal facets in R^3, where corner-ridge normals
 are vertex differences and corner-facet normals are in-plane interior
-directions that work for non-convex polygons too.
+directions that work for non-convex polygons too.  Each polygon is read
+against one plane normal N, the cross product of two of its vertex
+differences: in-plane orientations are sign(N.(a x b)), fixed-size
+products written out inline, so no coordinate frame is built.
 
 Normals are never normalized to unit length: the checker only consumes
 signs, and unit vectors would leave the rational field.  Any positive
@@ -29,17 +32,14 @@ from .errors import (
     NotPlanar,
 )
 from .exact import (
-    PlaneFrame,
     Scalar,
     Vector,
     as_exact,
-    collinear,
     dot,
     exact_quotient,
     is_zero,
     pivot_columns,
     same_ray,
-    sign,
     vadd,
     vsub,
 )
@@ -190,70 +190,46 @@ def facet_normal_simplicial(corner, facet, coords) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def polygon_frame(cycle, coords, parsed=None) -> tuple[PlaneFrame, int]:
-    """Exact plane frame of a polygon plus its cyclic orientation sign.
-
-    Raises NotPlanar if the vertices are not exactly coplanar or the polygon
-    has no area.  parsed is the lookup whose coordinates the messages print
-    (default coords), for callers that compute on a scaled table.
-    """
-    pts = [coords(v) for v in cycle]
-    base = pts[0]
-    e1 = None
-    e2 = None
-    for p in pts[1:]:
-        d = vsub(p, base)
-        if is_zero(d):
-            continue
-        if e1 is None:
-            e1 = d
-        elif not collinear(e1, d):
-            e2 = d
-            break
-    if e1 is None or e2 is None:
-        raise NotPlanar("polygon has collinear vertices only")
-    frame = PlaneFrame(e1, e2)
-    area2 = 0
-    prev = vsub(pts[-1], base)
-    for v, p in zip(cycle, pts):
-        cur = vsub(p, base)
-        if not frame.contains(cur):
-            raise NotPlanar(
-                f"polygon vertex {(parsed or coords)(v)} off the facet plane"
-            )
-        area2 += frame.cross_value(prev, cur)
-        prev = cur
-    orientation = sign(area2)
-    if orientation == 0:
-        raise NotPlanar("polygon has zero area")
-    return frame, orientation
+def _turn(normal, a, b, c) -> int:
+    """sign(N.((b - a) x (c - a))), the turn a -> b -> c in the plane of N."""
+    n0, n1, n2 = normal
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    vx, vy, vz = cx - ax, cy - ay, cz - az
+    d = (n0 * (uy * vz - uz * vy) + n1 * (uz * vx - ux * vz)
+         + n2 * (ux * vy - uy * vx))
+    return (d > 0) - (d < 0)
 
 
-def _convex_certificate(edges, turns, frame) -> bool:
+def _convex_certificate(edges, turns, normal) -> bool:
     """True only if the closed in-plane polygon is simple (it is convex).
 
-    edges are its edge vectors e_i = p_(i+1) - p_i in cycle order and turns
-    the signs orient(e_(i-1), e_i).  An exact O(k) sufficient test: every
-    nonzero turn has one sign, every zero turn goes straight on (dot > 0),
-    and the edge directions wind exactly once.  The winding is measured
-    from the edge after the first strict turn.  From there the direction
-    angle only grows, by less than pi per vertex, so it reaches 2*pi exactly
-    when the sweep, having entered the far half-plane of that edge, comes
-    back to its side; directions that wind once close the polygon before
-    that.  False means "don't know".
+    edges are its edge vectors e_i = p_(i+1) - p_i in cycle order, turns
+    the signs sign(N.(e_(i-1) x e_i)) and normal the plane normal N.  An
+    exact O(k) sufficient test: every nonzero turn has one sign, every zero
+    turn goes straight on (dot > 0), and the edge directions wind exactly
+    once.  The winding is measured from the edge after the first strict
+    turn.  From there the direction angle only grows, by less than pi per
+    vertex, so it reaches 2*pi exactly when the sweep, having entered the
+    far half-plane of that edge, comes back to its side; directions that
+    wind once close the polygon before that.  False means "don't know".
     """
     k = len(edges)
     start = next((i for i, t in enumerate(turns) if t), None)
     if start is None:
         return False
     sense = turns[start]
-    for i, t in enumerate(turns):
-        if t == -sense or (t == 0 and dot(edges[i - 1], edges[i]) <= 0):
+    for t, (ax, ay, az), (bx, by, bz) in zip(turns, edges[-1:] + edges, edges):
+        if t == -sense or (t == 0 and ax * bx + ay * by + az * bz <= 0):
             return False
-    ref = edges[start]
+    # N.(r x e) = (N x r).e: one cross product serves the whole sweep.
+    n0, n1, n2 = normal
+    rx, ry, rz = edges[start]
+    cx, cy, cz = n1 * rz - n2 * ry, n2 * rx - n0 * rz, n0 * ry - n1 * rx
     far = False
     for i in range(start + 1, start + k):
-        side = sense * frame.orient(ref, edges[i % k])
+        ex, ey, ez = edges[i % k]
+        side = sense * (cx * ex + cy * ey + cz * ez)
         if side < 0:
             far = True
         elif far:
@@ -261,15 +237,12 @@ def _convex_certificate(edges, turns, frame) -> bool:
     return True
 
 
-def _segments_intersect(frame, p1, p2, q1, q2) -> bool:
-    """Exact any-contact test for in-plane segments (shared plane frame)."""
-    def orient(a, b, c):
-        return frame.orient(vsub(b, a), vsub(c, a))
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+def _segments_intersect(normal, p1, p2, q1, q2) -> bool:
+    """Exact any-contact test for segments in the plane of normal N."""
+    d1 = _turn(normal, q1, q2, p1)
+    d2 = _turn(normal, q1, q2, p2)
+    d3 = _turn(normal, p1, p2, q1)
+    d4 = _turn(normal, p1, p2, q2)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
@@ -298,11 +271,30 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
 
     Returns the inner direction of each corner, in cycle order.  A triangle
     needs only one cross product, and its normals come from the same two
-    edge vectors.  Any other polygon gets one edge list and one turn list,
-    which the O(k) convex certificate and the corner rule both read; a
-    polygon the certificate cannot vouch for goes through the pairwise spike
-    and segment tests.  parsed is the lookup error messages print (see
-    polygon_frame).
+    edge vectors.  parsed is the lookup whose coordinates the messages print
+    (default coords), for callers that compute on a scaled table.
+
+    Any other polygon is read against one plane normal N = e1 x e2, where,
+    with d = p - p0 for the vertices p in cycle order, e1 is the first
+    nonzero d and e2 the first later d with e1 x d nonzero (none: the
+    vertices are collinear).  One pass over the d checks N.d = 0 (in the
+    plane) and sums N.(d_prev x d), twice the area times |N|^2 in the
+    sense of (e1, e2); its sign is the polygon's orientation.  The turns
+    sign(N.(e_(i-1) x e_i)) of the edge vectors e_i = p_(i+1) - p_i feed
+    the O(k) convex certificate and the corner rule; a polygon the
+    certificate cannot vouch for goes through the pairwise spike and
+    segment tests.
+
+    Every sign here is an orientation in the frame (e1, e2).  In-plane
+    vectors a = alpha*e1 + beta*e2 and b = gamma*e1 + delta*e2 have
+    a x b = (alpha*delta - beta*gamma) N, so sign(N.(a x b)) is the sign of
+    their determinant in that frame, and the area sum is |N|^2 times the
+    sum of those determinants.  Any other exact reading of the same frame,
+    such as 2 x 2 minors on a coordinate pair where it is nonsingular
+    (positive multiples of the same determinants after a fixed sign), gives
+    the same turns and orientation; the corner normals and messages follow
+    from those signs, so they are the same too, without even a global sign
+    change.
     """
     k = len(cycle)
     if k < 3:
@@ -327,18 +319,61 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
             (vx - 2 * ux, vy - 2 * uy, vz - 2 * uz),
             (ux - 2 * vx, uy - 2 * vy, uz - 2 * vz),
         ]
-    frame, orientation = polygon_frame(cycle, coords, parsed)
-    edges = [vsub(q, p) for p, q in zip(pts, (*pts[1:], pts[0]))]
-    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
-    if not _convex_certificate(edges, turns, frame):
-        _check_simple(cycle, pts, frame)
-    return [
-        _corner_normal(edges[i - 1], edges[i], turns[i], frame, orientation)
-        for i in range(k)
+    bx, by, bz = pts[0]
+    ds = [(x - bx, y - by, z - bz) for x, y, z in pts]
+    # Consecutive vertices differ, so e1 is d_1.
+    e1 = ux, uy, uz = ds[1]
+    for e2 in ds[2:]:
+        vx, vy, vz = e2
+        n0, n1, n2 = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        if n0 or n1 or n2:
+            break
+    else:
+        raise NotPlanar("polygon has collinear vertices only")
+    sx = sy = sz = 0
+    px, py, pz = ds[-1]
+    for v, (dx, dy, dz) in zip(cycle, ds):
+        if n0 * dx + n1 * dy + n2 * dz:
+            raise NotPlanar(
+                f"polygon vertex {(parsed or coords)(v)} off the facet plane"
+            )
+        sx += py * dz - pz * dy
+        sy += pz * dx - px * dz
+        sz += px * dy - py * dx
+        px, py, pz = dx, dy, dz
+    area2 = n0 * sx + n1 * sy + n2 * sz
+    if not area2:
+        raise NotPlanar("polygon has zero area")
+    orientation = 1 if area2 > 0 else -1
+    edges = [
+        (qx - px, qy - py, qz - pz)
+        for (px, py, pz), (qx, qy, qz) in zip(pts, pts[1:] + pts[:1])
     ]
+    turns = []
+    for (ax, ay, az), (bx, by, bz) in zip(edges[-1:] + edges, edges):
+        t = (n0 * (ay * bz - az * by) + n1 * (az * bx - ax * bz)
+             + n2 * (ax * by - ay * bx))
+        turns.append((t > 0) - (t < 0))
+    normal = (n0, n1, n2)
+    if not _convex_certificate(edges, turns, normal):
+        _check_simple(cycle, pts, normal)
+    out = []
+    for t, a, b in zip(turns, edges[-1:] + edges, edges):
+        if t:
+            # b - a, the sum of the edge vectors pointing away from the
+            # vertex: inside at a convex vertex (turn with the orientation),
+            # outside at a reflex one, where it is negated.
+            (ax, ay, az), (bx, by, bz) = a, b
+            if t == orientation:
+                out.append((bx - ax, by - ay, bz - az))
+            else:
+                out.append((ax - bx, ay - by, az - bz))
+        else:
+            out.append(_straight_normal(a, e1, e2, normal, orientation))
+    return out
 
 
-def _check_simple(cycle, pts, frame) -> None:
+def _check_simple(cycle, pts, normal) -> None:
     """Pairwise O(k^2) test: no spike vertex, no contact between edges."""
     k = len(cycle)
     for i in range(k):
@@ -351,7 +386,7 @@ def _check_simple(cycle, pts, frame) -> None:
             if j == i or (j + 1) % k == i or (i + 1) % k == j:
                 continue  # adjacent edges share only their endpoint
             b1, b2 = pts[j], pts[(j + 1) % k]
-            if _segments_intersect(frame, a1, a2, b1, b2):
+            if _segments_intersect(normal, a1, a2, b1, b2):
                 raise InvalidInputError(
                     f"facet polygon self-intersects between edges {i} and {j}"
                 )
@@ -367,24 +402,27 @@ def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
     return validate_polygon(cycle, coords)[cycle.index(vid)]
 
 
-def _corner_normal(a, b, turn, frame, orientation) -> Vector:
-    """Inner direction at the polygon vertex entered along a, left along b.
+def _straight_normal(a, e1, e2, normal, orientation) -> Vector:
+    """Inner direction at a straight vertex of a polygon entered along a.
 
-    turn is orient(a, b) and orientation the polygon's (polygon_frame), on a
-    polygon validate_polygon has shown simple.  A turning vertex gets b - a,
-    the sum of the edge vectors pointing away from it: inside at a convex
-    vertex (turn with the orientation), outside at a reflex one, where it is
-    negated.  A straight vertex gets the in-plane perpendicular to a on the
-    interior side, where orient(a, d) is the polygon's orientation.
+    The in-plane perpendicular aa*x - xa*a to a, scaled by aa = |a|^2 so
+    that no division is needed, with x = e2 if a x e1 = 0 and x = e1
+    otherwise; it is negated unless it lies on the interior side, where
+    its orientation against a is the polygon's.  a x (aa*x - xa*a) is
+    aa (a x x), so that orientation is sign(N.(a x x)).
     """
-    if turn:
-        d = vsub(b, a)
-        return d if orientation * turn > 0 else tuple(-c for c in d)
-    # Perpendicular to a, scaled by |a|^2 so that no division is needed.
-    x = frame.e2 if collinear(a, frame.e1) else frame.e1
-    aa, xa = dot(a, a), dot(x, a)
-    d = tuple(aa * xc - xa * ac for xc, ac in zip(x, a))
-    return d if frame.orient(a, d) == orientation else tuple(-c for c in d)
+    ax, ay, az = a
+    for x in (e1, e2):
+        xx, xy, xz = x
+        cx, cy, cz = ay * xz - az * xy, az * xx - ax * xz, ax * xy - ay * xx
+        if cx or cy or cz:
+            break
+    n0, n1, n2 = normal
+    aa, xa = ax * ax + ay * ay + az * az, xx * ax + xy * ay + xz * az
+    d = (aa * xx - xa * ax, aa * xy - xa * ay, aa * xz - xa * az)
+    if (n0 * cx + n1 * cy + n2 * cz > 0) == (orientation > 0):
+        return d
+    return (-d[0], -d[1], -d[2])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import plconvex.checker
 import plconvex.cli
+import plconvex.normals
 from conftest import (
     CUBE_OFF,
     csaszar_torus,
@@ -146,6 +147,49 @@ def test_l_prism_reflex_corners_fail(capsys):
         failed = [r.corner.index for r in corner_report(std, reverse=reverse)
                   if not r.passed]
         assert failed == [3, 9]
+
+
+def _reports(path, capsys):
+    """Exit code and JSON report of check, without its elapsed time."""
+    out = []
+    for extra in ([], ["--exhaustive"]):
+        code = main(["check", str(path), "--report", "json", *extra])
+        payload = json.loads(capsys.readouterr().out)
+        del payload["elapsed_seconds"]
+        out.append((code, payload))
+    return out
+
+
+@pytest.mark.parametrize("name, code, hexagons", [
+    ("split_top_cube.off", 0, 1), ("l_prism.off", 1, 2)])
+def test_non_convex_facets_any_cycle_directions(name, code, hexagons,
+                                                tmp_path, capsys,
+                                                monkeypatch):
+    # Non-convex facets through the CLI: the L hexagon on the split top of
+    # a convex cube, with a reflex corner (10) and straight ones on two
+    # side faces, and the L prism, which fails at its reflex edge.  No
+    # convex certificate covers an L hexagon, so the pairwise test runs.
+    # The paper needs no coherent facet orientation: reversing any set of
+    # facet cycles leaves both reports as they are.
+    fallback = []
+    check_simple = plconvex.normals._check_simple
+    monkeypatch.setattr(plconvex.normals, "_check_simple",
+                        lambda *a: fallback.append(a) or check_simple(*a))
+    lines = (DATA / name).read_text().splitlines()
+    num_facets = int(lines[1].split()[1])
+    head, facets = lines[:-num_facets], lines[-num_facets:]
+    expected = _reports(DATA / name, capsys)
+    assert [c for c, _ in expected] == [code, code]
+    assert len(fallback) == 2 * hexagons  # each L hexagon, in both runs
+    path = tmp_path / name
+    for mask in range(1, 2 ** num_facets):
+        cycles = [
+            line if not mask >> i & 1
+            else " ".join([line.split()[0], *reversed(line.split()[1:])])
+            for i, line in enumerate(facets)
+        ]
+        path.write_text("\n".join(head + cycles) + "\n")
+        assert _reports(path, capsys) == expected, mask
 
 
 def test_double_octahedron_fails_at_its_apex(capsys):

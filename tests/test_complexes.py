@@ -406,3 +406,19 @@ def test_high_degree_corner_costs_linear_time():
             _best_seconds(lambda: validate_standard(parse_plc(text))))
     for route, (small, mid, large) in times.items():
         assert mid / small < 20 and large / mid < 20, (route, small, mid, large)
+
+
+def test_many_facets_on_one_ridge_cost_linear_time():
+    # A ridge row is a tuple, and appending to a tuple copies it: one ridge
+    # listed with 10,000 and 40,000 facets took 0.17 s and 3.8 s to group
+    # (22 times as much) before validation could reject it.
+    def build(d):
+        pairs = [(0, f) for f in range(d)]
+        return lambda: StandardFormComplex(3, 0, 1, d, [], [], pairs, {}, {})
+
+    small, large = (_best_seconds(build(d)) for d in (20_000, 80_000))
+    assert large / small < 8, (small, large)
+    assert build(80_000)().ridge_facets == [tuple(range(80_000))]
+    with pytest.raises(InvalidInputError,
+                       match="^ridge 0 is incident to 80000 facets, expected 2$"):
+        validate_standard(build(80_000)())

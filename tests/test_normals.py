@@ -37,13 +37,19 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.checker import check_complex
-from plconvex.exact import dot, vsub
+from plconvex.exact import (
+    PlaneFrame,
+    _multiple_pivot,
+    dot,
+    same_ray,
+    sign,
+    vsub,
+)
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
     _convex_certificate,
     orthogonal_components,
-    polygon_frame,
     validate_polygon,
     validate_traditional,
 )
@@ -376,8 +382,8 @@ def test_star_polygon_winding_twice_rejected():
         [(0, 10, 0), (6, -8, 0), (-10, 3, 0), (10, 3, 0), (-6, -8, 0)]
     ))
     coords = _coords(table)
-    frame, _ = polygon_frame(tuple(range(5)), coords)
-    assert not _certify([table[v] for v in range(5)], frame)
+    pts = [table[v] for v in range(5)]
+    assert not _certify(pts, _framed(pts))
     with pytest.raises(InvalidInputError, match="self-intersect"):
         validate_polygon(tuple(range(5)), coords)
 
@@ -453,43 +459,277 @@ def _lattice_polygons(draw, kinds=("random", "convex", "dented", "star")):
     ]
 
 
-def _certify(pts, frame):
+def _certify(pts, normal):
     """_convex_certificate on a closed point list, with its edges and turns."""
     k = len(pts)
     edges = [vsub(pts[(i + 1) % k], pts[i]) for i in range(k)]
-    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
-    return _convex_certificate(edges, turns, frame)
+    turns = [sign(dot(normal, _cross(edges[i - 1], edges[i])))
+             for i in range(k)]
+    return _convex_certificate(edges, turns, normal)
 
 
 def _framed(pts):
-    """polygon_frame of a point list, or None if it is not a valid frame."""
+    """Plane normal e1 x e2 of the reference frame of a point list, or
+    None if the list has no such frame."""
     k = len(pts)
     if any(pts[i] == pts[(i + 1) % k] for i in range(k)):
         return None
     try:
-        frame, _ = polygon_frame(tuple(range(k)), pts.__getitem__)
+        frame, _ = _frame_polygon(tuple(range(k)), pts.__getitem__)
     except NotPlanar:
         return None
-    return frame
+    return _cross(frame.e1, frame.e2)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_lattice_polygons())
 def test_convex_certificate_implies_pairwise_simple(case):
     _, pts = case
-    frame = _framed(pts)
-    assume(frame is not None)
-    if _certify(pts, frame):
-        _check_simple(tuple(range(len(pts))), pts, frame)
+    normal = _framed(pts)
+    assume(normal is not None)
+    if _certify(pts, normal):
+        _check_simple(tuple(range(len(pts))), pts, normal)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_lattice_polygons(kinds=("convex",)))
 def test_convex_certificate_fires_on_convex_polygons(case):
     _, pts = case
-    frame = _framed(pts)
-    assert frame is not None
-    assert _certify(pts, frame)
+    normal = _framed(pts)
+    assert normal is not None
+    assert _certify(pts, normal)
+
+
+# ---------------------------------------------------------------------------
+# The plane-frame formulation as a reference
+# ---------------------------------------------------------------------------
+#
+# validate_polygon reads every orientation as sign(N.(a x b)) against
+# N = e1 x e2.  Here the same validation reads them through an exact
+# PlaneFrame(e1, e2) per polygon, whose signs its docstring proves equal;
+# its normals and messages must match validate_polygon's exactly.
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _frame_polygon(cycle, coords, parsed=None):
+    """(PlaneFrame(e1, e2), orientation sign) of a polygon."""
+    pts = [coords(v) for v in cycle]
+    base = pts[0]
+    e1 = e2 = None
+    for p in pts[1:]:
+        d = vsub(p, base)
+        if not any(d):
+            continue
+        if e1 is None:
+            e1 = d
+        elif _multiple_pivot(e1, d) is None:
+            e2 = d
+            break
+    if e1 is None or e2 is None:
+        raise NotPlanar("polygon has collinear vertices only")
+    frame = PlaneFrame(e1, e2)
+    area2 = 0
+    prev = vsub(pts[-1], base)
+    for v, p in zip(cycle, pts):
+        cur = vsub(p, base)
+        if not frame.contains(cur):
+            raise NotPlanar(
+                f"polygon vertex {(parsed or coords)(v)} off the facet plane"
+            )
+        # The frame's cross value: the sign of orient, a positive multiple
+        # of the determinant in the frame.
+        i, j = frame._pi, frame._pj
+        area2 += (prev[i] * cur[j] - prev[j] * cur[i]) * frame._psign
+        prev = cur
+    orientation = sign(area2)
+    if orientation == 0:
+        raise NotPlanar("polygon has zero area")
+    return frame, orientation
+
+
+def _frame_certificate(edges, turns, frame) -> bool:
+    k = len(edges)
+    start = next((i for i, t in enumerate(turns) if t), None)
+    if start is None:
+        return False
+    sense = turns[start]
+    for i, t in enumerate(turns):
+        if t == -sense or (t == 0 and dot(edges[i - 1], edges[i]) <= 0):
+            return False
+    far = False
+    for i in range(start + 1, start + k):
+        side = sense * frame.orient(edges[start], edges[i % k])
+        if side < 0:
+            far = True
+        elif far:
+            return False
+    return True
+
+
+def _frame_check_simple(cycle, pts, frame) -> None:
+    def orient(a, b, c):
+        return frame.orient(vsub(b, a), vsub(c, a))
+
+    def on_segment(a, b, c):
+        return all(min(x, y) <= z <= max(x, y) for x, y, z in zip(a, b, c))
+
+    def touch(p1, p2, q1, q2):
+        d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+        d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+        return (d1 * d2 < 0 and d3 * d4 < 0) or (
+            (d1 == 0 and on_segment(q1, q2, p1))
+            or (d2 == 0 and on_segment(q1, q2, p2))
+            or (d3 == 0 and on_segment(p1, p2, q1))
+            or (d4 == 0 and on_segment(p1, p2, q2))
+        )
+
+    k = len(cycle)
+    for i in range(k):
+        a1, a2 = pts[i], pts[(i + 1) % k]
+        if same_ray(vsub(pts[i - 1], a1), vsub(a2, a1)):
+            raise DegenerateVertex(f"zero interior angle at vertex {cycle[i]}")
+        for j in range(i + 2, k):
+            if (j + 1) % k != i and touch(a1, a2, pts[j], pts[(j + 1) % k]):
+                raise InvalidInputError(
+                    f"facet polygon self-intersects between edges {i} and {j}"
+                )
+
+
+def _frame_corner_normal(a, b, turn, frame, orientation):
+    if turn:
+        d = vsub(b, a)
+        return d if orientation * turn > 0 else tuple(-c for c in d)
+    x = frame.e2 if _multiple_pivot(a, frame.e1) is not None else frame.e1
+    aa, xa = dot(a, a), dot(x, a)
+    d = tuple(aa * xc - xa * ac for xc, ac in zip(x, a))
+    return d if frame.orient(a, d) == orientation else tuple(-c for c in d)
+
+
+def _frame_validate_polygon(cycle, coords, parsed=None):
+    """validate_polygon for k > 3 with every sign read through a PlaneFrame."""
+    k = len(cycle)
+    assert k > 3
+    if len(set(cycle)) != k:
+        raise InvalidInputError(f"facet cycle repeats a vertex: {cycle}")
+    pts = [coords(v) for v in cycle]
+    if any(pts[i - 1] == pts[i] for i in range(k)):
+        raise InvalidInputError("coincident consecutive polygon vertices")
+    frame, orientation = _frame_polygon(cycle, coords, parsed)
+    edges = [vsub(pts[(i + 1) % k], pts[i]) for i in range(k)]
+    turns = [frame.orient(edges[i - 1], edges[i]) for i in range(k)]
+    if not _frame_certificate(edges, turns, frame):
+        _frame_check_simple(cycle, pts, frame)
+    return [
+        _frame_corner_normal(edges[i - 1], edges[i], turns[i], frame,
+                             orientation)
+        for i in range(k)
+    ]
+
+
+def _outcome(validate, cycle, coords):
+    """The corner normals, or the type and message of the rejection."""
+    try:
+        return validate(cycle, coords)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+def _agree(pts) -> bool:
+    """validate_polygon and the frame reference agree on pts, in both
+    orientations and from every start vertex; True if pts is valid."""
+    k = len(pts)
+    valid = True
+    for ring in (pts, pts[::-1]):
+        for s in range(k):
+            cycle = tuple(range(s, k)) + tuple(range(s))
+            coords = ring.__getitem__
+            mine = _outcome(validate_polygon, cycle, coords)
+            assert mine == _outcome(_frame_validate_polygon, cycle, coords)
+            valid = valid and isinstance(mine, list)
+    return valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_polygons())
+def test_validate_polygon_matches_frame_reference(case):
+    _, pts = case
+    _agree(pts)
+
+
+def _oblique(ring, rng, den=1):
+    """A 2-D lattice ring on a random integer plane of R^3, divided by den."""
+    while True:
+        u, w, o = ([rng.randrange(-4, 5) for _ in range(3)] for _ in "uwo")
+        if any(_cross(u, w)):
+            break
+    return [
+        tuple(Fraction(oc + x * uc + y * wc, den) if den > 1
+              else oc + x * uc + y * wc for oc, uc, wc in zip(o, u, w))
+        for x, y in ring
+    ]
+
+
+def _star_ring(rng, k):
+    """A star-shaped lattice ring (simple unless it repeats a point), some
+    of whose edges are split at their midpoints into straight vertices."""
+    dirs = sorted(rng.sample(range(360), k))
+    ring = []
+    for ang in dirs:
+        r = rng.randrange(2, 9)
+        x = round(r * math.cos(math.radians(ang)))
+        y = round(r * math.sin(math.radians(ang)))
+        ring.append((2 * x, 2 * y))
+    out = []
+    for i, (x, y) in enumerate(ring):
+        out.append((x, y))
+        if rng.random() < 0.4:
+            nx, ny = ring[(i + 1) % k]
+            out.append(((x + nx) // 2, (y + ny) // 2))
+    return out
+
+
+# Faults with a known message on a fixed ring, each placed on a random
+# oblique plane by the test below.
+_SQUARE8 = [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (2, 4), (0, 4), (0, 2)]
+_FAULT_RINGS = {
+    "collinear": [(0, 0), (1, 0), (3, 0), (2, 0)],
+    "zero_area": [(0, 0), (2, 2), (2, 0), (0, 2)],
+    "spike": [(0, 0), (4, 0), (2, 0), (2, 2)],
+    "self_touching": [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)],
+    "crossing": [(0, 0), (4, 0), (4, 4), (2, -2), (0, 4)],
+    "coincident_vertex": [(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2, 2)],
+    "coincident_consecutive": [(0, 0), (4, 0), (4, 0), (0, 4)],
+    "winding_twice": [(0, 10), (6, -8), (-10, 3), (10, 3), (-6, -8)],
+    "reflex": [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)],
+}
+
+
+def test_validate_polygon_matches_frame_reference_seeded():
+    rng = random.Random(2024)
+    valid = faulty = 0
+    for trial in range(120):
+        den = 3 if trial % 4 == 0 else 1  # Fraction coordinates
+        pts = _oblique(_star_ring(rng, rng.randrange(3, 8)), rng, den)
+        if len(pts) < 4:
+            continue
+        if trial % 3 == 0:  # one vertex lifted off the plane
+            i = rng.randrange(len(pts))
+            pts[i] = (pts[i][0], pts[i][1], pts[i][2] + 1)
+        if _agree(pts):
+            valid += 1
+        else:
+            faulty += 1
+    for name, ring in _FAULT_RINGS.items():
+        for den in (1, 5):
+            pts = _oblique(ring, rng, den)
+            assert _agree(pts) == (name == "reflex"), name
+            if name != "reflex":
+                faulty += 1
+    assert valid >= 40 and faulty >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +827,13 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_one_polygon_frame_per_polygon(monkeypatch):
-    calls = _count_calls(monkeypatch, plconvex.normals, "polygon_frame")
-    prism = _prism(_subdivided_ring(2), levels=2)
-    to_standard(prism)
-    assert len(calls) == len(prism.facets)
-    calls.clear()
-    to_standard(subdivided_cube())  # triangles only
+def test_conversion_builds_no_plane_frame(monkeypatch):
+    # Polygons are read against one plane normal with inline products; no
+    # coordinate frame is built for any facet, polygon or triangle.
+    calls = _count_calls(monkeypatch, PlaneFrame, "__post_init__")
+    for t in (_prism(_subdivided_ring(2), levels=2), _split_top_cube(),
+              cube_traditional(), subdivided_cube()):
+        to_standard(t)
     assert calls == []
 
 
@@ -604,19 +844,64 @@ def test_convex_prism_skips_pairwise_segment_test(monkeypatch):
     assert calls == []
 
 
-# Over the whole check of a one-band prism, orient calls per cap vertex
-# measured 42.8, 51.9, 56.5 and 58.7 for k = 12, 24, 48 and 96, rising to
-# about 61 as k grows; the bound leaves about 30% headroom.  The pairwise
-# segment test on every cap gave 76, 133, 234 and 428.
-ORIENT_PER_CAP_VERTEX = 80
+class _Counted(int):
+    """An int coordinate that counts the products it takes part in.
+
+    Sums, differences and products of counted values stay counted, so every
+    multiplication computed from the coordinates adds one to products.
+    """
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Counted(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Counted(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _Counted(int(other) - int(self))
+
+    def __neg__(self):
+        return _Counted(-int(self))
 
 
-@pytest.mark.parametrize("cap", [12, 24, 48, 96])
+# validate_polygon's products on a prism cap, the hexagon of
+# _subdivided_ring with all but six vertices straight: 22 at every vertex
+# (3 for the plane test, 6 for the area, 9 for the turn and 4 for the
+# winding sweep), 24 more at a straight vertex (3 for the straight-on test,
+# 21 for its normal) and 6 more again where that vertex is parallel to e1;
+# the search for e2 takes 6 per straight vertex on the first side, and N,
+# the area's sum and the sweep's cross product 12 per polygon.  Per cap
+# vertex that is 36.4, 42.7, 45.9, 47.4 and 48.9 for k = 12, 24, 48, 96
+# and 2,004, approaching 49.  The bound is tight on purpose: one more cross
+# product per vertex (N recomputed at each vertex, say) exceeds it from
+# k = 48 on.
+PRODUCTS_PER_CAP_VERTEX = 49
+PRODUCTS_PER_POLYGON = 12
+
+
+@pytest.mark.parametrize("cap", [12, 24, 48, 96, 2004])
 def test_prism_orient_calls_linear_in_cap_size(monkeypatch, cap):
-    calls = _count_calls(monkeypatch, plconvex.exact.PlaneFrame, "orient")
-    run = check_complex(_prism(_subdivided_ring(cap // 6)))
-    assert run.verdict == Convex()
-    assert len(calls) <= ORIENT_PER_CAP_VERTEX * cap
+    # Orientations are inline products now; count those on the prism's cap.
+    ring = _subdivided_ring(cap // 6)
+    table = [tuple(_Counted(c) for c in (x, y, 0)) for x, y in ring]
+    monkeypatch.setattr(_Counted, "products", 0)
+    normals = validate_polygon(tuple(range(cap)), table.__getitem__)
+    assert normals == validate_polygon(
+        tuple(range(cap)), [(x, y, 0) for x, y in ring].__getitem__
+    )
+    assert _Counted.products <= (
+        PRODUCTS_PER_CAP_VERTEX * cap + PRODUCTS_PER_POLYGON
+    )
 
 
 class _IndexCountingCycle(tuple):
@@ -711,7 +996,8 @@ def _polygonal_builder_cases():
     from plconvex.bench import sphere_hull_surface
 
     files = [parse_off((DATA / name).read_text())
-             for name in ("l_prism.off", "double_octahedron.off")]
+             for name in ("l_prism.off", "split_top_cube.off",
+                          "double_octahedron.off")]
     integer = [
         *files,
         octahedron_traditional(),
