@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
+from itertools import count
+from operator import itemgetter
 
 from .complexes import StandardFormComplex
 from .errors import InvalidInputError, ParseError
@@ -67,7 +69,7 @@ def parse_off(text: str) -> TraditionalFormComplex:
     is reported first, then the first bad row, then the first degenerate
     edge.
     """
-    records = _records(enumerate(text.splitlines(), 1))
+    records = _records(text)
     record = next(records, None)
     if record is None:
         raise ParseError("empty OFF document")
@@ -185,24 +187,26 @@ def serialize_off(t: TraditionalFormComplex) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _records(rows):
-    """(line number, tokens) of each line of `rows` with content."""
-    for ln, line in rows:
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tok = line.split()
-        if tok:
-            yield ln, tok
+def _records(text: str):
+    """(line number, tokens) of each line of text with content.
+
+    Comments run from '#' to the end of the line.  Built from iterators
+    that run in C, so a document without comments costs no Python-level
+    step per line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return filter(itemgetter(1), zip(count(1), map(str.split, lines)))
 
 
 def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
     """Parse a PLC document into the declared in-memory form.
 
-    One pass over the lines: the header and declarations are read from the
-    same line iterator that the body loop then finishes.
+    One pass over the lines: one _records iterator yields the header and
+    the declarations, and the body parser finishes it.
     """
-    rows = enumerate(text.splitlines(), 1)
-    records = _records(rows)
+    records = _records(text)
     record = next(records, None)
     if record is None or record[1][0] != "plc":
         raise ParseError("missing 'plc' header", record[0] if record else 1)
@@ -230,19 +234,14 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
     if n is None or n < 3:
         raise ParseError(f"bad ambient dimension {n!r}", decl_ln.get("n", ln))
     if form == "traditional":
-        return _parse_plc_traditional(n, rows, text)
-    return _parse_plc_standard(n, rows, ln)
+        return _parse_plc_traditional(n, records, text)
+    return _parse_plc_standard(n, records, ln)
 
 
-def _parse_plc_traditional(n, rows, text) -> TraditionalFormComplex:
+def _parse_plc_traditional(n, records, text) -> TraditionalFormComplex:
     vertices = {}
     cells = {"corner": {}, "ridge": {}, "facet": {}}
-    for ln, line in rows:
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tok = line.split()
-        if not tok:
-            continue
+    for ln, tok in records:
         kind = tok[0]
         if kind in cells:
             if len(tok) < 2:
@@ -277,7 +276,7 @@ def _parse_plc_traditional(n, rows, text) -> TraditionalFormComplex:
             # so valid input keeps no line per record.
             ids = sorted(table)
             bad = next(idx for pos, idx in enumerate(ids) if idx != pos)
-            ln = next(ln for ln, tok in _records(enumerate(text.splitlines(), 1))
+            ln = next(ln for ln, tok in _records(text)
                       if tok[0] == name and int(tok[1]) == bad)
             raise ParseError(f"{name} ids must be dense from 0", ln)
     coords = [vertices[i] for i in range(len(vertices))]
@@ -292,17 +291,11 @@ def _parse_plc_traditional(n, rows, text) -> TraditionalFormComplex:
     )
 
 
-def _parse_plc_standard(n, rows, last_ln) -> StandardFormComplex:
+def _parse_plc_standard(n, records, ln) -> StandardFormComplex:
     counts = {}
     incidences = {"corner_ridge": [], "corner_facet": [], "ridge_facet": []}
     normals = {"ridge": {}, "facet": {}}
-    for ln, line in rows:
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tok = line.split()
-        if not tok:
-            continue
-        last_ln = ln
+    for ln, tok in records:
         kind = tok[0]
         if kind == "incidence":
             if len(tok) != 4 or tok[1] not in incidences:
@@ -334,7 +327,7 @@ def _parse_plc_standard(n, rows, last_ln) -> StandardFormComplex:
             raise ParseError(f"unknown record {kind!r}", ln)
     for kind in ("corners", "ridges", "facets"):
         if kind not in counts:
-            raise ParseError(f"missing {kind} count", last_ln)
+            raise ParseError(f"missing {kind} count", ln)
     return StandardFormComplex(
         n=n,
         num_corners=counts["corners"],

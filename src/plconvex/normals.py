@@ -151,7 +151,6 @@ def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
     extra = [v for v in ridge if v not in corner]
     if len(extra) != 1 or not set(corner) <= set(ridge):
         raise DegenerateCell("ridge is not corner plus one vertex")
-    _check_affinely_independent(corner, coords)
     w = _link_residuals(corner, [ridge], coords)[extra[0]]
     if is_zero(w):
         raise DegenerateCell(
@@ -170,7 +169,6 @@ def facet_normal_simplicial(corner, facet, coords) -> Vector:
     extra = [v for v in facet if v not in corner]
     if len(extra) != 2 or not set(corner) <= set(facet):
         raise DegenerateCell("facet is not corner plus two vertices")
-    _check_affinely_independent(corner, coords)
     res = _link_residuals(corner, [facet], coords)
     for v in extra:
         if is_zero(res[v]):
@@ -445,11 +443,14 @@ def _index(cells, keys, kind) -> dict:
 def derive_incidences(t: TraditionalFormComplex):
     """Corner-ridge, corner-facet, and ridge-facet incidence pairs.
 
-    Polygonal mode matches edges to consecutive boundary pairs by their
-    ordered (min, max) vertex pair and corners by their one vertex, so it
-    needs the cell shapes validate_traditional checks.  It lists both
-    corners of each edge in edge order, then each facet's edges and corners
-    in cycle order.  Simplicial mode uses vertex-set containment.
+    Both modes need the cell shapes validate_traditional checks, which
+    to_standard runs first.  Polygonal mode matches edges to consecutive
+    boundary pairs by their ordered (min, max) vertex pair and corners by
+    their one vertex.  It lists both corners of each edge in edge order,
+    then each facet's edges and corners in cycle order.  Simplicial mode
+    uses vertex-set containment over the n - 1 and n - 2 subsets of each
+    facet and the n - 2 subsets of each ridge, whose distinct vertex ids
+    validation has counted.
     """
     if t.mode == POLYGONAL:
         # Vertex ids are checked, so a list by vertex finds each corner.
@@ -487,17 +488,15 @@ def derive_incidences(t: TraditionalFormComplex):
     else:
         n = t.n
         for fi, fverts in enumerate(t.facets):
-            fset = set(fverts)
-            if len(fset) != n:
-                raise InvalidInputError(f"facet {fi} needs {n} distinct vertices")
-            for sub in combinations(sorted(fset), n - 1):
+            fverts = sorted(fverts)
+            for sub in combinations(fverts, n - 1):
                 ri = ridge_of.get(frozenset(sub))
                 if ri is None:
                     raise InvalidInputError(
                         f"facet {fi} boundary ridge {sub} missing from input"
                     )
                 rf.append((ri, fi))
-            for sub in combinations(sorted(fset), n - 2):
+            for sub in combinations(fverts, n - 2):
                 ci = corner_of.get(frozenset(sub))
                 if ci is None:
                     raise InvalidInputError(
@@ -505,12 +504,7 @@ def derive_incidences(t: TraditionalFormComplex):
                     )
                 cf.append((ci, fi))
         for ri, rverts in enumerate(t.ridges):
-            rset = set(rverts)
-            if len(rset) != n - 1:
-                raise InvalidInputError(
-                    f"ridge {ri} needs {n - 1} distinct vertices"
-                )
-            for sub in combinations(sorted(rset), n - 2):
+            for sub in combinations(sorted(rverts), n - 2):
                 ci = corner_of.get(frozenset(sub))
                 if ci is None:
                     raise InvalidInputError(
@@ -531,6 +525,13 @@ def validate_traditional(t: TraditionalFormComplex):
     direction at each polygon corner (facet by facet, each in cycle order),
     and per polygonal edge (a, b) the vector b - a; corner_normals and
     edges are empty in simplicial mode.
+
+    Simplicial mode checks the size of every cell first, then the
+    flatness of each facet with one echelon.  The faces of an affinely
+    independent facet are independent too, so this covers every ridge and
+    corner on a facet.  The rest is shown later: each corner's Gram
+    elimination in _link_residuals fails exactly when the corner is
+    dependent, and validate_standard rejects a ridge on no facet.
     """
     for v in t.vertices:
         if len(v) != t.n:
@@ -568,15 +569,12 @@ def validate_traditional(t: TraditionalFormComplex):
                 raise InvalidInputError(
                     f"simplicial cell {cell} needs {want} distinct vertices"
                 )
-            _check_affinely_independent(cell, coords)
+    for facet in t.facets:
+        base = coords(facet[0])
+        vectors = [vsub(coords(v), base) for v in facet[1:]]
+        if len(pivot_columns(vectors, n - 1)[1]) != n - 1:
+            raise DegenerateCell(f"cell {tuple(facet)} is not cellwise-flat")
     return table, [], []
-
-
-def _check_affinely_independent(cell, coords) -> None:
-    base = coords(cell[0])
-    vectors = [vsub(coords(v), base) for v in cell[1:]]
-    if len(pivot_columns(vectors, len(vectors))[1]) != len(vectors):
-        raise DegenerateCell(f"cell {tuple(cell)} is not cellwise-flat")
 
 
 def _integer_coords(t: TraditionalFormComplex) -> list[Vector]:
@@ -600,8 +598,10 @@ def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
     """Residual of each vertex of cells outside the corner, by vertex id.
 
     One direction basis and one Gram elimination per corner serve every
-    ridge and facet residual there; validate_traditional has already shown
-    the corner's directions independent.
+    ridge and facet residual there.  That elimination is also the corner's
+    flatness check: its pivots are the leading principal minors of the
+    Gram matrix, all positive exactly when the corner's directions are
+    independent, so a dependent corner raises here as not cellwise-flat.
     """
     base = coords(corner[0])
     basis = [vsub(coords(v), base) for v in corner[1:]]
@@ -609,18 +609,28 @@ def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
         v for cell in cells for v in cell if v not in corner
     ))
     xs = [vsub(coords(v), base) for v in link]
-    return dict(zip(link, orthogonal_components(xs, basis)))
+    try:
+        residuals = orthogonal_components(xs, basis)
+    except DegenerateCell:
+        raise DegenerateCell(
+            f"cell {tuple(corner)} is not cellwise-flat"
+        ) from None
+    return dict(zip(link, residuals))
 
 
 def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
     """Populate all corner-ridge and corner-facet normals exactly.
 
     Normals are built from the vertices scaled to integers, so every normal
-    of every traditional input is an integer vector.  Validation has proved
-    every cell non-degenerate and built each polygon's corner normals, so
-    nothing is checked twice here and nothing here can fail.  Cell
-    indices carry over unchanged, so witnesses agree between a traditional
-    check and a converted standard-form check.
+    of every traditional input is an integer vector.  Validation has
+    checked every cell's size, every polygon and the flatness of every
+    simplicial facet, and has built each polygon's corner normals.  Each
+    simplicial corner's Gram elimination then proves that corner flat
+    while it builds the corner's normals, and raises DegenerateCell for a
+    dependent corner, which can only be one that lies on no facet.  So
+    each fact is checked once.  Cell indices carry over unchanged, so
+    witnesses agree between a traditional check and a converted
+    standard-form check.
     """
     table, corner_normals, edges = validate_traditional(t)
     cr, cf, rf = derive_incidences(t)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -463,3 +465,71 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, command, where,
     out = tmp_path / "no_such_dir" / "x.plc" if where == "missing" else tmp_path
     assert main([*command, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
+def _degenerate_cross_polytope(n, case):
+    """The cross-polytope boundary at n with one degenerate cell or more.
+
+    Vertex 2i is +(i + 2) e_i and 2i + 1 is -(i + 2) e_i, and facets are
+    sorted, so (0, 2, ..., 2n - 2) comes first.
+    """
+    from test_normals import _cross_polytope
+
+    t = _cross_polytope(n)
+    vertices, corners, ridges = list(t.vertices), list(t.corners), t.ridges
+    if case == "flat_facet":
+        # Vertex 2n - 2 moves to sum(p_i, i < n - 2) - (n - 3) p_(n-2) for
+        # p_i = vertex 2i: the first facet is flat, and since no coefficient
+        # is 0, every proper face of it stays independent.
+        p = vertices[0:2 * n - 2:2]
+        vertices[2 * n - 2] = tuple(
+            sum(x[:-1]) - (n - 3) * x[-1] for x in zip(*p)
+        )
+    elif case == "coincident":
+        # Vertices 3 and 5 share facets from (0, 3, 5, 6, ...) on.
+        vertices[3] = vertices[5]
+    elif case == "stray_corner":
+        # A dependent corner on no ridge or facet: two coincident points at
+        # n = 4, three collinear ones (+-2 e_0 and the origin) at n = 5.
+        vertices.append(vertices[0] if n == 4 else (0,) * n)
+        corners.append((0, 2 * n) if n == 4 else (0, 1, 2 * n))
+    elif case == "stray_ridge":
+        # A dependent ridge on no facet whose corners are independent:
+        # +-2 e_0 and the origin at n = 4, the rhombus +-2 e_0, +-3 e_1 at
+        # n = 5; its corners are added with it.
+        ridge = (0, 1, 2 * n) if n == 4 else (0, 1, 2, 3)
+        if n == 4:
+            vertices.append((0,) * n)
+        corners += [c for c in combinations(ridge, n - 2) if c not in corners]
+        ridges = [*ridges, ridge]
+    return dataclasses.replace(t, vertices=vertices, corners=corners,
+                               ridges=ridges)
+
+
+_DEGENERATE_CASES = [
+    (4, "flat_facet", "cell (0, 2, 4, 6) is not cellwise-flat"),
+    (5, "flat_facet", "cell (0, 2, 4, 6, 8) is not cellwise-flat"),
+    (4, "coincident", "cell (0, 3, 5, 6) is not cellwise-flat"),
+    (5, "coincident", "cell (0, 3, 5, 6, 8) is not cellwise-flat"),
+    (4, "stray_corner", "cell (0, 8) is not cellwise-flat"),
+    (5, "stray_corner", "cell (0, 1, 10) is not cellwise-flat"),
+    (4, "stray_ridge", "ridge 32 is incident to 0 facets, expected 2"),
+    (5, "stray_ridge", "ridge 80 is incident to 0 facets, expected 2"),
+]
+
+
+@pytest.mark.parametrize("n, case, reason", _DEGENERATE_CASES,
+                         ids=[f"{case}_n{n}" for n, case, _ in
+                              _DEGENERATE_CASES])
+def test_degenerate_cells_named_once(n, case, reason, tmp_path, capsys):
+    # Conversion checks flatness once per fact: each facet by one echelon,
+    # which covers every face on a facet, and each corner by its own Gram
+    # elimination, whose failure names the corner, never the Gram system.
+    # A dependent ridge on no facet is left to the standard-form checks.
+    path = tmp_path / f"{case}_{n}.plc"
+    path.write_text(serialize_plc(_degenerate_cross_polytope(n, case)))
+    for code, payload in _reports(path, capsys):
+        assert code == 2
+        assert payload["verdict"] == "invalid_input"
+        assert payload["reason"] == reason
+        assert payload["corners_checked"] == 0

@@ -221,7 +221,8 @@ def _integer_documents():
     """All-integer OFF, traditional PLC and standard PLC documents."""
     from plconvex.oracle import gen_convex_surface
 
-    docs = [(p.name, p.read_text()) for p in sorted(DATA.iterdir())]
+    docs = [(p.name, p.read_text()) for p in sorted(DATA.iterdir())
+            if p.is_file()]
     docs.append(("cube.plc", serialize_plc(cube_traditional())))
     docs.append(("simplex4.plc", serialize_plc(simplex_boundary(4))))
     hull = gen_convex_surface(seed=5, n=3, num_points=30, coord_bound=100)

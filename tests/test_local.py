@@ -1307,6 +1307,8 @@ def _data_stars():
 
     stars = []
     for path in sorted((Path(__file__).parent / "data").iterdir()):
+        if not path.is_file():
+            continue
         obj = parse_path(str(path))
         std = obj if isinstance(obj, StandardFormComplex) else to_standard(obj)
         validate_standard(std)

@@ -3,7 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -95,6 +95,14 @@ def test_ridge_normal_degenerate():
     coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 0, 0, 0)})
     with pytest.raises(DegenerateCell):
         ridge_normal_simplicial((0, 1), (0, 1, 2), coords)
+    # A dependent corner fails its own Gram elimination, named as a cell.
+    coords = _coords({0: (1, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 1, 0, 0),
+                      3: (5, 0, 1, 0)})
+    flat = re.escape("cell (0, 1) is not cellwise-flat")
+    with pytest.raises(DegenerateCell, match=f"^{flat}$"):
+        ridge_normal_simplicial((0, 1), (0, 1, 2), coords)
+    with pytest.raises(DegenerateCell, match=f"^{flat}$"):
+        facet_normal_simplicial((0, 1), (0, 1, 2, 3), coords)
 
 
 def test_facet_normal_examples():
@@ -217,6 +225,24 @@ def _cyclic_polytope_4d(m):
         ):
             facets.append(s)
     return simplicial_surface(4, vertices, facets)
+
+
+def _cross_polytope(n):
+    """Boundary of the cross-polytope with vertices +-(i + 2) e_i.
+
+    Vertex 2i is +(i + 2) e_i and 2i + 1 is -(i + 2) e_i; each facet picks
+    one of them on every axis.
+    """
+    vertices = []
+    for i in range(n):
+        for s in (1, -1):
+            vertices.append(tuple(s * (i + 2) if j == i else 0
+                                  for j in range(n)))
+    facets = [
+        tuple(2 * i + b for i, b in enumerate(bits))
+        for bits in product((0, 1), repeat=n)
+    ]
+    return simplicial_surface(n, vertices, facets)
 
 
 def test_to_standard_integer_normals_n4():
@@ -924,12 +950,25 @@ def test_prism_conversion_searches_no_cycle(cap):
     assert [getattr(f, "index_calls", 0) for f in facets] == [0] * len(facets)
 
 
-def test_one_gram_elimination_per_corner_n4(monkeypatch):
-    link = _count_calls(monkeypatch, plconvex.normals, "_link_residuals")
-    solves = _count_calls(monkeypatch, plconvex.normals, "_adjugate_solve")
-    t = _cyclic_polytope_4d(12)
-    to_standard(t)
-    assert len(link) == len(solves) == len(t.corners)
+def test_conversion_one_echelon_per_facet_one_gram_per_corner(monkeypatch):
+    # A facet's flatness covers its ridges and corners, and each corner's
+    # Gram elimination proves that corner flat while it builds the
+    # corner's normals, so conversion eliminates once per facet and once
+    # per corner, and no cell is checked twice.
+    cyclic = _cyclic_polytope_4d(12)
+    cases = [(cyclic, True), (dent(cyclic, 5, Fraction(3, 4)), False)]
+    cases += [(_cross_polytope(n), True) for n in range(4, 8)]
+    for t, convex in cases:
+        with monkeypatch.context() as m:
+            link = _count_calls(m, plconvex.normals, "_link_residuals")
+            solves = _count_calls(m, plconvex.normals, "_adjugate_solve")
+            echelons = _count_calls(m, plconvex.exact, "pivot_columns")
+            m.setattr(plconvex.normals, "pivot_columns",
+                      plconvex.exact.pivot_columns)
+            std = to_standard(t)
+        assert len(echelons) == std.num_facets == len(t.facets)
+        assert len(link) == len(solves) == std.num_corners
+        assert isinstance(check_convexity(std), Convex) is convex
 
 
 @pytest.mark.parametrize("n", [7, 8])
