@@ -50,12 +50,10 @@ class CornerResult:
     detail: str = ""
 
 
-def _corner_results(
-    complex: StandardFormComplex, reverse: bool
-) -> Iterator[CornerResult]:
+def _corner_results(complex: StandardFormComplex) -> Iterator[CornerResult]:
     """The driver loop: one local test per corner, in corner index order."""
     for corner in complex.corners():
-        verdict = reduce_to_3d(wheel_star(complex, corner, reverse=reverse))
+        verdict = reduce_to_3d(wheel_star(complex, corner))
         if isinstance(verdict, Inconsistent):
             yield CornerResult(corner, False, "inconsistent", verdict.reason)
         elif isinstance(verdict, FlatPass):
@@ -75,33 +73,27 @@ def _verdict_of(results: Iterable[CornerResult]) -> Verdict:
     return Convex()
 
 
-def check_convexity(
-    complex: StandardFormComplex, reverse: bool = False
-) -> Verdict:
+def check_convexity(complex: StandardFormComplex) -> Verdict:
     """Verdict for a standard-form complex; stops at the first failing corner.
 
     Corners are processed in index order, so the witness is deterministic and
     independent of any parallel scheduling a caller might add on top.
-    reverse flips every wheel's rim direction (verdicts must not change,
-    which the test suite exercises).
     """
     try:
         validate_standard(complex)
     except InvalidInputError as exc:
         return InvalidInput(str(exc))
-    return _verdict_of(_corner_results(complex, reverse))
+    return _verdict_of(_corner_results(complex))
 
 
-def corner_report(
-    complex: StandardFormComplex, reverse: bool = False
-) -> list[CornerResult]:
+def corner_report(complex: StandardFormComplex) -> list[CornerResult]:
     """Exhaustive per-corner diagnostics, in corner index order.
 
     Raises InvalidInputError on invalid input.  check_convexity returns
     Convex exactly when every entry passes.
     """
     validate_standard(complex)
-    return list(_corner_results(complex, reverse))
+    return list(_corner_results(complex))
 
 
 def precheck_edge_count(t: TraditionalFormComplex) -> Verdict:

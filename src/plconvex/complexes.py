@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvalidInputError
-from .exact import Vector, is_zero, pivot_columns
+from .exact import Vector, pivot_columns
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +59,8 @@ class StandardFormComplex:
     """P[n-3, n-2, n-1] with normals per corner-ridge/corner-facet incidence.
 
     Cells are addressed by (dim, index) with indices dense per dimension.
+    ridge_normals and facet_normals are keyed by the incidence (c, x) each
+    normal sits on, and those keys are the complex's corner incidences.
     The complex owns the ridge_normals and facet_normals dicts it is given
     (no copy is made), so callers hand over dicts they no longer change.
     At n >= 4, validate_standard fills corner_axes with three coordinate
@@ -71,25 +73,39 @@ class StandardFormComplex:
         num_corners: int,
         num_ridges: int,
         num_facets: int,
-        corner_ridge_pairs,
-        corner_facet_pairs,
-        ridge_facet_pairs,
+        ridge_facet_pairs: list[tuple[int, int]],
         ridge_normals: dict[tuple[int, int], Vector],
         facet_normals: dict[tuple[int, int], Vector],
     ):
         if n < 3:
             raise InvalidInputError(f"ambient dimension must be >= 3, got {n}")
+        # A valid complex has a ridge normal per corner and a ridge-facet
+        # pair per ridge and per facet.  A larger count, or a negative one,
+        # cannot be filled, and rejecting it before the rows are built keeps
+        # a short file from allocating memory in proportion to its counts.
+        pairs = len(ridge_facet_pairs)
+        for count, kind, most, source in (
+            (num_corners, "corners", len(ridge_normals), "ridge normals"),
+            (num_ridges, "ridges", pairs, "ridge-facet pairs"),
+            (num_facets, "facets", pairs, "ridge-facet pairs"),
+        ):
+            if not 0 <= count <= most:
+                raise InvalidInputError(
+                    f"bad {kind} count {count}: want 0..{most}, "
+                    f"the number of {source}"
+                )
         self.n = n
         self.num_corners = num_corners
         self.num_ridges = num_ridges
         self.num_facets = num_facets
-        # Corner rows are lists, which validate_standard puts in rim order;
-        # ridge rows are tuples.
+        # Each corner incidence is the key of its normal.  Corner rows are
+        # lists, which validate_standard puts in rim order; ridge rows are
+        # tuples.
         self.corner_ridges = _group(
-            corner_ridge_pairs, num_corners, num_ridges, "corner", "ridge", []
+            ridge_normals, num_corners, num_ridges, "corner", "ridge", []
         )
         self.corner_facets = _group(
-            corner_facet_pairs, num_corners, num_facets, "corner", "facet", []
+            facet_normals, num_corners, num_facets, "corner", "facet", []
         )
         self.ridge_facets = _group(
             ridge_facet_pairs, num_ridges, num_facets, "ridge", "facet", ()
@@ -139,14 +155,14 @@ def _group(pairs, rows: int, cols: int, row_kind: str, col_kind: str, empty):
 
 
 def validate_standard(complex: StandardFormComplex) -> None:
-    """Check manifold-star structure and normal attachment; raise on failure.
+    """Check manifold-star structure and the normals; raise on failure.
 
-    Valid means: every ridge bounds exactly two facets, the incidence relation
-    is closed (a corner on a ridge is on the ridge's facets), every incidence
-    carries exactly one nonzero normal of length n and there are no stray
-    normals, every corner's star walks as a single wheel with m >= 2, the
-    normals at a corner span at most 3 dimensions (automatic at n = 3), and
-    the facet adjacency graph is connected.  Each corner's corner_ridges and
+    Valid means: every ridge bounds exactly two facets, every normal is a
+    nonzero n-vector, the incidence relation is closed (a corner on a ridge
+    is on the ridge's facets), every corner's star walks as a single wheel
+    with m >= 2, the normals at a corner span at most 3 dimensions
+    (automatic at n = 3), the complex has facets and corners, and the facet
+    adjacency graph is connected.  Each corner's corner_ridges and
     corner_facets are left in the walk's rim order, which wheel_star reads.
     At n >= 4 the one elimination of the span check also gives the corner's
     axes: the pivot columns of its echelon, padded with the lowest other
@@ -163,11 +179,12 @@ def validate_standard(complex: StandardFormComplex) -> None:
         if a == b:
             raise InvalidInputError(f"ridge {r} lists facet {a} twice")
 
-    if not (
-        _attached(cx.ridge_normals, cx.corner_ridges, cx.n)
-        and _attached(cx.facet_normals, cx.corner_facets, cx.n)
+    for kind, normals in (
+        ("ridge", cx.ridge_normals), ("facet", cx.facet_normals)
     ):
-        _report_attachment(cx)
+        for key, v in normals.items():
+            if len(v) != cx.n or not any(v):
+                raise InvalidInputError(f"bad {kind} normal at {key}")
 
     axes = []
     for c in range(cx.num_corners):
@@ -186,59 +203,6 @@ def validate_standard(complex: StandardFormComplex) -> None:
     cx.corner_axes = axes
 
     _check_connected(cx)
-
-
-def _attached(normals: dict, lists, n: int) -> bool:
-    """True when normals holds one good normal per pair (c, x), x in lists[c].
-
-    No pair is listed twice, no key is stray, and every normal is a nonzero
-    n-vector.  One pass over the normals: as many keys as listed pairs, each
-    key a listed pair, means every pair is a key and none repeats.  A row
-    longer than 8 is searched through a set built once, so a corner of
-    degree d costs O(d), not O(d^2).
-    """
-    if len(normals) != sum(map(len, lists)):
-        return False
-    rows = len(lists)
-    long_rows = {}
-    try:
-        for (c, x), v in normals.items():
-            if not 0 <= c < rows:
-                return False
-            row = lists[c]
-            if len(row) > 8:
-                row = long_rows.get(c) or long_rows.setdefault(c, set(row))
-            if x not in row:
-                return False
-            if len(v) != n or not any(v):
-                return False
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
-def _report_attachment(cx: StandardFormComplex) -> None:
-    """Raise for the first attachment fault, in the order the checks name them."""
-    want_rn = {(c, r) for c in range(cx.num_corners) for r in cx.corner_ridges[c]}
-    if len(want_rn) != sum(len(rr) for rr in cx.corner_ridges):
-        raise InvalidInputError("duplicate corner-ridge incidence pair")
-    want_fn = {(c, f) for c in range(cx.num_corners) for f in cx.corner_facets[c]}
-    if len(want_fn) != sum(len(ff) for ff in cx.corner_facets):
-        raise InvalidInputError("duplicate corner-facet incidence pair")
-    for key in cx.ridge_normals.keys() - want_rn:
-        raise InvalidInputError(f"ridge normal without incidence: {key}")
-    for key in want_rn - cx.ridge_normals.keys():
-        raise InvalidInputError(f"missing ridge normal for incidence {key}")
-    for key in cx.facet_normals.keys() - want_fn:
-        raise InvalidInputError(f"facet normal without incidence: {key}")
-    for key in want_fn - cx.facet_normals.keys():
-        raise InvalidInputError(f"missing facet normal for incidence {key}")
-    for key, v in cx.ridge_normals.items():
-        if is_zero(v) or len(v) != cx.n:
-            raise InvalidInputError(f"bad ridge normal at {key}")
-    for key, v in cx.facet_normals.items():
-        if is_zero(v) or len(v) != cx.n:
-            raise InvalidInputError(f"bad facet normal at {key}")
 
 
 def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
@@ -301,14 +265,10 @@ def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
     return rim_r, rim_f
 
 
-def wheel_star(
-    complex: StandardFormComplex, corner: CellId, reverse: bool = False
-) -> WheelStar:
+def wheel_star(complex: StandardFormComplex, corner: CellId) -> WheelStar:
     """The corner's star as a wheel of 3-vectors, read from a validated complex.
 
-    validate_standard leaves each corner's lists in rim order.  `reverse`
-    flips the rim direction; verdicts downstream are required to be
-    invariant under it (exercised by tests).
+    validate_standard leaves each corner's lists in rim order.
 
     At n = 3 the normals are handed over unchanged.  At n >= 4 each normal v
     becomes (v[i], v[j], v[k]) on the corner's axes (i, j, k) from
@@ -324,11 +284,6 @@ def wheel_star(
     """
     c = corner.index
     rim_r, rim_f = complex.corner_ridges[c], complex.corner_facets[c]
-    if reverse:
-        # Keep the start ridge, reverse the traversal: facet i must still join
-        # rim ridges i and i+1.
-        rim_r = [rim_r[0]] + rim_r[:0:-1]
-        rim_f = rim_f[::-1]
     u = tuple(complex.ridge_normals[(c, r)] for r in rim_r)
     f = tuple(complex.facet_normals[(c, x)] for x in rim_f)
     if complex.n > 3:
@@ -357,12 +312,15 @@ def face_counts(complex: StandardFormComplex) -> FaceCounts:
 
 
 def _check_connected(cx: StandardFormComplex) -> None:
-    """Raise unless the ridges join all facets into one component.
+    """Raise unless there are facets and corners and the ridges join all
+    facets into one component.
 
     Union-find over the ridges' facet pairs, with path halving.
     """
     if cx.num_facets == 0:
         raise InvalidInputError("complex has no facets")
+    if cx.num_corners == 0:
+        raise InvalidInputError("complex has no corners")
     root = list(range(cx.num_facets))
     parts = cx.num_facets
     for a, b in cx.ridge_facets:

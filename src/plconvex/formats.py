@@ -235,7 +235,7 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
         raise ParseError(f"bad ambient dimension {n!r}", decl_ln.get("n", ln))
     if form == "traditional":
         return _parse_plc_traditional(n, records, text)
-    return _parse_plc_standard(n, records, ln)
+    return _parse_plc_standard(n, records, ln, text)
 
 
 def _parse_plc_traditional(n, records, text) -> TraditionalFormComplex:
@@ -291,7 +291,7 @@ def _parse_plc_traditional(n, records, text) -> TraditionalFormComplex:
     )
 
 
-def _parse_plc_standard(n, records, ln) -> StandardFormComplex:
+def _parse_plc_standard(n, records, ln, text) -> StandardFormComplex:
     counts = {}
     incidences = {"corner_ridge": [], "corner_facet": [], "ridge_facet": []}
     normals = {"ridge": {}, "facet": {}}
@@ -328,17 +328,52 @@ def _parse_plc_standard(n, records, ln) -> StandardFormComplex:
     for kind in ("corners", "ridges", "facets"):
         if kind not in counts:
             raise ParseError(f"missing {kind} count", ln)
+    # The complex takes its corner incidences from the normals' keys, so
+    # the incidence lines must name the same pairs, each once.  Equal sizes
+    # and equal sets mean that no pair repeats.
+    for kind, table in normals.items():
+        pairs = incidences[f"corner_{kind}"]
+        if len(pairs) != len(table) or table.keys() != set(pairs):
+            _raise_unpaired(text, incidences, normals)
     return StandardFormComplex(
         n=n,
         num_corners=counts["corners"],
         num_ridges=counts["ridges"],
         num_facets=counts["facets"],
-        corner_ridge_pairs=incidences["corner_ridge"],
-        corner_facet_pairs=incidences["corner_facet"],
         ridge_facet_pairs=incidences["ridge_facet"],
         ridge_normals=normals["ridge"],
         facet_normals=normals["facet"],
     )
+
+
+def _raise_unpaired(text, incidences, normals):
+    """Raise at the first line whose corner incidence repeats or has no
+    normal line, or whose normal has no incidence line.
+
+    Found only once the pairs are known not to match, so valid input keeps
+    no line per record.
+    """
+    listed = {kind: set(incidences[f"corner_{kind}"]) for kind in normals}
+    seen = set()
+    for ln, tok in _records(text):
+        if tok[0] == "incidence" and tok[1] != "ridge_facet":
+            kind = tok[1].removeprefix("corner_")
+            key = (int(tok[2]), int(tok[3]))
+            if (kind, key) in seen:
+                raise ParseError(
+                    f"duplicate corner-{kind} incidence pair {key}", ln
+                )
+            seen.add((kind, key))
+            if key not in normals[kind]:
+                raise ParseError(
+                    f"missing {kind} normal for incidence {key}", ln
+                )
+        elif tok[0] == "normal":
+            key = (int(tok[2]), int(tok[3]))
+            if key not in listed[tok[1]]:
+                raise ParseError(
+                    f"{tok[1]} normal without incidence: {key}", ln
+                )
 
 
 def serialize_plc(obj: StandardFormComplex | TraditionalFormComplex) -> str:

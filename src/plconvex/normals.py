@@ -670,8 +670,6 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
         num_corners=len(t.corners),
         num_ridges=len(t.ridges),
         num_facets=len(t.facets),
-        corner_ridge_pairs=cr,
-        corner_facet_pairs=cf,
         ridge_facet_pairs=rf,
         ridge_normals=ridge_normals,
         facet_normals=facet_normals,

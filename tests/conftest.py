@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -6,7 +7,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from plconvex import TraditionalFormComplex, to_standard
+from plconvex import (
+    FlatPass,
+    Inconsistent,
+    TraditionalFormComplex,
+    check_cone_convex,
+    reduce_to_3d,
+    to_standard,
+    validate_standard,
+    wheel_star,
+)
 
 CUBE_OFF = """OFF
 8 6 12
@@ -156,6 +166,45 @@ def csaszar_torus() -> TraditionalFormComplex:
         (-1, -2, 3), (1, 2, 3), (0, 0, 15),
     ]
     return polygonal_surface(verts, tris)
+
+
+def reversed_star(star):
+    """The same star with its rim walked the other way.
+
+    The start ridge stays first and the rest reverse, so facet i still
+    joins rim ridges i and i + 1.
+    """
+    return replace(
+        star,
+        rim_ridges=star.rim_ridges[:1] + star.rim_ridges[:0:-1],
+        rim_facets=star.rim_facets[::-1],
+        ridge_normals=star.ridge_normals[:1] + star.ridge_normals[:0:-1],
+        facet_normals=star.facet_normals[::-1],
+    )
+
+
+def local_outcome(star) -> str:
+    """The kind the driver gives a corner with this star."""
+    verdict = reduce_to_3d(star)
+    if isinstance(verdict, Inconsistent):
+        return "inconsistent"
+    if isinstance(verdict, FlatPass):
+        return "flat"
+    return "cone" if check_cone_convex(verdict.realization) else "non_convex_cone"
+
+
+def rim_flips(std):
+    """Corners whose local outcome changes when their rim is reversed.
+
+    Validates std first, so it needs a complex that validate_standard
+    accepts.
+    """
+    validate_standard(std)
+    stars = (wheel_star(std, corner) for corner in std.corners())
+    return [
+        star.corner.index for star in stars
+        if local_outcome(star) != local_outcome(reversed_star(star))
+    ]
 
 
 @pytest.fixture

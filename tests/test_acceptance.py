@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 import pytest
 
-from conftest import subdivided_cube, csaszar_torus
+from conftest import csaszar_torus, rim_flips, subdivided_cube
 from helpers_oracles import planar_star_tiles
 from plconvex import (
     Convex,
@@ -31,6 +31,7 @@ from plconvex import (
 from plconvex.exact import PlaneFrame
 from plconvex.formats import parse_plc, serialize_plc
 from plconvex.local import Inconsistent
+from plconvex.normals import derive_incidences
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
 from test_local import _random_planar_star, make_star
 
@@ -383,10 +384,7 @@ def test_criterion_6_exactness_robustness():
                 bad.append(("permute-corner-set", count))
             elif got.witness.index != min(i for i, _ in got_fails):
                 bad.append(("permute-witness", count))
-        std = to_standard(t)
-        fwd = check_convexity(std)
-        rev = check_convexity(std, reverse=True)
-        if fwd != rev:
+        if rim_flips(to_standard(t)):
             bad.append(("rim-reversal", count))
         if bad:
             break
@@ -395,6 +393,23 @@ def test_criterion_6_exactness_robustness():
         not bad,
         f"instances={count} first_failure={bad[:1]}",
     )
+
+
+def _grouped(pairs, rows):
+    out = [[] for _ in range(rows)]
+    for a, b in pairs:
+        out[a].append(b)
+    return out
+
+
+def test_converted_rows_follow_derive_incidences():
+    # The converted complex takes its corner rows from its normals' keys;
+    # they must be derive_incidences' pairs, grouped in the order listed.
+    for count, t in enumerate(_robustness_instances()):
+        std = to_standard(t)
+        cr, cf, _ = derive_incidences(t)
+        assert std.corner_ridges == _grouped(cr, len(t.corners)), count
+        assert std.corner_facets == _grouped(cf, len(t.corners)), count
 
 
 def test_criterion_7_form_equivalence():

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 from pathlib import Path
@@ -13,6 +17,7 @@ from conftest import (
     CUBE_OFF,
     csaszar_torus,
     cube_traditional,
+    rim_flips,
     tetrahedron_traditional,
 )
 from plconvex import (
@@ -25,6 +30,7 @@ from plconvex import (
 from plconvex.cli import main
 from plconvex.complexes import CellId
 from plconvex.formats import parse_off, parse_plc, serialize_off, serialize_plc
+from test_normals import _cyclic_polytope_4d
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,13 +123,103 @@ def test_exhaustive_invalid_standard_input(tmp_path, capsys):
     text = (DATA / "cube_standard.plc").read_text()
     assert "normal ridge 0 0 2 0 0\n" in text
     path = tmp_path / "bad.plc"
-    path.write_text(text.replace("normal ridge 0 0 2 0 0\n", "", 1))
+    path.write_text(text.replace("normal ridge 0 0 2 0 0\n",
+                                 "normal ridge 0 0 0 0 0\n", 1))
     code = main(["check", str(path), "--report", "json", "--exhaustive"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert payload["verdict"] == "invalid_input"
+    assert payload["reason"] == "bad ridge normal at (0, 0)"
     assert payload["corners_checked"] == 0
     assert "exhaustive" not in payload
+
+
+_HEADER = "plc 1\nform standard\nn 3\n"
+
+
+@pytest.mark.parametrize("body", [
+    "corners 0\nridges 1\nfacets 2\n"
+    "incidence ridge_facet 0 0\nincidence ridge_facet 0 1\n",
+    "corners 0\nridges 0\nfacets 1\n",
+])
+def test_complex_without_corners_exits_2(body, tmp_path, capsys):
+    # Neither is a closed surface.  The first is rejected by validation;
+    # the second declares a facet that no ridge-facet pair can fill, so
+    # it is rejected as the complex is built, before any report.
+    path = tmp_path / "empty.plc"
+    path.write_text(_HEADER + body)
+    code = main(["check", str(path), "--report", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    if "ridge_facet" in body:
+        payload = json.loads(out)
+        assert payload["verdict"] == "invalid_input"
+        assert payload["reason"] == "complex has no corners"
+    else:
+        assert err == ("error: bad facets count 1: want 0..0, the number "
+                       "of ridge-facet pairs\n")
+
+
+_LIMITED_CHECK = """\
+import resource, sys
+limit = 256 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from plconvex.cli import main
+sys.exit(main(["check", sys.argv[1], "--report", "json"]))
+"""
+
+
+@pytest.mark.parametrize("kind", ["corners", "ridges", "facets"])
+def test_huge_counts_exit_2_without_allocating(kind, tmp_path):
+    # A count of 10^11 in a six-line file.  Rows for it would need
+    # hundreds of gigabytes, so the child runs under a 256 MB address
+    # space limit: a build that allocates them fails here instead of
+    # exhausting the machine.
+    counts = {"corners": 0, "ridges": 0, "facets": 0, kind: 10**11}
+    path = tmp_path / "huge.plc"
+    path.write_text(_HEADER + "".join(f"{k} {v}\n" for k, v in counts.items()))
+    src = Path(plconvex.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHECK, str(path)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert child.returncode == 2, child.stderr
+    source = "ridge normals" if kind == "corners" else "ridge-facet pairs"
+    assert child.stderr == (
+        f"error: bad {kind} count {10**11}: want 0..0, the number of {source}\n"
+    )
+    assert elapsed < 2.0
+
+
+def _shuffled_normals(text, seed):
+    """text with its normal lines in a shuffled order, in their slots."""
+    lines = text.splitlines(keepends=True)
+    slots = [i for i, line in enumerate(lines) if line.startswith("normal ")]
+    moved = [lines[i] for i in slots]
+    random.Random(seed).shuffle(moved)
+    for i, line in zip(slots, moved):
+        lines[i] = line
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", ["cube_standard.plc", "cyclic_12_4.plc"])
+def test_normal_line_order_does_not_change_reports(name, tmp_path, capsys):
+    # Corner rows follow the normal lines, and validation puts each in rim
+    # order, so the order of the normal lines changes no report.
+    if name == "cube_standard.plc":
+        text = (DATA / name).read_text()
+    else:
+        text = serialize_plc(to_standard(_cyclic_polytope_4d(12)))
+    path = tmp_path / name
+    path.write_text(text)
+    expected = _reports(path, capsys)
+    shuffled = _shuffled_normals(text, seed=20)
+    assert shuffled != text
+    path.write_text(shuffled)
+    assert _reports(path, capsys) == expected
 
 
 def test_l_prism_reflex_corners_fail(capsys):
@@ -143,12 +239,10 @@ def test_l_prism_reflex_corners_fail(capsys):
     assert [e["index"] for e in entries if not e["passed"]] == [3, 9]
     assert all("reflex" in e["detail"] for e in entries if not e["passed"])
     std = to_standard(t)
-    for reverse in (False, True):
-        verdict = check_convexity(std, reverse=reverse)
-        assert verdict == NotConvex("inconsistent", CellId(0, 3))
-        failed = [r.corner.index for r in corner_report(std, reverse=reverse)
-                  if not r.passed]
-        assert failed == [3, 9]
+    assert check_convexity(std) == NotConvex("inconsistent", CellId(0, 3))
+    failed = [r.corner.index for r in corner_report(std) if not r.passed]
+    assert failed == [3, 9]
+    assert rim_flips(std) == []
 
 
 def _reports(path, capsys):
@@ -204,9 +298,8 @@ def test_double_octahedron_fails_at_its_apex(capsys):
     assert payload["witness"] == {"dim": 0, "index": 0}
     assert main(["oracle", str(path)]) == 1
     std = to_standard(parse_off(path.read_text()))
-    for reverse in (False, True):
-        verdict = check_convexity(std, reverse=reverse)
-        assert verdict == NotConvex("non_convex_cone", CellId(0, 0))
+    assert check_convexity(std) == NotConvex("non_convex_cone", CellId(0, 0))
+    assert rim_flips(std) == []
 
 
 @pytest.mark.parametrize("name, code, verdict", [
@@ -224,8 +317,8 @@ def test_bent_seam_digon(capsys, name, code, verdict):
     payload = json.loads(capsys.readouterr().out)
     assert payload["witness"] == (None if code == 0 else {"dim": 0, "index": 8})
     std = parse_plc(path.read_text())
-    for reverse in (False, True):
-        assert check_convexity(std, reverse=reverse) == verdict
+    assert check_convexity(std) == verdict
+    assert rim_flips(std) == []
 
 
 def test_exhaustive_text_shows_detail(tmp_path, capsys):

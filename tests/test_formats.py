@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,17 +132,89 @@ def test_golden_cube_standard_file():
     assert serialize_plc(std) == text
 
 
+def _cube_lines():
+    """The converted cube's standard-form text, as a list of lines."""
+    return serialize_plc(to_standard(cube_traditional())).splitlines()
+
+
+def _line(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _unpair(fault, lines):
+    """Put one incidence-normal fault into lines; return its line number
+    and message.  The cube's corner 0 has ridges 0, 1, 2 and facets
+    0, 2, 5."""
+    if fault == "duplicate ridge pair":
+        at = _line(lines, "incidence corner_ridge 0 1") + 1
+        lines.insert(at, lines[at - 1])
+        return at + 1, "duplicate corner-ridge incidence pair (0, 1)"
+    if fault == "duplicate facet pair":
+        lines.append(lines[_line(lines, "incidence corner_facet 3 4")])
+        return len(lines), "duplicate corner-facet incidence pair (3, 4)"
+    if fault == "missing ridge normal":
+        del lines[_line(lines, "normal ridge 0 2 ")]
+        at = _line(lines, "incidence corner_ridge 0 2")
+        return at + 1, "missing ridge normal for incidence (0, 2)"
+    if fault == "stray ridge normal":
+        lines.append("normal ridge 0 99 1 0 0")
+        return len(lines), "ridge normal without incidence: (0, 99)"
+    if fault == "stray facet normal":
+        at = _line(lines, "normal facet 1 0 ")
+        lines.insert(at, "normal facet 1 99 1 0 0")
+        return at + 1, "facet normal without incidence: (1, 99)"
+    raise AssertionError(fault)
+
+
+@pytest.mark.parametrize("fault", [
+    "duplicate ridge pair",
+    "duplicate facet pair",
+    "missing ridge normal",
+    "stray ridge normal",
+    "stray facet normal",
+])
+def test_unpaired_incidence_or_normal_names_its_line(fault):
+    lines = _cube_lines()
+    at, message = _unpair(fault, lines)
+    with pytest.raises(ParseError) as caught:
+        parse_plc("\n".join(lines) + "\n")
+    assert caught.value.line == at
+    assert str(caught.value) == f"line {at}: {message}"
+
+
 def test_plc_missing_normal_rejected():
-    std = to_standard(cube_traditional())
-    text = serialize_plc(std)
-    lines = [
-        line for line in text.splitlines()
-        if not line.startswith("normal facet 0 0 ")
-    ]
-    parsed = parse_plc("\n".join(lines))
-    verdict = check_convexity(parsed)
-    assert isinstance(verdict, InvalidInput)
-    assert "missing facet normal" in verdict.reason
+    lines = _cube_lines()
+    del lines[_line(lines, "normal facet 0 0 ")]
+    at = _line(lines, "incidence corner_facet 0 0") + 1
+    with pytest.raises(ParseError) as caught:
+        parse_plc("\n".join(lines))
+    assert str(caught.value) == (
+        f"line {at}: missing facet normal for incidence (0, 0)"
+    )
+
+
+@pytest.mark.parametrize("early, late", [
+    ("stray facet normal", "stray ridge normal"),
+    ("missing ridge normal", "duplicate facet pair"),
+])
+def test_first_unpaired_line_is_named(early, late):
+    # Of two faults the one on the earlier line is named, whatever its
+    # kind.  The later fault goes in first, so the early line stays put.
+    lines = _cube_lines()
+    _unpair(late, lines)
+    at, message = _unpair(early, lines)
+    with pytest.raises(ParseError, match=rf"^line {at}: {re.escape(message)}$"):
+        parse_plc("\n".join(lines) + "\n")
+
+
+def test_unpaired_lines_come_before_complex_faults():
+    # The declared counts and the range of the normals' keys are checked
+    # when the complex is built, after the pairing.
+    lines = _cube_lines()
+    lines[lines.index("corners 8")] = "corners 100000000000"
+    lines.append("normal ridge 99 0 1 0 0")
+    with pytest.raises(ParseError, match=r"^line \d+: ridge normal without"):
+        parse_plc("\n".join(lines) + "\n")
 
 
 def test_plc_duplicate_normal_rejected():
@@ -262,7 +335,12 @@ incidence corner_ridge 0 0
 
 normal ridge 0 0 1 0 0
 {row}
+incidence corner_ridge 0 1
 incidence corner_facet 0 0
+normal facet 0 0 0 0 1
+incidence ridge_facet 0 0
+incidence ridge_facet 1 0
+incidence ridge_facet 2 0
 """
 
 
@@ -287,4 +365,4 @@ def test_standard_form_rational_normal_parses_exactly():
     assert std.ridge_normals[(0, 1)] == (Fraction(1, 2), Fraction(-1, 4), 30)
     assert [type(x) for x in std.ridge_normals[(0, 1)]] == [Fraction, Fraction, int]
     assert std.ridge_normals[(0, 0)] == (1, 0, 0)
-    assert std.corner_ridges == [[0]] and std.corner_facets == [[0]]
+    assert std.corner_ridges == [[0, 1]] and std.corner_facets == [[0]]
