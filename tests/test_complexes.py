@@ -38,6 +38,28 @@ def test_validate_missing_ridge_facet_incidence(cube):
         validate_standard(std)
 
 
+def test_validate_rejects_missing_normal(cube):
+    # A normal's key is its incidence, so a complex built without the cube's
+    # facet normal (0, 0) lacks corner 0's incidence with facet 0 too; the
+    # closure check names it.  The parser names the missing normal line
+    # (test_formats.test_plc_missing_normal_rejected).
+    full = to_standard(cube)
+    facet_normals = dict(full.facet_normals)
+    del facet_normals[(0, 0)]
+    std = StandardFormComplex(
+        full.n, full.num_corners, full.num_ridges, full.num_facets,
+        [(r, f) for r, fs in enumerate(full.ridge_facets) for f in fs],
+        full.ridge_normals, facet_normals,
+    )
+    assert 0 not in std.corner_facets[0]
+    with pytest.raises(
+        InvalidInputError,
+        match=r"^incidence not closed: corner 0 on ridge \d+ but not on its "
+              r"facet 0$",
+    ):
+        validate_standard(std)
+
+
 def test_validate_rejects_pinched_vertex():
     # Two cones glued at a shared corner: the star's ridge-facet graph has
     # two disjoint cycles.  Build it directly in standard form.
