@@ -2,9 +2,10 @@
 
 Each golden file holds the exit code and the JSON report, without its
 `elapsed_seconds`, of `check` with and without `--exhaustive`, for every
-file in tests/data and for four surfaces rebuilt here: the cyclic polytope
-C(12, 4), its dent at vertex 5, an n = 5 hull from a fixed seed and its
-dent at vertex 0.  A change that must not alter any report keeps this test
+file in tests/data and for six surfaces rebuilt here: the cyclic polytope
+C(12, 4), its dent at vertex 5, and an n = 5 and an n = 6 hull from a
+fixed seed, each with its dent at vertex 0.  The n = 6 hull has 170
+corners, each with three non-pivot columns for the span check.  A change that must not alter any report keeps this test
 green.  A change that alters reports on purpose records them again with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -34,12 +35,18 @@ def _hull_n5():
     return gen_convex_surface(seed=3, n=5, num_points=12, coord_bound=20)
 
 
+def _hull_n6():
+    return gen_convex_surface(seed=3, n=6, num_points=10, coord_bound=20)
+
+
 GENERATED = {
     "cyclic_12_4.plc": lambda: _cyclic_polytope_4d(12),
     "cyclic_12_4_dent5.plc": lambda: dent(
         _cyclic_polytope_4d(12), 5, Fraction(3, 4)),
     "hull_n5_seed3.plc": _hull_n5,
     "hull_n5_seed3_dent0.plc": lambda: dent(_hull_n5(), 0, Fraction(3, 4)),
+    "hull_n6_seed3.plc": _hull_n6,
+    "hull_n6_seed3_dent0.plc": lambda: dent(_hull_n6(), 0, Fraction(3, 4)),
 }
 
 
