@@ -26,8 +26,6 @@ from .local import (
     FlatPass,
     Inconsistent,
     check_cone_convex,
-    is_folded,
-    predicate_P,
     reduce_to_3d,
 )
 from .normals import (
@@ -73,10 +71,8 @@ __all__ = [
     "facet_inner_direction_polygon",
     "facet_normal_simplicial",
     "gen_convex_surface",
-    "is_folded",
     "is_hull_boundary",
     "precheck_edge_count",
-    "predicate_P",
     "reduce_to_3d",
     "ridge_normal_simplicial",
     "to_standard",

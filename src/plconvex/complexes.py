@@ -9,10 +9,11 @@ the coordinate axes that carry it; all structure checks are combinatorial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import InvalidInputError
-from .exact import Vector, pivot_columns
+from .exact import Vector, in_span3, pivot_columns
 
 
 @dataclass(frozen=True, order=True)
@@ -64,7 +65,9 @@ class StandardFormComplex:
     The complex owns the ridge_normals and facet_normals dicts it is given
     (no copy is made), so callers hand over dicts they no longer change.
     At n >= 4, validate_standard fills corner_axes with three coordinate
-    axes per corner, on which wheel_star reads that corner's normals.
+    axes per corner, on which wheel_star reads that corner's normals: the
+    pivot columns of one echelon of the corner's normals, stopped at three
+    pivots, whose minors then prove the rank at most 3.
     """
 
     def __init__(
@@ -161,12 +164,14 @@ def validate_standard(complex: StandardFormComplex) -> None:
     nonzero n-vector, the incidence relation is closed (a corner on a ridge
     is on the ridge's facets), every corner's star walks as a single wheel
     with m >= 2, the normals at a corner span at most 3 dimensions
-    (automatic at n = 3), the complex has facets and corners, and the facet
-    adjacency graph is connected.  Each corner's corner_ridges and
-    corner_facets are left in the walk's rim order, which wheel_star reads.
-    At n >= 4 the one elimination of the span check also gives the corner's
-    axes: the pivot columns of its echelon, padded with the lowest other
-    columns up to three when the rank is below 3.
+    (automatic at n = 3), the complex has facets and corners, the facet
+    adjacency graph is connected, and the surface is closed (see
+    _check_closed).  Each corner's corner_ridges and corner_facets are left
+    in the walk's rim order, which wheel_star reads.  At n >= 4 one echelon
+    of each corner's normals, stopped at three pivots, gives the corner's
+    axes, and in_span3 proves the rank at most 3 from the three vectors it
+    kept (see _corner_axes).  The axes still come from the echelon that
+    chose them, so wheel_star's proof of exactness stands.
     """
     cx = complex
     for r in range(cx.num_ridges):
@@ -190,19 +195,34 @@ def validate_standard(complex: StandardFormComplex) -> None:
     for c in range(cx.num_corners):
         ridges, facets = cx.corner_ridges[c], cx.corner_facets[c]
         ridges[:], facets[:] = _walk_wheel(cx, c)
-        if cx.n == 3:  # length-3 normals cannot span 4 dimensions
-            continue
-        normals = [cx.ridge_normals[(c, r)] for r in ridges]
-        normals += [cx.facet_normals[(c, f)] for f in facets]
-        _, pivots = pivot_columns(normals, 4)
-        if len(pivots) > 3:
-            raise InvalidInputError(
-                f"normals at corner {c} span more than 3 dimensions"
-            )
-        axes.append((*pivots, *(k for k in range(cx.n) if k not in pivots))[:3])
+        if cx.n > 3:  # length-3 normals cannot span 4 dimensions
+            axes.append(_corner_axes(cx, c))
     cx.corner_axes = axes
 
     _check_connected(cx)
+    _check_closed(cx)
+
+
+def _corner_axes(cx: StandardFormComplex, c: int) -> tuple[int, int, int]:
+    """Corner c's three axes, from its normals in rim order (n >= 4).
+
+    The normals of validate_standard's complex are nonzero n-vectors.  One
+    echelon of corner c's normals, stopped at three pivots, gives the axes:
+    those pivot columns, padded with the lowest other columns up to three
+    when the rank is below 3.  With three pivots, in_span3 proves every
+    normal in their span from the basis's minors, four products per normal
+    and other column, or the rank exceeds 3.  The pivots are still the ones
+    the echelon chose, and the first three a longer scan would keep, so
+    wheel_star's proof of exactness stands.
+    """
+    normals = [cx.ridge_normals[(c, r)] for r in cx.corner_ridges[c]]
+    normals += [cx.facet_normals[(c, f)] for f in cx.corner_facets[c]]
+    basis, pivots = pivot_columns(normals, 3)
+    if len(pivots) == 3 and not in_span3(basis, pivots, normals):
+        raise InvalidInputError(
+            f"normals at corner {c} span more than 3 dimensions"
+        )
+    return (*pivots, *(k for k in range(cx.n) if k not in pivots))[:3]
 
 
 def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
@@ -214,6 +234,7 @@ def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
     """
     ridges = cx.corner_ridges[c]
     star = set(cx.corner_facets[c])
+    first, second = {}, {}  # the two star ridges on each facet
     for r in ridges:
         for f in cx.ridge_facets[r]:
             if f not in star:
@@ -221,6 +242,10 @@ def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
                     f"incidence not closed: corner {c} on ridge {r} "
                     f"but not on its facet {f}"
                 )
+            if f in first:
+                second[f] = r
+            else:
+                first[f] = r
     m = len(ridges)
     if m < 2:
         raise InvalidInputError(f"corner {c} has {m} ridges, expected >= 2")
@@ -228,13 +253,6 @@ def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
         raise InvalidInputError(
             f"corner {c} star has {m} ridges but {len(star)} facets"
         )
-    first, second = {}, {}  # the two star ridges on each facet
-    for r in ridges:
-        for f in cx.ridge_facets[r]:
-            if f in first:
-                second[f] = r
-            else:
-                first[f] = r
     if len(second) != m:
         ends = [f for r in ridges for f in cx.ridge_facets[r]]
         f = next(f for f in sorted(star) if ends.count(f) != 2)
@@ -275,12 +293,16 @@ def wheel_star(complex: StandardFormComplex, corner: CellId) -> WheelStar:
     validate_standard, and this is exact.  Each row of the echelon that
     chose the pivot columns is zero at the earlier pivots, so the minor on
     those columns is triangular with a nonzero diagonal: the projection is
-    linear and injective on the span of the corner's normals, and padding
-    columns keep it so.  Within one corner it therefore multiplies every
-    3x3 determinant of normals by one common nonzero factor, keeps which
-    normals are collinear and on which ray, and keeps each facet normal's
-    coefficients on its two ridge rays.  check_cone_convex, the wedge test
-    and the turning pass read only those facts and cannot see that sign.
+    linear and injective on the span of the vectors the echelon kept.
+    The echelon stops at three pivots: when it keeps three, in_span3 has
+    proved every normal of the corner in their span, and when it keeps
+    fewer it has scanned them all.  So the projection is injective on the
+    span of the corner's normals, and padding columns keep it so.  Within
+    one corner it therefore multiplies every 3x3 determinant of normals by
+    one common nonzero factor, keeps which normals are collinear and on
+    which ray, and keeps each facet normal's coefficients on its two ridge
+    rays.  check_cone_convex, the wedge test and the turning pass read only
+    those facts and cannot see that sign.
     """
     c = corner.index
     rim_r, rim_f = complex.corner_ridges[c], complex.corner_facets[c]
@@ -335,3 +357,79 @@ def _check_connected(cx: StandardFormComplex) -> None:
         raise InvalidInputError(
             "facet adjacency graph is disconnected (two surfaces glued?)"
         )
+
+
+def _check_closed(cx: StandardFormComplex) -> None:
+    """Raise unless the surface has no boundary, as far as the slice shows.
+
+    Every ridge lies on at least n - 1 corners, every facet on at least n
+    ridges, and at n = 3 each facet's ridges and corners form one cycle, so
+    each ridge lies on exactly 2 corners.  At n >= 4 the slice
+    P[n-3, n-2, n-1] has no (n-4)-faces, so only the counts can be checked.
+    Each check is linear in the incidences.
+
+    The cycle: the wheel walk has shown that each corner of a facet lies on
+    exactly two of its ridges, and closure that each of those ridges lies
+    only on corners of the facet.  With two corners per ridge the facet's
+    ridges and corners make a 2-regular graph, one cycle when a walk from
+    a ridge comes back to it after every ridge.  Three ridges cannot make
+    two cycles, so only facets with more are walked.
+    """
+    n = cx.n
+    on_ridge = [0] * cx.num_ridges
+    for rim in cx.corner_ridges:
+        for r in rim:
+            on_ridge[r] += 1
+    most = 2 if n == 3 else cx.num_corners
+    if min(on_ridge) < n - 1 or max(on_ridge) > most:
+        r, k = next((r, k) for r, k in enumerate(on_ridge)
+                    if not n - 1 <= k <= most)
+        want = 2 if n == 3 else f"at least {n - 1}"
+        raise InvalidInputError(
+            f"ridge {r} lies on {k} corners, expected {want}"
+        )
+    on_facet = [0] * cx.num_facets
+    for f, g in cx.ridge_facets:
+        on_facet[f] += 1
+        on_facet[g] += 1
+    if min(on_facet) < n:
+        f, k = next((f, k) for f, k in enumerate(on_facet) if k < n)
+        raise InvalidInputError(
+            f"facet {f} lies on {k} ridges, expected at least {n}"
+        )
+    if n > 3 or max(on_facet) == 3:
+        return
+    # Rim position p holds ridge ridges[p] at its corner, and facets[p],
+    # the facet between it and the next ridge of that rim, at nxt[p].
+    # Each ridge has two positions, one per corner, and mate[p] is the
+    # other one: an XOR of the two gives it from either.
+    ridges = list(chain.from_iterable(cx.corner_ridges))
+    facets = list(chain.from_iterable(cx.corner_facets))
+    nxt = list(range(1, len(ridges) + 1))
+    prv = list(range(-1, len(ridges) - 1))
+    end = 0
+    for rim in cx.corner_ridges:
+        start, end = end, end + len(rim)
+        nxt[end - 1], prv[start] = start, end - 1
+    pair = [0] * cx.num_ridges
+    for p, r in enumerate(ridges):
+        pair[r] ^= p
+    mate = [pair[r] ^ p for p, r in enumerate(ridges)]
+    # Walk facet f from one of its corners: leave by the ridge at e, take
+    # it to its other corner, where f lies after it (leave by the next
+    # ridge) or before it (leave by the previous one).
+    some = dict(zip(facets, range(len(facets))))
+    for f in range(cx.num_facets):
+        k = on_facet[f]
+        if k == 3:
+            continue
+        e = e0 = nxt[some[f]]
+        for steps in range(1, k + 1):
+            q = mate[e]
+            e = nxt[q] if facets[q] == f else prv[q]
+            if e == e0:
+                break
+        if steps != k:
+            raise InvalidInputError(
+                f"facet {f}'s ridges and corners form more than one cycle"
+            )

@@ -3,15 +3,14 @@
 Scalars are plain Python ints or fractions.Fraction; both are exact and mix
 freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
-operations the checker actually needs live here: orientation signs in a
-plane frame, same-ray tests, fraction-free echelon forms with their pivot
-columns, and quotients known to be exact.
+operations the checker actually needs live here: same-ray tests,
+fraction-free echelon forms with their pivot columns, a span test against
+three of those pivots, and quotients known to be exact.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroVector
@@ -63,10 +62,6 @@ def format_rational(x: Scalar) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def sign(x: Scalar) -> int:
-    return (x > 0) - (x < 0)
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -159,48 +154,37 @@ def pivot_columns(
     return tuple(basis), tuple(pivots)
 
 
-@dataclass(frozen=True)
-class PlaneFrame:
-    """An ordered pair of independent vectors fixing an oriented 2-subspace.
+def in_span3(basis, pivots, vectors) -> bool:
+    """True iff every vector lies in the span of the three basis vectors.
 
-    Orientation signs of in-plane pairs are computed division-free through a
-    nonsingular coordinate pair (pivot columns) found at construction.
+    pivots = (i, j, k) are columns on which the basis's 3x3 minor D is
+    nonzero, as pivot_columns returns them: its echelon rows are the basis
+    times a triangular matrix with a nonzero diagonal, so D is a nonzero
+    multiple of their triangular minor.  Some combination y of the
+    basis matches x on (i, j, k), and x is in the span iff x - y vanishes
+    on every other column l.  Expanding the 4x4 determinant of the basis
+    and x on columns (i, j, k, l) along x's row gives
+    x_l D - x_i M(j,k,l) + x_j M(i,k,l) - x_k M(i,j,l), with M the basis's
+    minors, and subtracting y from x's row shows it equals D (x - y)_l.
+    The minors are computed once; each vector then costs four products per
+    other column, in ring arithmetic only.
     """
+    i, j, k = pivots
+    a, b, c = basis
 
-    e1: Vector
-    e2: Vector
+    def minor(p, q, r):
+        return (a[p] * (b[q] * c[r] - b[r] * c[q])
+                - a[q] * (b[p] * c[r] - b[r] * c[p])
+                + a[r] * (b[p] * c[q] - b[q] * c[p]))
 
-    def __post_init__(self):
-        i = next((k for k, c in enumerate(self.e1) if c != 0), None)
-        if i is None:
-            raise ZeroVector("frame basis vector is zero")
-        j = None
-        for k in range(len(self.e1)):
-            if k == i:
-                continue
-            if self.e1[i] * self.e2[k] - self.e1[k] * self.e2[i] != 0:
-                j = k
-                break
-        if j is None:
-            raise ValueError("frame basis vectors are linearly dependent")
-        d = self.e1[i] * self.e2[j] - self.e1[j] * self.e2[i]
-        object.__setattr__(self, "_pi", i)
-        object.__setattr__(self, "_pj", j)
-        object.__setattr__(self, "_psign", sign(d))
-
-    def contains(self, v: Vector) -> bool:
-        """Exact membership test for span{e1, e2}."""
-        i, j = self._pi, self._pj
-        d = self.e1[i] * self.e2[j] - self.e1[j] * self.e2[i]
-        # Cramer numerators for v = alpha*e1 + beta*e2 on the pivot pair.
-        alpha = v[i] * self.e2[j] - v[j] * self.e2[i]
-        beta = self.e1[i] * v[j] - self.e1[j] * v[i]
-        return all(
-            v[k] * d == alpha * self.e1[k] + beta * self.e2[k]
-            for k in range(len(v))
-        )
-
-    def orient(self, a: Vector, b: Vector) -> int:
-        """Orientation sign of (a, b); caller guarantees both are in-plane."""
-        i, j = self._pi, self._pj
-        return sign(a[i] * b[j] - a[j] * b[i]) * self._psign
+    d = minor(i, j, k)
+    checks = [
+        (l, -minor(j, k, l), minor(i, k, l), -minor(i, j, l))
+        for l in range(len(a)) if l not in pivots
+    ]
+    for x in vectors:
+        xi, xj, xk = x[i], x[j], x[k]
+        for l, p, q, r in checks:
+            if x[l] * d + xi * p + xj * q + xk * r:
+                return False
+    return True

@@ -18,11 +18,6 @@ strictly inside the convex sector of its two ridge rays, and one winding
 rule decides the rim: it turns one way, an interior axis lies strictly
 inside every wedge plane, and the rim winds exactly once about that axis.
 All of it reads the signs of exact 3x3 determinants and dot products.
-
-predicate_P and is_folded are the paper's angle predicates for planar
-stars; the test itself does not call them.  Angle conventions: <v|u|w> is
-the plane angle with extreme rays v, w whose interior contains u.  All
-predicates work on exact rational vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from dataclasses import dataclass
 
 from .complexes import WheelStar
 from .errors import DegenerateCone, PreconditionViolated
-from .exact import PlaneFrame, Vector, dot, is_zero, same_ray
+from .exact import Vector, dot, is_zero
 
 
 @dataclass(frozen=True)
@@ -77,77 +72,6 @@ class Cone:
 
 
 LocalVerdict = Inconsistent | FlatPass | Cone
-
-
-# ---------------------------------------------------------------------------
-# Angle predicates
-# ---------------------------------------------------------------------------
-
-
-def _angles_equal(frame: PlaneFrame, v, u1, u2, w) -> bool:
-    """Sign recipe for P(v|u1,u2|w): do u1 and u2 pick the same angle?
-
-    Total on in-plane vectors.  For sgn[v,w] = 0 (v, w antiparallel) the
-    sign recipe degenerates and the angles-equal test becomes "u1, u2 on
-    the same side of line(v)", the unique continuous extension.
-    """
-    s = frame.orient(v, w)
-    if s == 0:
-        return frame.orient(v, u1) == frame.orient(v, u2)
-    in1 = frame.orient(u1, w) == s and frame.orient(v, u1) == s
-    in2 = frame.orient(u2, w) == s and frame.orient(v, u2) == s
-    return in1 == in2
-
-
-def _require_in_plane(frame: PlaneFrame, vectors) -> None:
-    for x in vectors:
-        if is_zero(x):
-            raise PreconditionViolated("zero vector in angle predicate")
-        if not frame.contains(x):
-            raise PreconditionViolated(f"vector {x} not in the frame plane")
-
-
-def predicate_P(v: Vector, u1: Vector, u2: Vector, w: Vector,
-                frame: PlaneFrame) -> bool:
-    """True iff the angles <v|u1|w> and <v|u2|w> coincide.
-
-    Preconditions: coplanar nonzero vectors, v and w on distinct rays, and
-    neither u_i on ray(v) or ray(w).
-    """
-    _require_in_plane(frame, (v, u1, u2, w))
-    if same_ray(v, w):
-        raise PreconditionViolated("v and w lie on the same ray")
-    for u in (u1, u2):
-        if same_ray(u, v) or same_ray(u, w):
-            raise PreconditionViolated("u_i lies on an extreme ray")
-    return _angles_equal(frame, v, u1, u2, w)
-
-
-def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
-              frame: PlaneFrame) -> bool:
-    """True iff the interiors of <a|b|c> and <c|d|e> intersect.
-
-    Preconditions: coplanar nonzero vectors, with a, b, c on pairwise
-    distinct rays and c, d, e on pairwise distinct rays.  A shared extreme
-    ray (a, e) is handled via P(c|b,d|a); otherwise the angles are disjoint
-    exactly when P(a|b,e|c) is false while P(c|d,e|a) and P(b|c,d|e) hold.
-    The inner P calls use the raw sign recipe; short-circuit order keeps
-    their arguments within the recipe's valid range.
-    """
-    _require_in_plane(frame, (a, b, c, d, e))
-    for x, y in ((a, b), (a, c), (b, c)):
-        if same_ray(x, y):
-            raise PreconditionViolated("a, b, c must span pairwise distinct rays")
-    for x, y in ((c, d), (c, e), (d, e)):
-        if same_ray(x, y):
-            raise PreconditionViolated("c, d, e must span pairwise distinct rays")
-    if same_ray(a, e):
-        return _angles_equal(frame, c, b, d, a)
-    return not (
-        not _angles_equal(frame, a, b, e, c)
-        and _angles_equal(frame, c, d, e, a)
-        and _angles_equal(frame, b, c, d, e)
-    )
 
 
 # ---------------------------------------------------------------------------

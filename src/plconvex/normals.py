@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul, sub
 
 from .complexes import StandardFormComplex
 from .errors import (
@@ -35,7 +36,6 @@ from .exact import (
     Scalar,
     Vector,
     as_exact,
-    dot,
     exact_quotient,
     is_zero,
     pivot_columns,
@@ -126,20 +126,22 @@ def orthogonal_components(xs, basis: list[Vector]) -> list[Vector]:
     G is the Gram matrix of the (independent) basis, so det(G) > 0 and each
     result lies on the ray of the true residual.  Integer input gives integer
     results; the factor is the same for every x, and one elimination of G
-    serves them all.
+    serves them all.  Each coordinate c of a residual is
+    det(G) x_c - sum(coeff * b_c), one comprehension over the basis's
+    columns.  The products pair entries without a length check: every x
+    and basis vector is a difference of two vertices, and
+    validate_traditional checks that every vertex has n coordinates.
     """
     if not basis:
         return list(xs)
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    rhs = [[dot(a, x) for a in basis] for x in xs]
+    gram = [[sum(map(mul, a, b)) for b in basis] for a in basis]
+    rhs = [[sum(map(mul, a, x)) for a in basis] for x in xs]
     det, coeffs = _adjugate_solve(gram, rhs)
-    out = []
-    for x, cs in zip(xs, coeffs):
-        w = tuple(det * c for c in x)
-        for coeff, b in zip(cs, basis):
-            w = vsub(w, tuple(coeff * c for c in b))
-        out.append(w)
-    return out
+    columns = list(zip(*basis))
+    return [
+        tuple(det * xc - sum(map(mul, cs, bc)) for xc, bc in zip(x, columns))
+        for x, cs in zip(xs, coeffs)
+    ]
 
 
 def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
@@ -602,13 +604,15 @@ def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
     flatness check: its pivots are the leading principal minors of the
     Gram matrix, all positive exactly when the corner's directions are
     independent, so a dependent corner raises here as not cellwise-flat.
+    The directions are vertex differences of equal length n, as
+    validate_traditional has checked for every vertex.
     """
     base = coords(corner[0])
-    basis = [vsub(coords(v), base) for v in corner[1:]]
+    basis = [tuple(map(sub, coords(v), base)) for v in corner[1:]]
     link = list(dict.fromkeys(
         v for cell in cells for v in cell if v not in corner
     ))
-    xs = [vsub(coords(v), base) for v in link]
+    xs = [tuple(map(sub, coords(v), base)) for v in link]
     try:
         residuals = orthogonal_components(xs, basis)
     except DegenerateCell:

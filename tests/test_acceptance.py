@@ -24,16 +24,15 @@ from plconvex import (
     check_convexity,
     check_traditional,
     corner_report,
-    is_folded,
     reduce_to_3d,
     to_standard,
 )
-from plconvex.exact import PlaneFrame
 from plconvex.formats import parse_plc, serialize_plc
 from plconvex.local import Inconsistent
 from plconvex.normals import derive_incidences
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
-from test_local import _random_planar_star, make_star
+from test_exact import PlaneFrame
+from test_local import _random_planar_star, is_folded, make_star
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

@@ -160,6 +160,44 @@ def test_complex_without_corners_exits_2(body, tmp_path, capsys):
                        "of ridge-facet pairs\n")
 
 
+def _one_corner_plc(ridge_facet, ridge_normals, facet_normals):
+    """A standard PLC file with one corner on every ridge and facet."""
+    lines = [f"corners 1\nridges {len(ridge_normals)}\n"
+             f"facets {len(facet_normals)}"]
+    lines += [f"incidence corner_ridge 0 {r}" for r in range(len(ridge_normals))]
+    lines += [f"incidence corner_facet 0 {f}" for f in range(len(facet_normals))]
+    lines += [f"incidence ridge_facet {r} {f}" for r, f in ridge_facet]
+    lines += [f"normal ridge 0 {r} " + " ".join(map(str, v))
+              for r, v in enumerate(ridge_normals)]
+    lines += [f"normal facet 0 {f} " + " ".join(map(str, v))
+              for f, v in enumerate(facet_normals)]
+    return _HEADER + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("body", [
+    # An open trihedral cone: facet i joins ridges i and i + 1.
+    _one_corner_plc(
+        [(0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+    # A digon star: ridges +-e1, both on facets +-e2.
+    _one_corner_plc(
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        [(1, 0, 0), (-1, 0, 0)],
+        [(0, 1, 0), (0, -1, 0)]),
+], ids=["trihedral_cone", "digon_star"])
+def test_open_one_corner_complex_exits_2(body, tmp_path, capsys):
+    # Every corner's star is one wheel, but each ridge ends at a single
+    # corner: the surface has a boundary, so it is invalid input.
+    path = tmp_path / "open.plc"
+    path.write_text(body)
+    code = main(["check", str(path), "--report", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["verdict"] == "invalid_input"
+    assert payload["reason"] == "ridge 0 lies on 1 corners, expected 2"
+
+
 _LIMITED_CHECK = """\
 import resource, sys
 limit = 256 * 2**20

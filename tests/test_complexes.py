@@ -202,6 +202,70 @@ def test_validate_rejects_rank4_normals():
         validate_standard(std)
 
 
+def _beach_ball(n, k):
+    """n - 1 corners, k ridges each on every corner, and k facets, facet i
+    on ridges i and i + 1: every corner's star is one wheel, but each facet
+    lies on two ridges."""
+    corners = n - 1
+    rf = [(i, (i - 1) % k) for i in range(k)] + [(i, i) for i in range(k)]
+    pad = (0,) * (n - 3)
+    rn = {(c, i): (1, i, 0) + pad for c in range(corners) for i in range(k)}
+    fn = {(c, i): (i, 1, 1) + pad for c in range(corners) for i in range(k)}
+    return StandardFormComplex(n, corners, k, k, rf, rn, fn)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_facet_on_too_few_ridges_is_rejected(n):
+    std = _beach_ball(n, 5)
+    with pytest.raises(InvalidInputError, match=(
+            f"^facet 0 lies on 2 ridges, expected at least {n}$")):
+        validate_standard(std)
+
+
+def test_open_star_in_r4_is_rejected():
+    # One corner of the cross-polytope's star, alone: each ridge lies on
+    # one corner where a closed surface in R^4 has at least three.
+    rf = [(i, (i - 1) % 4) for i in range(4)] + [(i, i) for i in range(4)]
+    u = [(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1)]
+    rn = {(0, i): v for i, v in enumerate(u)}
+    fn = {(0, i): tuple(a + b for a, b in zip(u[i], u[(i + 1) % 4]))
+          for i in range(4)}
+    std = StandardFormComplex(4, 1, 4, 4, rf, rn, fn)
+    with pytest.raises(InvalidInputError, match=(
+            "^ridge 0 lies on 1 corners, expected at least 3$")):
+        validate_standard(std)
+
+
+def test_facet_of_two_cycles_is_rejected(cube):
+    # The cube with two opposite faces given one facet index: every star is
+    # still one wheel, but that facet's ridges and corners make two squares.
+    std = to_standard(cube)
+    faces = [{c for c, f in std.facet_normals if f == g} for g in range(6)]
+    g = next(g for g in range(1, 6) if not faces[0] & faces[g])
+    relabel = {f: f - (f > g) for f in range(6)}
+    relabel[g] = 0
+    rf = [(r, relabel[f]) for r in range(12) for f in std.ridge_facets[r]]
+    fn = {(c, relabel[f]): v for (c, f), v in std.facet_normals.items()}
+    merged = StandardFormComplex(3, 8, 12, 5, rf, std.ridge_normals, fn)
+    with pytest.raises(InvalidInputError, match=(
+            "^facet 0's ridges and corners form more than one cycle$")):
+        validate_standard(merged)
+
+
+def test_ridge_on_three_corners_is_rejected_at_n3():
+    # Ridges 0 and 1 lie on corners 0, 1 and 2, ridges 2 and 3 on corners 3
+    # and 4, and every ridge on facets 0 and 1: each corner's star is a
+    # digon, and each facet lies on four ridges.
+    rf = [(r, f) for r in range(4) for f in (0, 1)]
+    on = {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (2, 3), 4: (2, 3)}
+    rn = {(c, r): (1 - 2 * (r % 2), 0, 0) for c, rs in on.items() for r in rs}
+    fn = {(c, f): (0, 1 - 2 * f, 0) for c in on for f in (0, 1)}
+    std = StandardFormComplex(3, 5, 4, 2, rf, rn, fn)
+    with pytest.raises(InvalidInputError, match=(
+            "^ridge 0 lies on 3 corners, expected 2$")):
+        validate_standard(std)
+
+
 def test_validate_rejects_disconnected(cube):
     # Two disjoint cubes in one container: every local test would pass, so
     # connectivity must be rejected up front.
@@ -283,7 +347,10 @@ def test_wheel_star_digon():
         ridge_normals={(0, 0): (1, 0, 0), (0, 1): (0, 1, 0)},
         facet_normals={(0, 0): (1, 1, 0), (0, 1): (-1, -1, 0)},
     )
-    validate_standard(std)
+    # The complex is open (each ridge has one corner), so only its one
+    # corner is walked, by the walk validate_standard runs per corner.
+    rows = plconvex.complexes._walk_wheel(std, 0)
+    std.corner_ridges[0][:], std.corner_facets[0][:] = rows
     star = wheel_star(std, std.corner_id(0))
     assert star.m == 2
     assert star.rim_ridges == (0, 1)

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,67 @@ import pytest
 from helpers_oracles import det3
 from plconvex.errors import ZeroVector
 from plconvex.exact import (
-    PlaneFrame,
+    Vector,
     _multiple_pivot,
     as_exact,
     exact_quotient,
     format_rational,
+    in_span3,
     parse_rational,
     pivot_columns,
     same_ray,
-    sign,
 )
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@dataclass(frozen=True)
+class PlaneFrame:
+    """An ordered pair of independent vectors fixing an oriented 2-subspace.
+
+    Orientation signs of in-plane pairs are computed division-free through a
+    nonsingular coordinate pair (pivot columns) found at construction.
+    """
+
+    e1: Vector
+    e2: Vector
+
+    def __post_init__(self):
+        i = next((k for k, c in enumerate(self.e1) if c != 0), None)
+        if i is None:
+            raise ZeroVector("frame basis vector is zero")
+        j = None
+        for k in range(len(self.e1)):
+            if k == i:
+                continue
+            if self.e1[i] * self.e2[k] - self.e1[k] * self.e2[i] != 0:
+                j = k
+                break
+        if j is None:
+            raise ValueError("frame basis vectors are linearly dependent")
+        d = self.e1[i] * self.e2[j] - self.e1[j] * self.e2[i]
+        object.__setattr__(self, "_pi", i)
+        object.__setattr__(self, "_pj", j)
+        object.__setattr__(self, "_psign", sign(d))
+
+    def contains(self, v: Vector) -> bool:
+        """Exact membership test for span{e1, e2}."""
+        i, j = self._pi, self._pj
+        d = self.e1[i] * self.e2[j] - self.e1[j] * self.e2[i]
+        # Cramer numerators for v = alpha*e1 + beta*e2 on the pivot pair.
+        alpha = v[i] * self.e2[j] - v[j] * self.e2[i]
+        beta = self.e1[i] * v[j] - self.e1[j] * v[i]
+        return all(
+            v[k] * d == alpha * self.e1[k] + beta * self.e2[k]
+            for k in range(len(v))
+        )
+
+    def orient(self, a: Vector, b: Vector) -> int:
+        """Orientation sign of (a, b); caller guarantees both are in-plane."""
+        i, j = self._pi, self._pj
+        return sign(a[i] * b[j] - a[j] * b[i]) * self._psign
 
 
 class NotInPlane(Exception):
@@ -225,3 +277,88 @@ def test_parse_rational_caps_decimal_exponent():
     # A malformed exponent keeps Fraction's own message.
     with pytest.raises(ValueError, match="Invalid literal for Fraction"):
         parse_rational("1e5e5")
+
+
+def _random_span_set(rng, n):
+    """Integer n-vectors spanning 1 to 4 dimensions, with entries from a few
+    bits up to 2^200, repeats, zero vectors, and sometimes one vector whose
+    only escape from the span of the others is in the last coordinate."""
+    rank = rng.randint(1, 4)
+    bits = rng.choice((3, 20, 64, 200))
+    base = [tuple(rng.randint(-2**bits, 2**bits) for _ in range(n))
+            for _ in range(rank)]
+    vectors = []
+    for _ in range(rng.randint(1, 10)):
+        coeffs = [rng.randint(-3, 3) for _ in base]
+        vectors.append(tuple(sum(c * b[i] for c, b in zip(coeffs, base))
+                             for i in range(n)))
+    vectors += rng.sample(base, rank)
+    for _ in range(rng.randint(0, 2)):
+        vectors.insert(rng.randrange(len(vectors) + 1), rng.choice(
+            (vectors[rng.randrange(len(vectors))], (0,) * n)))
+    if rng.random() < 0.3:
+        v = list(rng.choice(vectors))
+        v[-1] += rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+        vectors.insert(rng.randrange(len(vectors) + 1), tuple(v))
+    return vectors
+
+
+def test_in_span3_matches_four_pivot_echelon():
+    # in_span3 on the first three pivots agrees with "an echelon stopped at
+    # four pivots keeps four vectors", the span check it replaces.
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(4000):
+        n = rng.randint(4, 8)
+        vectors = _random_span_set(rng, n)
+        basis, pivots = pivot_columns(vectors, 3)
+        want = len(pivot_columns(vectors, 4)[0]) < 4
+        got = len(pivots) < 3 or in_span3(basis, pivots, vectors)
+        assert got == want, vectors
+        seen.add(len(pivot_columns(vectors, 4)[0]))
+        if not got and n > 4 and n - 1 not in pivots and in_span3(
+                [b[:-1] for b in basis], pivots, [v[:-1] for v in vectors]):
+            # Only the last of two or more other columns leaves the span.
+            seen.add("last column only")
+    assert seen == {1, 2, 3, 4, "last column only"}
+
+
+def test_in_span3_checks_every_other_column():
+    # Only the last of three non-pivot columns leaves the span.
+    basis = ((1, 0, 0, 5, 7, 11), (0, 1, 0, 2, 3, 4), (0, 0, 1, 1, 1, 1))
+    inside = (2, 3, 4, 20, 27, 38)
+    assert pivot_columns(basis, 3) == (basis, (0, 1, 2))
+    assert in_span3(basis, (0, 1, 2), [*basis, inside, (0,) * 6])
+    assert not in_span3(basis, (0, 1, 2), [inside[:5] + (39,)])
+    assert not in_span3(basis, (0, 1, 2), [inside, (0, 0, 0, 0, 0, 1)])
+
+
+def _n4_plus_surfaces():
+    from conftest import simplex_boundary
+    from plconvex.oracle import dent
+    from test_normals import _cross_polytope, _cyclic_polytope_4d
+
+    yield _cyclic_polytope_4d(12)
+    yield dent(_cyclic_polytope_4d(12), 5, Fraction(3, 4))
+    for n in range(4, 9):
+        yield _cross_polytope(n)
+        yield simplex_boundary(n)
+
+
+def test_corner_axes_are_the_four_pivot_echelons_first_three():
+    # The span check stops its echelon at three pivots; the axes it leaves
+    # are the first three pivots of an echelon allowed a fourth, over the
+    # corner's normals in rim order.
+    from plconvex.complexes import validate_standard
+    from plconvex.normals import to_standard
+
+    for t in _n4_plus_surfaces():
+        std = to_standard(t)
+        validate_standard(std)
+        assert len(std.corner_axes) == std.num_corners
+        for c, axes in enumerate(std.corner_axes):
+            normals = [std.ridge_normals[(c, r)] for r in std.corner_ridges[c]]
+            normals += [std.facet_normals[(c, f)]
+                        for f in std.corner_facets[c]]
+            pivots = pivot_columns(normals, 4)[1]
+            assert len(pivots) == 3 and axes == pivots, (t.n, c)

@@ -31,20 +31,18 @@ from plconvex.complexes import (
     wheel_star,
 )
 from plconvex.errors import DegenerateCone, InvalidInputError, PreconditionViolated
-from plconvex.exact import PlaneFrame, _multiple_pivot, dot
+from plconvex.exact import Vector, _multiple_pivot, dot, is_zero, same_ray
 from plconvex.local import (
     Cone,
     ConeRealization3D,
     FlatPass,
     Inconsistent,
     check_cone_convex,
-    is_folded,
-    predicate_P,
     reduce_to_3d,
 )
 from plconvex.normals import to_standard
 from plconvex.oracle import dent, gen_convex_surface
-from test_exact import rank_le3
+from test_exact import PlaneFrame, rank_le3
 
 FRAME2 = PlaneFrame((1, 0), (0, 1))
 
@@ -61,11 +59,13 @@ def make_star(ridge_normals, facet_normals) -> WheelStar:
 
 
 def _complex_star(ridge_normals, facet_normals) -> WheelStar:
-    """wheel_star of a validated one-corner complex with these normals.
+    """wheel_star of a one-corner complex with these normals.
 
     Ridge i joins facets i - 1 and i, so the rim runs ridge 0, facet 0,
-    ridge 1, ... as in make_star.  At n >= 4 the star holds the normals' coordinates on the axes
-    validate_standard picked for the corner.
+    ridge 1, ... as in make_star.  Such a complex is open, which
+    validate_standard rejects, so its one corner is walked and given axes
+    by the steps validate_standard runs per corner: at n >= 4 the star
+    holds the normals' coordinates on the axes picked for the corner.
     """
     m = len(ridge_normals)
     std = StandardFormComplex(
@@ -74,13 +74,16 @@ def _complex_star(ridge_normals, facet_normals) -> WheelStar:
         {(0, i): tuple(v) for i, v in enumerate(ridge_normals)},
         {(0, i): tuple(v) for i, v in enumerate(facet_normals)},
     )
-    validate_standard(std)
+    rows = plconvex.complexes._walk_wheel(std, 0)
+    std.corner_ridges[0][:], std.corner_facets[0][:] = rows
+    if std.n > 3:
+        std.corner_axes = [plconvex.complexes._corner_axes(std, 0)]
     return wheel_star(std, std.corner_id(0))
 
 
 def _star_in(lift, ridge_normals, facet_normals) -> WheelStar:
     """make_star at n = 3 (lift is list); a lifted star goes through
-    _complex_star, whose validation rejects a zero normal."""
+    _complex_star."""
     if lift is list:
         return make_star(ridge_normals, facet_normals)
     return _complex_star(lift(ridge_normals), lift(facet_normals))
@@ -93,6 +96,83 @@ def star_passes(star) -> bool:
     if isinstance(verdict, FlatPass):
         return True
     return check_cone_convex(verdict.realization)
+
+
+# ---------------------------------------------------------------------------
+# The paper's angle predicates for planar stars
+# ---------------------------------------------------------------------------
+#
+# Angle conventions: <v|u|w> is the plane angle with extreme rays v, w whose
+# interior contains u.  All predicates work on exact rational vectors.  The
+# local test does not call them; they stay here, with their tests, as the
+# paper states them.
+
+
+def _angles_equal(frame: PlaneFrame, v, u1, u2, w) -> bool:
+    """Sign recipe for P(v|u1,u2|w): do u1 and u2 pick the same angle?
+
+    Total on in-plane vectors.  For sgn[v,w] = 0 (v, w antiparallel) the
+    sign recipe degenerates and the angles-equal test becomes "u1, u2 on
+    the same side of line(v)", the unique continuous extension.
+    """
+    s = frame.orient(v, w)
+    if s == 0:
+        return frame.orient(v, u1) == frame.orient(v, u2)
+    in1 = frame.orient(u1, w) == s and frame.orient(v, u1) == s
+    in2 = frame.orient(u2, w) == s and frame.orient(v, u2) == s
+    return in1 == in2
+
+
+def _require_in_plane(frame: PlaneFrame, vectors) -> None:
+    for x in vectors:
+        if is_zero(x):
+            raise PreconditionViolated("zero vector in angle predicate")
+        if not frame.contains(x):
+            raise PreconditionViolated(f"vector {x} not in the frame plane")
+
+
+def predicate_P(v: Vector, u1: Vector, u2: Vector, w: Vector,
+                frame: PlaneFrame) -> bool:
+    """True iff the angles <v|u1|w> and <v|u2|w> coincide.
+
+    Preconditions: coplanar nonzero vectors, v and w on distinct rays, and
+    neither u_i on ray(v) or ray(w).
+    """
+    _require_in_plane(frame, (v, u1, u2, w))
+    if same_ray(v, w):
+        raise PreconditionViolated("v and w lie on the same ray")
+    for u in (u1, u2):
+        if same_ray(u, v) or same_ray(u, w):
+            raise PreconditionViolated("u_i lies on an extreme ray")
+    return _angles_equal(frame, v, u1, u2, w)
+
+
+def is_folded(a: Vector, b: Vector, c: Vector, d: Vector, e: Vector,
+              frame: PlaneFrame) -> bool:
+    """True iff the interiors of <a|b|c> and <c|d|e> intersect.
+
+    Preconditions: coplanar nonzero vectors, with a, b, c on pairwise
+    distinct rays and c, d, e on pairwise distinct rays.  A shared extreme
+    ray (a, e) is handled via P(c|b,d|a); otherwise the angles are disjoint
+    exactly when P(a|b,e|c) is false while P(c|d,e|a) and P(b|c,d|e) hold.
+    The inner P calls use the raw sign recipe; short-circuit order keeps
+    their arguments within the recipe's valid range.
+    """
+    _require_in_plane(frame, (a, b, c, d, e))
+    for x, y in ((a, b), (a, c), (b, c)):
+        if same_ray(x, y):
+            raise PreconditionViolated("a, b, c must span pairwise distinct rays")
+    for x, y in ((c, d), (c, e), (d, e)):
+        if same_ray(x, y):
+            raise PreconditionViolated("c, d, e must span pairwise distinct rays")
+    if same_ray(a, e):
+        return _angles_equal(frame, c, b, d, a)
+    return not (
+        not _angles_equal(frame, a, b, e, c)
+        and _angles_equal(frame, c, d, e, a)
+        and _angles_equal(frame, b, c, d, e)
+    )
+
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1135,7 @@ def _reduce_counting(monkeypatch, stars):
     a normal's coordinate, both per corner-ridge incidence, and the verdict
     kinds."""
     calls = []
-    for name in ("_multiple_pivot", "pivot_columns", "PlaneFrame"):
+    for name in ("_multiple_pivot", "pivot_columns"):
         helper = getattr(plconvex.exact, name)
 
         def counting(*args, _helper=helper):
@@ -1064,6 +1144,17 @@ def _reduce_counting(monkeypatch, stars):
 
         monkeypatch.setattr(plconvex.exact, name, counting)
         monkeypatch.setattr(plconvex.local, name, counting, raising=False)
+    # The plane frame lives in the tests: no plconvex module can build one
+    # except through this class, whose constructions are counted too.
+    assert not any(hasattr(module, "PlaneFrame")
+                   for module in (plconvex.exact, plconvex.local))
+    init = PlaneFrame.__post_init__
+
+    def counting_frame(self):
+        calls.append(None)
+        init(self)
+
+    monkeypatch.setattr(PlaneFrame, "__post_init__", counting_frame)
     stars = [
         make_star(
             [tuple(map(_CountingInt, v)) for v in s.ridge_normals],
@@ -1139,6 +1230,42 @@ def test_products_per_incidence_do_not_grow_with_m(monkeypatch, m):
             monkeypatch, [make_star(u, f)])
         assert (calls, kinds) == (0.0, {kind})
         assert products <= bound
+
+
+# check_cone_convex's products, read off its code: 9 for each rim triple the
+# search for a strict turn tries (a cross product and a dot), 18 to set up
+# the axis c (3), w = c x p_0 (6), the first wedge normal (6) and h (3),
+# and 16 per rim point in the pass (the turn s.(e.d), 4; the next wedge
+# normal, 6; e.c, 3; w.d, 3).  With t triples tried, 1 <= t <= m, that is
+# 16m + 9t + 18 <= 25m + 18: at most 31 per rim point for m >= 3, whatever
+# m is, and exactly 16m + 27 when the first triple turns.
+def _cone_products(rim):
+    from test_normals import _Counted
+
+    cone = ConeRealization3D(tuple(tuple(map(_Counted, p)) for p in rim))
+    _Counted.products = 0
+    convex = check_cone_convex(cone)
+    return convex, _Counted.products
+
+
+@pytest.mark.parametrize("size", [4, 16, 128])
+def test_cone_check_products_per_rim_point(size):
+    # A lens between two parabola arcs, every turn strict, m = 4 size + 2.
+    lens = [(i, i * i - size * size - 1, -9) for i in range(-size, size + 1)]
+    lens += [(-x, -y, z) for x, y, z in lens]
+    m = len(lens)
+    convex, products = _cone_products(lens)
+    assert convex and products == 16 * m + 27
+    # A square, each edge cut into size pieces, entered mid-edge: the
+    # search tries the turns from the middle of an edge to its end.
+    k = size
+    square = [(k - 2 * i, k, -k) for i in range(k)]
+    square += [(-y, x, z) for x, y, z in square]
+    square += [(-x, -y, z) for x, y, z in square]
+    m = len(square)
+    convex, products = _cone_products(square[k // 2:] + square[:k // 2])
+    assert convex and products == 16 * m + 9 * (k - k // 2 + 2) + 18
+    assert products <= 25 * m + 18
 
 
 # ---------------------------------------------------------------------------
@@ -1394,3 +1521,62 @@ def test_one_elimination_per_corner_n4(monkeypatch, dented):
     assert all(
         len(v) == 3 for s in stars for v in s.ridge_normals + s.facet_normals
     )
+
+
+# The n >= 4 span check of one corner, read off _corner_axes: the echelon
+# stops at three pivots, and when the first three normals are independent
+# it reduces the second against one row and the third against two, 2n
+# products per row (6n); in_span3 takes 9 for each 3x3 minor, D and three
+# per other column (9 + 27(n - 3)), then 4 per normal and other column.
+def _span_products_bound(n, normals):
+    return 6 * n + 9 + 27 * (n - 3) + 4 * (n - 3) * normals
+
+
+def _counted_span_check(std, c):
+    """Products of corner c's span check, its rows walked into rim order
+    first as validate_standard walks them."""
+    from test_normals import _Counted
+
+    rows = plconvex.complexes._walk_wheel(std, c)
+    std.corner_ridges[c][:], std.corner_facets[c][:] = rows
+    for normals in (std.ridge_normals, std.facet_normals):
+        for key in [key for key in normals if key[0] == c]:
+            normals[key] = tuple(map(_Counted, normals[key]))
+    _Counted.products = 0
+    plconvex.complexes._corner_axes(std, c)
+    return _Counted.products
+
+
+@pytest.mark.parametrize("m", [8, 64, 512])
+@pytest.mark.parametrize("n", [4, 7])
+def test_span_check_products_per_normal(n, m):
+    # A cone star of m ridges in R^n: the products per corner stay within
+    # a fixed number plus 4(n - 3) per normal, whatever m is.
+    lens = [(i, i * i - m * m, -9) for i in range(-m // 4, m // 4)]
+    lens += [(-x, -y, z) for x, y, z in lens]  # strictly convex, m points
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (2, -1, 5),
+            (0, 3, -1), (4, 1, 1)][:n]
+
+    def lift(vectors):
+        return [tuple(dot(row, v) for row in rows) for v in vectors]
+
+    u = lift(lens)
+    f = lift([tuple(map(sum, zip(a, b)))
+              for a, b in zip(lens, lens[1:] + lens[:1])])
+    assert rank_le3(u[:3])[0] == 3 and len(u) == m
+    std = StandardFormComplex(
+        n, 1, m, m,
+        [(i, (i - 1) % m) for i in range(m)] + [(i, i) for i in range(m)],
+        dict(zip(((0, i) for i in range(m)), u)),
+        dict(zip(((0, i) for i in range(m)), f)),
+    )
+    assert _counted_span_check(std, 0) <= _span_products_bound(n, 2 * m)
+
+
+def test_span_check_products_on_cyclic_polytope():
+    from test_normals import _cyclic_polytope_4d
+
+    std = to_standard(_cyclic_polytope_4d(12))
+    for c in range(std.num_corners):
+        normals = 2 * len(std.corner_ridges[c])
+        assert _counted_span_check(std, c) <= _span_products_bound(4, normals)

@@ -37,14 +37,7 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.checker import check_complex
-from plconvex.exact import (
-    PlaneFrame,
-    _multiple_pivot,
-    dot,
-    same_ray,
-    sign,
-    vsub,
-)
+from plconvex.exact import _multiple_pivot, dot, same_ray, vsub
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
@@ -55,7 +48,7 @@ from plconvex.normals import (
 )
 from plconvex.formats import parse_off
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
-from test_exact import collinearity_coefficient, rank_le3
+from test_exact import PlaneFrame, collinearity_coefficient, rank_le3, sign
 
 DATA = Path(__file__).parent / "data"
 
