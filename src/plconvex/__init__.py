@@ -6,8 +6,8 @@ from .checker import (
     InvalidInput,
     NotConvex,
     Verdict,
+    check_complex,
     check_convexity,
-    check_traditional,
     corner_report,
     precheck_edge_count,
 )
@@ -22,7 +22,6 @@ from .complexes import (
 )
 from .local import (
     Cone,
-    ConeRealization3D,
     FlatPass,
     Inconsistent,
     check_cone_convex,
@@ -30,9 +29,6 @@ from .local import (
 )
 from .normals import (
     TraditionalFormComplex,
-    facet_inner_direction_polygon,
-    facet_normal_simplicial,
-    ridge_normal_simplicial,
     to_standard,
 )
 from .oracle import (
@@ -48,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellId",
     "Cone",
-    "ConeRealization3D",
     "Convex",
     "CornerResult",
     "FaceCounts",
@@ -63,18 +58,15 @@ __all__ = [
     "WheelStar",
     "brute_hull_supports",
     "check_cone_convex",
+    "check_complex",
     "check_convexity",
-    "check_traditional",
     "corner_report",
     "dent",
     "face_counts",
-    "facet_inner_direction_polygon",
-    "facet_normal_simplicial",
     "gen_convex_surface",
     "is_hull_boundary",
     "precheck_edge_count",
     "reduce_to_3d",
-    "ridge_normal_simplicial",
     "to_standard",
     "validate_standard",
     "wheel_star",

@@ -18,8 +18,6 @@ from .errors import InvalidInputError
 from .local import FlatPass, Inconsistent, check_cone_convex, reduce_to_3d
 from .normals import TraditionalFormComplex, to_standard
 
-INCONSISTENT = "inconsistent"
-NON_CONVEX_CONE = "non_convex_cone"
 EDGE_COUNT_EXCEEDED = "edge_count_exceeded"
 
 
@@ -58,18 +56,21 @@ def _corner_results(complex: StandardFormComplex) -> Iterator[CornerResult]:
             yield CornerResult(corner, False, "inconsistent", verdict.reason)
         elif isinstance(verdict, FlatPass):
             yield CornerResult(corner, True, "flat")
-        elif check_cone_convex(verdict.realization):
+        elif check_cone_convex(verdict.rim):
             yield CornerResult(corner, True, "cone")
         else:
             yield CornerResult(corner, False, "non_convex_cone")
 
 
 def _verdict_of(results: Iterable[CornerResult]) -> Verdict:
-    """NotConvex at the first failing result, else Convex; stops there."""
+    """NotConvex at the first failing result, else Convex; stops there.
+
+    A failing result's kind, "inconsistent" or "non_convex_cone", is the
+    verdict's reason.
+    """
     for r in results:
         if not r.passed:
-            reason = INCONSISTENT if r.kind == "inconsistent" else NON_CONVEX_CONE
-            return NotConvex(reason=reason, witness=r.corner)
+            return NotConvex(reason=r.kind, witness=r.corner)
     return Convex()
 
 
@@ -144,17 +145,19 @@ class CheckRun:
 def check_complex(
     obj: TraditionalFormComplex | StandardFormComplex,
     exhaustive: bool = False,
-    precheck: bool = True,
 ) -> CheckRun:
     """The pipeline for either input form: precheck, convert, check.
 
-    The R^3 edge-count precheck applies to traditional input and decides
-    with zero corners checked.  With exhaustive, every corner is tested once
-    and the verdict (witness included) is read off that single report.
+    This is the library's one entry, and the CLI's.  The R^3 edge-count
+    precheck always runs on traditional input, before any geometry: it
+    keeps the cost at n = 3 linear in the vertices, and a surface it
+    rejects decides with zero corners checked.  With exhaustive, every
+    corner is tested once and the verdict (witness included) is read off
+    that single report.
     """
     if isinstance(obj, TraditionalFormComplex):
         try:
-            if obj.n == 3 and precheck:
+            if obj.n == 3:
                 pre = precheck_edge_count(obj)
                 if isinstance(pre, NotConvex):
                     return CheckRun(pre)
@@ -171,14 +174,3 @@ def check_complex(
         return CheckRun(InvalidInput(str(exc)), std)
     return CheckRun(_verdict_of(results), std, results)
 
-
-def check_traditional(
-    t: TraditionalFormComplex, precheck: bool = True
-) -> tuple[Verdict, int]:
-    """Full pipeline for traditional input: precheck, convert, check.
-
-    Returns (verdict, corners_checked).  The precheck applies to R^3 input
-    and short-circuits with zero corners checked.
-    """
-    run = check_complex(t, precheck=precheck)
-    return run.verdict, run.corners_checked

@@ -24,10 +24,6 @@ class ParseError(PLConvexError):
         super().__init__(message)
 
 
-class ZeroVector(PLConvexError):
-    """An operation received the zero vector where a direction was required."""
-
-
 class PreconditionViolated(PLConvexError):
     """Arguments of an angle predicate violate its stated preconditions."""
 

@@ -3,17 +3,15 @@
 Scalars are plain Python ints or fractions.Fraction; both are exact and mix
 freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
-operations the checker actually needs live here: same-ray tests,
-fraction-free echelon forms with their pivot columns, a span test against
-three of those pivots, and quotients known to be exact.
+operations the checker actually needs live here: fraction-free echelon
+forms with their pivot columns, a span test against three of those
+pivots, and quotients known to be exact.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-
-from .errors import ZeroVector
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -64,43 +62,12 @@ def format_rational(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def dot(u: Vector, v: Vector) -> Scalar:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def is_zero(u: Vector) -> bool:
-    return not any(u)
-
-
-def _multiple_pivot(v: Vector, w: Vector) -> int | None:
-    """Pivot index of v (its first nonzero entry) if w is a multiple of v.
-
-    Returns None when w is not a multiple; raises ZeroVector for v == 0.
-    The cross-multiplied comparison keeps everything division-free.
-    """
-    pivot = next((i for i, c in enumerate(v) if c != 0), None)
-    if pivot is None:
-        raise ZeroVector("collinearity against the zero vector")
-    vp = v[pivot]
-    wp = w[pivot]
-    for a, b in zip(v, w, strict=True):
-        if a * wp != b * vp:
-            return None
-    return pivot
-
-
-def same_ray(v: Vector, w: Vector) -> bool:
-    """True iff w = lambda * v with lambda > 0 (both nonzero)."""
-    pivot = _multiple_pivot(v, w)
-    return pivot is not None and v[pivot] * w[pivot] > 0
 
 
 def exact_quotient(a: Scalar, b: Scalar) -> Scalar:

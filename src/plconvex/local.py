@@ -26,30 +26,7 @@ from dataclasses import dataclass
 
 from .complexes import WheelStar
 from .errors import DegenerateCone, PreconditionViolated
-from .exact import Vector, dot, is_zero
-
-
-@dataclass(frozen=True)
-class ConeRealization3D:
-    """Rim points p(1..m) of a wheel realization; the hub sits at the origin."""
-
-    rim: tuple[Vector, ...]
-
-    def __post_init__(self):
-        for p in self.rim:
-            if len(p) != 3 or is_zero(p):
-                raise ValueError("rim points must be nonzero 3-vectors")
-
-    @classmethod
-    def _unchecked(cls, rim: tuple[Vector, ...]) -> ConeRealization3D:
-        """A cone whose caller has already shown every rim point valid."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "rim", rim)
-        return cone
-
-    @property
-    def m(self) -> int:
-        return len(self.rim)
+from .exact import Vector, dot
 
 
 @dataclass(frozen=True)
@@ -66,9 +43,13 @@ class FlatPass:
 
 @dataclass(frozen=True)
 class Cone:
-    """Star reduced to a genuinely 3-dimensional cone, still to be checked."""
+    """Star reduced to a genuinely 3-dimensional cone, still to be checked.
 
-    realization: ConeRealization3D
+    rim holds the star's ridge normals p(1..m), nonzero 3-vectors with no
+    two consecutive ones collinear; the hub sits at the origin.
+    """
+
+    rim: tuple[Vector, ...]
 
 
 LocalVerdict = Inconsistent | FlatPass | Cone
@@ -155,8 +136,9 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
         fault = _wedge_fault(j, (j + 1) % m, u, f[j], crosses[j])
         if fault is not None:
             return Inconsistent(fault)
-    # Every u_j is a nonzero 3-vector, checked above.
-    return Cone(ConeRealization3D._unchecked(u))
+    # Every u_j is a nonzero 3-vector and no consecutive pair is collinear,
+    # both checked above.
+    return Cone(u)
 
 
 def _cross(a: Vector, b: Vector) -> Vector:
@@ -299,12 +281,16 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
 # ---------------------------------------------------------------------------
 
 
-def check_cone_convex(cone: ConeRealization3D) -> bool:
+def check_cone_convex(rim: tuple[Vector, ...]) -> bool:
     """True iff the wheel surface over the rim lies on a convex cone boundary.
 
-    Precondition: no two consecutive rim points are collinear (on one ray or
-    on opposite rays); reduce_to_3d rejects such stars before building a
-    cone.  With e_i = p_i x p_(i+1), the normal of wedge plane i, the test is:
+    rim holds the rim points p(1..m) about a hub at the origin.
+    Precondition: they are nonzero 3-vectors and no two consecutive ones
+    are collinear (on one ray or on opposite rays); reduce_to_3d proves
+    both before it returns Cone(rim), so they are not checked here.  A rim
+    of fewer than 3 points, or one with no strict turn, raises
+    DegenerateCone.  With e_i = p_i x p_(i+1), the normal of wedge plane
+    i, the test is:
 
     1. every turn det(p_(i-1), p_i, p_(i+1)) has sign s or 0, where s is
        the sign of a strict turn (the first one found), at rim point b;
@@ -335,11 +321,10 @@ def check_cone_convex(cone: ConeRealization3D) -> bool:
     weakly on the c side of every wedge plane.  A radial graph is simple,
     so the rim is a convex spherical polygon.
     """
-    p = cone.rim
-    if len(p) < 3:
+    if len(rim) < 3:
         raise DegenerateCone("cone check needs at least 3 rim points")
-    (a0, a1, a2), (b0, b1, b2) = p[-2], p[-1]
-    for d0, d1, d2 in p:
+    (a0, a1, a2), (b0, b1, b2) = rim[-2], rim[-1]
+    for d0, d1, d2 in rim:
         turn = (
             (a1 * b2 - a2 * b1) * d0
             + (a2 * b0 - a0 * b2) * d1
@@ -353,17 +338,17 @@ def check_cone_convex(cone: ConeRealization3D) -> bool:
     s = 1 if turn > 0 else -1
     c0, c1, c2 = s * (a0 + b0 + d0), s * (a1 + b1 + d1), s * (a2 + b2 + d2)
     # det(c, p_0, x) = w.x tells which side of the plane (c, p_0) x is on.
-    z0, z1, z2 = p[0]
+    z0, z1, z2 = rim[0]
     w0, w1, w2 = c1 * z2 - c2 * z1, c2 * z0 - c0 * z2, c0 * z1 - c1 * z0
 
     # One pass over the steps b -> d, starting at p_(m-1) -> p_0.  On entry
     # e is the previous wedge's normal, so e.d is the turn at b; then e
     # becomes b x d.  h = w.b.
-    (a0, a1, a2), (b0, b1, b2) = p[-2], p[-1]
+    (a0, a1, a2), (b0, b1, b2) = rim[-2], rim[-1]
     e0, e1, e2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     h = w0 * b0 + w1 * b1 + w2 * b2
     crossings = 0
-    for d0, d1, d2 in p:
+    for d0, d1, d2 in rim:
         if s * (e0 * d0 + e1 * d1 + e2 * d2) < 0:
             return False
         e0, e1, e2 = b1 * d2 - b2 * d1, b2 * d0 - b0 * d2, b0 * d1 - b1 * d0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .complexes import StandardFormComplex
 from .errors import (
@@ -37,10 +37,7 @@ from .exact import (
     Vector,
     as_exact,
     exact_quotient,
-    is_zero,
     pivot_columns,
-    same_ray,
-    vadd,
     vsub,
 )
 
@@ -144,47 +141,6 @@ def orthogonal_components(xs, basis: list[Vector]) -> list[Vector]:
     ]
 
 
-def ridge_normal_simplicial(corner, ridge, coords) -> Vector:
-    """Euclidean inner normal to the ridge at the corner (simplicial cells).
-
-    The extra ridge vertex is projected orthogonally off the corner's
-    direction space; the residual points from the corner into the ridge.
-    """
-    extra = [v for v in ridge if v not in corner]
-    if len(extra) != 1 or not set(corner) <= set(ridge):
-        raise DegenerateCell("ridge is not corner plus one vertex")
-    w = _link_residuals(corner, [ridge], coords)[extra[0]]
-    if is_zero(w):
-        raise DegenerateCell(
-            f"ridge vertex {extra[0]} lies in the corner's affine span"
-        )
-    return w
-
-
-def facet_normal_simplicial(corner, facet, coords) -> Vector:
-    """Euclidean inner normal to the facet at the corner (simplicial cells).
-
-    Sum of the orthogonal components of the facet's two extra vertices: a
-    strictly positive combination of the wedge's extreme directions, hence
-    interior.
-    """
-    extra = [v for v in facet if v not in corner]
-    if len(extra) != 2 or not set(corner) <= set(facet):
-        raise DegenerateCell("facet is not corner plus two vertices")
-    res = _link_residuals(corner, [facet], coords)
-    for v in extra:
-        if is_zero(res[v]):
-            raise DegenerateCell(
-                f"facet vertex {v} lies in the corner's affine span"
-            )
-    out = vadd(res[extra[0]], res[extra[1]])
-    if is_zero(out):
-        raise DegenerateCell(
-            f"facet {tuple(facet)} degenerates to a line at the corner"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Polygon facets in R^3
 # ---------------------------------------------------------------------------
@@ -282,8 +238,11 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
     sense of (e1, e2); its sign is the polygon's orientation.  The turns
     sign(N.(e_(i-1) x e_i)) of the edge vectors e_i = p_(i+1) - p_i feed
     the O(k) convex certificate and the corner rule; a polygon the
-    certificate cannot vouch for goes through the pairwise spike and
-    segment tests.
+    certificate cannot vouch for goes through _check_simple's pairwise
+    spike and segment tests, which read the same edges and turns.  A
+    turning vertex gets e_i - e_(i-1), negated at a reflex one; a straight
+    vertex gets orientation * (N x e_(i-1)), in the plane and perpendicular
+    to its edges.
 
     Every sign here is an orientation in the frame (e1, e2).  In-plane
     vectors a = alpha*e1 + beta*e2 and b = gamma*e1 + delta*e2 have
@@ -293,8 +252,8 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
     such as 2 x 2 minors on a coordinate pair where it is nonsingular
     (positive multiples of the same determinants after a fixed sign), gives
     the same turns and orientation; the corner normals and messages follow
-    from those signs, so they are the same too, without even a global sign
-    change.
+    from those signs and N, so they are the same too, without even a global
+    sign change.
     """
     k = len(cycle)
     if k < 3:
@@ -322,9 +281,8 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
     bx, by, bz = pts[0]
     ds = [(x - bx, y - by, z - bz) for x, y, z in pts]
     # Consecutive vertices differ, so e1 is d_1.
-    e1 = ux, uy, uz = ds[1]
-    for e2 in ds[2:]:
-        vx, vy, vz = e2
+    ux, uy, uz = ds[1]
+    for vx, vy, vz in ds[2:]:
         n0, n1, n2 = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
         if n0 or n1 or n2:
             break
@@ -356,29 +314,43 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
         turns.append((t > 0) - (t < 0))
     normal = (n0, n1, n2)
     if not _convex_certificate(edges, turns, normal):
-        _check_simple(cycle, pts, normal)
+        _check_simple(cycle, pts, normal, edges, turns)
+    # A straight vertex entered along a gets M x a, with M = orientation*N:
+    # N x a lies in the plane and is perpendicular to a, and since N.a = 0,
+    # N.(a x (N x a)) = |N|^2 |a|^2 > 0, so M x a turns from a with the
+    # polygon's orientation, to the interior side.
+    m0, m1, m2 = orientation * n0, orientation * n1, orientation * n2
     out = []
-    for t, a, b in zip(turns, edges[-1:] + edges, edges):
-        if t:
-            # b - a, the sum of the edge vectors pointing away from the
-            # vertex: inside at a convex vertex (turn with the orientation),
-            # outside at a reflex one, where it is negated.
-            (ax, ay, az), (bx, by, bz) = a, b
-            if t == orientation:
-                out.append((bx - ax, by - ay, bz - az))
-            else:
-                out.append((ax - bx, ay - by, az - bz))
+    for t, (ax, ay, az), (bx, by, bz) in zip(turns, edges[-1:] + edges, edges):
+        # b - a, the sum of the edge vectors pointing away from the vertex:
+        # inside at a convex vertex (turn with the orientation), outside at
+        # a reflex one, where it is negated.
+        if t == orientation:
+            out.append((bx - ax, by - ay, bz - az))
+        elif t:
+            out.append((ax - bx, ay - by, az - bz))
         else:
-            out.append(_straight_normal(a, e1, e2, normal, orientation))
+            out.append(
+                (m1 * az - m2 * ay, m2 * ax - m0 * az, m0 * ay - m1 * ax)
+            )
     return out
 
 
-def _check_simple(cycle, pts, normal) -> None:
-    """Pairwise O(k^2) test: no spike vertex, no contact between edges."""
+def _check_simple(cycle, pts, normal, edges, turns) -> None:
+    """Pairwise O(k^2) test: no spike vertex, no contact between edges.
+
+    edges and turns are validate_polygon's: e_i = p_(i+1) - p_i, nonzero
+    and in the plane of N, and sign(N.(e_(i-1) x e_i)).  Two such edges are
+    collinear exactly when their turn is 0, so vertex i is a spike (its
+    two edges leave it along one ray) exactly when turns[i] == 0 and
+    e_(i-1).e_i < 0.  Vertex i's spike test runs before edge i's contact
+    tests, so the first fault in cycle order is the one named.
+    """
     k = len(cycle)
     for i in range(k):
         a1, a2 = pts[i], pts[(i + 1) % k]
-        if same_ray(vsub(pts[(i - 1) % k], pts[i]), vsub(a2, pts[i])):
+        (ax, ay, az), (bx, by, bz) = edges[i - 1], edges[i]
+        if not turns[i] and ax * bx + ay * by + az * bz < 0:
             raise DegenerateVertex(
                 f"zero interior angle at vertex {cycle[i]}"
             )
@@ -390,39 +362,6 @@ def _check_simple(cycle, pts, normal) -> None:
                 raise InvalidInputError(
                     f"facet polygon self-intersects between edges {i} and {j}"
                 )
-
-
-def facet_inner_direction_polygon(vid: int, cycle, coords) -> Vector:
-    """In-plane direction d with vid + eps*d interior to the polygon.
-
-    The converter's own rule: validate_polygon's direction at vid, so a
-    polygon it rejects (one that is not simple, say, and has no interior)
-    raises here too.  Avoids angle bisectors, which would need square roots.
-    """
-    return validate_polygon(cycle, coords)[cycle.index(vid)]
-
-
-def _straight_normal(a, e1, e2, normal, orientation) -> Vector:
-    """Inner direction at a straight vertex of a polygon entered along a.
-
-    The in-plane perpendicular aa*x - xa*a to a, scaled by aa = |a|^2 so
-    that no division is needed, with x = e2 if a x e1 = 0 and x = e1
-    otherwise; it is negated unless it lies on the interior side, where
-    its orientation against a is the polygon's.  a x (aa*x - xa*a) is
-    aa (a x x), so that orientation is sign(N.(a x x)).
-    """
-    ax, ay, az = a
-    for x in (e1, e2):
-        xx, xy, xz = x
-        cx, cy, cz = ay * xz - az * xy, az * xx - ax * xz, ax * xy - ay * xx
-        if cx or cy or cz:
-            break
-    n0, n1, n2 = normal
-    aa, xa = ax * ax + ay * ay + az * az, xx * ax + xy * ay + xz * az
-    d = (aa * xx - xa * ax, aa * xy - xa * ay, aa * xz - xa * az)
-    if (n0 * cx + n1 * cy + n2 * cz > 0) == (orientation > 0):
-        return d
-    return (-d[0], -d[1], -d[2])
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +571,11 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
     simplicial corner's Gram elimination then proves that corner flat
     while it builds the corner's normals, and raises DegenerateCell for a
     dependent corner, which can only be one that lies on no facet.  So
-    each fact is checked once.  Cell indices carry over unchanged, so
+    each fact is checked once.  A simplicial ridge's normal at a corner is
+    the residual of its one extra vertex, which points from the corner
+    into the ridge; a facet's is the sum of the residuals of its two extra
+    vertices, a strictly positive combination of the wedge's extreme
+    directions and hence interior.  Cell indices carry over unchanged, so
     witnesses agree between a traditional check and a converted
     standard-form check.
     """
@@ -666,9 +609,9 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
             )
         for ci, fi in cf:
             res = residuals[ci]
-            facet_normals[(ci, fi)] = vadd(
-                *(res[v] for v in t.facets[fi] if v in res)
-            )
+            facet_normals[(ci, fi)] = tuple(map(
+                add, *(res[v] for v in t.facets[fi] if v in res)
+            ))
     return StandardFormComplex(
         n=t.n,
         num_corners=len(t.corners),

@@ -190,7 +190,7 @@ def local_outcome(star) -> str:
         return "inconsistent"
     if isinstance(verdict, FlatPass):
         return "flat"
-    return "cone" if check_cone_convex(verdict.realization) else "non_convex_cone"
+    return "cone" if check_cone_convex(verdict.rim) else "non_convex_cone"
 
 
 def rim_flips(std):

@@ -21,8 +21,8 @@ from plconvex import (
     FlatPass,
     NotConvex,
     TraditionalFormComplex,
+    check_complex,
     check_convexity,
-    check_traditional,
     corner_report,
     reduce_to_3d,
     to_standard,
@@ -92,12 +92,12 @@ def test_criterion_1_oracle_agreement_n3():
     start = time.perf_counter()
     failures = []
     for seed, t, target in _n3_instances():
-        verdict, _ = check_traditional(t)
+        verdict = check_complex(t).verdict
         if not isinstance(verdict, Convex) or not is_hull_boundary(t):
             failures.append((seed, "convex surface rejected"))
             continue
         d = dent(t, target, Fraction(3, 4))
-        dv, _ = check_traditional(d)
+        dv = check_complex(d).verdict
         do = is_hull_boundary(d)
         if not isinstance(dv, NotConvex):
             failures.append((seed, f"dent not detected: {dv}"))
@@ -120,13 +120,13 @@ def test_criterion_1_oracle_agreement_n3():
 def test_criterion_2_oracle_agreement_high_dim(n):
     disagreements = []
     for seed, t, target in _high_dim_instances(n):
-        verdict, _ = check_traditional(t)
+        verdict = check_complex(t).verdict
         if isinstance(verdict, Convex) != is_hull_boundary(t):
             disagreements.append((seed, "base"))
         if not isinstance(verdict, Convex):
             disagreements.append((seed, "generated surface not convex"))
         d = dent(t, target, Fraction(3, 4))
-        dv, _ = check_traditional(d)
+        dv = check_complex(d).verdict
         if isinstance(dv, Convex) != is_hull_boundary(d):
             disagreements.append((seed, "dented"))
     _report(
@@ -143,16 +143,16 @@ def test_criterion_3_degeneracy_suite():
     # the cube vertex (2, 0, 0) next to it becomes a reflex corner.
     slid = subdivided_cube(lift=(0, (2, 0, -1)))
     checks = []
-    v_flat, _ = check_traditional(flat)
+    v_flat = check_complex(flat).verdict
     checks.append(("subdivided convex", isinstance(v_flat, Convex)))
     checks.append(("subdivided oracle", is_hull_boundary(flat) is True))
-    v_in, _ = check_traditional(inward)
+    v_in = check_complex(inward).verdict
     checks.append(("inward NotConvex", isinstance(v_in, NotConvex)))
     checks.append(("inward oracle", is_hull_boundary(inward) is False))
     checks.append(
         ("inward agreement", isinstance(v_in, Convex) == is_hull_boundary(inward))
     )
-    v_slid, _ = check_traditional(slid)
+    v_slid = check_complex(slid).verdict
     checks.append(
         (
             "slid apex NotConvex at vertex 1",
@@ -211,7 +211,8 @@ def test_criterion_3_outward_lift_as_stated():
     # certificate is integer arithmetic on the input alone: should the
     # checker ever call this surface NotConvex, the checker is at fault.
     outward = subdivided_cube(lift=(0, (0, 0, -1)))  # away from the solid
-    v_out, checked = check_traditional(outward)
+    run = check_complex(outward)
+    v_out, checked = run.verdict, run.corners_checked
     oracle = is_hull_boundary(outward)
     _report(
         "3-outward (verdict matches oracle)",
@@ -349,7 +350,7 @@ def test_criterion_6_exactness_robustness():
     count = 0
     for t in _robustness_instances():
         count += 1
-        base, _ = check_traditional(t, precheck=False)
+        base = check_complex(t).verdict
         scaled = TraditionalFormComplex(
             n=t.n,
             vertices=[tuple(c * 10**6 for c in v) for v in t.vertices],
@@ -358,11 +359,11 @@ def test_criterion_6_exactness_robustness():
             facets=t.facets,
             mode=t.mode,
         )
-        got, _ = check_traditional(scaled, precheck=False)
+        got = check_complex(scaled).verdict
         if got != base:
             bad.append(("scale", count))
         permuted, corner_map = _permute_cells(t, rng)
-        got, _ = check_traditional(permuted, precheck=False)
+        got = check_complex(permuted).verdict
         if type(got) is not type(base):
             bad.append(("permute-kind", count))
         elif isinstance(base, NotConvex):
@@ -416,7 +417,7 @@ def test_criterion_7_form_equivalence():
     count = 0
     for t in _robustness_instances():
         count += 1
-        direct, _ = check_traditional(t, precheck=False)
+        direct = check_complex(t).verdict
         std_text = serialize_plc(to_standard(t))
         via_std = check_convexity(parse_plc(std_text))
         if type(direct) is not type(via_std):

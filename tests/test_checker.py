@@ -16,7 +16,6 @@ from plconvex import (
     InvalidInput,
     NotConvex,
     check_convexity,
-    check_traditional,
     corner_report,
     precheck_edge_count,
     to_standard,
@@ -43,7 +42,7 @@ def test_dented_icosahedron_like_surface():
     # every failing corner must touch the moved vertex.
     t = gen_convex_surface(seed=42, n=3, num_points=14, coord_bound=100)
     d = dent(t, 2, Fraction(9, 10))
-    verdict, _ = check_traditional(d)
+    verdict = check_complex(d).verdict
     assert isinstance(verdict, NotConvex)
     touching = {v for f in d.facets if 2 in f for v in f}
     assert verdict.witness.index in touching
@@ -66,7 +65,7 @@ def test_branched_bipyramid_covers(k):
     validate_standard(std)
     apex = reduce_to_3d(wheel_star(std, std.corner_id(0)))
     assert isinstance(apex, Cone)
-    assert oracle_cone_convex(apex.realization.rim) is (k == 1)
+    assert oracle_cone_convex(apex.rim) is (k == 1)
     expect = Convex() if k == 1 else NotConvex("non_convex_cone", CellId(0, 0))
     assert check_convexity(std) == expect
     assert rim_flips(std) == []
@@ -118,15 +117,16 @@ def test_precheck_torus():
     assert isinstance(verdict, NotConvex)
     assert verdict.reason == EDGE_COUNT_EXCEEDED
     assert verdict.witness is None
-    full, checked = check_traditional(torus)
-    assert isinstance(full, NotConvex) and full.reason == EDGE_COUNT_EXCEEDED
-    assert checked == 0
+    run = check_complex(torus)
+    assert isinstance(run.verdict, NotConvex)
+    assert run.verdict.reason == EDGE_COUNT_EXCEEDED
+    assert run.corners_checked == 0
 
 
-def test_check_traditional_counts(cube):
-    verdict, checked = check_traditional(cube)
-    assert isinstance(verdict, Convex)
-    assert checked == 8
+def test_check_complex_counts(cube):
+    run = check_complex(cube)
+    assert isinstance(run.verdict, Convex)
+    assert run.corners_checked == 8
 
 
 def test_verdict_invariance_under_scaling_and_permutation():
@@ -137,7 +137,7 @@ def test_verdict_invariance_under_scaling_and_permutation():
         t = gen_convex_surface(seed=seed, n=3, num_points=12, coord_bound=50)
         d = dent(t, 1, Fraction(4, 5))
         for surface in (t, d):
-            base, _ = check_traditional(surface)
+            base = check_complex(surface).verdict
             scaled = type(surface)(
                 n=surface.n,
                 vertices=[tuple(c * 10**6 for c in v) for v in surface.vertices],
@@ -146,7 +146,7 @@ def test_verdict_invariance_under_scaling_and_permutation():
                 facets=surface.facets,
                 mode=surface.mode,
             )
-            got, _ = check_traditional(scaled)
+            got = check_complex(scaled).verdict
             assert type(got) is type(base)
             if isinstance(base, NotConvex):
                 assert got.witness == base.witness
@@ -164,7 +164,7 @@ def test_verdict_invariance_under_scaling_and_permutation():
                 facets=[surface.facets[i] for i in fp],
                 mode=surface.mode,
             )
-            got2, _ = check_traditional(permuted)
+            got2 = check_complex(permuted).verdict
             assert type(got2) is type(base)
             if isinstance(base, NotConvex):
                 assert got2.witness == base.witness

@@ -6,22 +6,46 @@ from fractions import Fraction
 import pytest
 
 from helpers_oracles import det3
-from plconvex.errors import ZeroVector
 from plconvex.exact import (
     Vector,
-    _multiple_pivot,
     as_exact,
     exact_quotient,
     format_rational,
     in_span3,
     parse_rational,
     pivot_columns,
-    same_ray,
 )
 
 
 def sign(x):
     return (x > 0) - (x < 0)
+
+
+class ZeroVector(Exception):
+    """An operation received the zero vector where a direction was required."""
+
+
+def _multiple_pivot(v: Vector, w: Vector) -> int | None:
+    """Pivot index of v (its first nonzero entry) if w is a multiple of v.
+
+    Returns None when w is not a multiple; raises ZeroVector for v == 0.
+    The cross-multiplied comparison keeps everything division-free.
+    """
+    pivot = next((i for i, c in enumerate(v) if c != 0), None)
+    if pivot is None:
+        raise ZeroVector("collinearity against the zero vector")
+    vp = v[pivot]
+    wp = w[pivot]
+    for a, b in zip(v, w, strict=True):
+        if a * wp != b * vp:
+            return None
+    return pivot
+
+
+def same_ray(v: Vector, w: Vector) -> bool:
+    """True iff w = lambda * v with lambda > 0 (both nonzero)."""
+    pivot = _multiple_pivot(v, w)
+    return pivot is not None and v[pivot] * w[pivot] > 0
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from plconvex import (
     Convex,
     InvalidInput,
     NotConvex,
+    check_complex,
     check_convexity,
-    check_traditional,
     to_standard,
 )
 from plconvex.errors import InvalidInputError, ParseError
@@ -34,7 +34,7 @@ def test_parse_off_cube():
     assert len(t.vertices) == 8
     assert len(t.facets) == 6
     assert len(t.ridges) == 12
-    verdict, _ = check_traditional(t)
+    verdict = check_complex(t).verdict
     assert isinstance(verdict, Convex)
 
 
@@ -73,14 +73,14 @@ def test_parse_off_edge_in_three_facets():
     text = CUBE_OFF.strip() + "\n3 0 1 5\n"
     text = text.replace("8 6 12", "8 7 12")
     t = parse_off(text)
-    verdict, _ = check_traditional(t)
+    verdict = check_complex(t).verdict
     assert isinstance(verdict, InvalidInput)
 
 
 def test_parse_off_nonplanar_facet():
     bad = CUBE_OFF.replace("2 2 0", "2 2 1", 1)
     t = parse_off(bad)
-    verdict, _ = check_traditional(t)
+    verdict = check_complex(t).verdict
     assert isinstance(verdict, InvalidInput)
     assert "plane" in verdict.reason or "planar" in verdict.reason.lower()
 
@@ -120,7 +120,7 @@ def test_plc_traditional_round_trip():
     again = parse_plc(text)
     assert serialize_plc(again) == text
     assert again.vertices == t.vertices
-    verdict, _ = check_traditional(again)
+    verdict = check_complex(again).verdict
     assert isinstance(verdict, Convex)
 
 
@@ -229,7 +229,7 @@ def test_plc_duplicate_normal_rejected():
 
 def test_plc_traditional_4simplex_verdict():
     text = serialize_plc(simplex_boundary(4))
-    verdict, _ = check_traditional(parse_plc(text))
+    verdict = check_complex(parse_plc(text)).verdict
     assert isinstance(verdict, Convex)
 
 
@@ -258,7 +258,7 @@ def test_check_equivalence_between_forms():
 
     t = gen_convex_surface(seed=77, n=3, num_points=12, coord_bound=60)
     for surface in (t, dent(t, 3, Fraction(3, 4))):
-        direct, _ = check_traditional(surface)
+        direct = check_complex(surface).verdict
         std = parse_plc(serialize_plc(to_standard(surface)))
         via_std = check_convexity(std)
         assert type(direct) is type(via_std)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -31,10 +32,9 @@ from plconvex.complexes import (
     wheel_star,
 )
 from plconvex.errors import DegenerateCone, InvalidInputError, PreconditionViolated
-from plconvex.exact import Vector, _multiple_pivot, dot, is_zero, same_ray
+from plconvex.exact import Vector, dot
 from plconvex.local import (
     Cone,
-    ConeRealization3D,
     FlatPass,
     Inconsistent,
     check_cone_convex,
@@ -42,7 +42,7 @@ from plconvex.local import (
 )
 from plconvex.normals import to_standard
 from plconvex.oracle import dent, gen_convex_surface
-from test_exact import PlaneFrame, rank_le3
+from test_exact import PlaneFrame, _multiple_pivot, rank_le3, same_ray
 
 FRAME2 = PlaneFrame((1, 0), (0, 1))
 
@@ -95,7 +95,7 @@ def star_passes(star) -> bool:
         return False
     if isinstance(verdict, FlatPass):
         return True
-    return check_cone_convex(verdict.realization)
+    return check_cone_convex(verdict.rim)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _angles_equal(frame: PlaneFrame, v, u1, u2, w) -> bool:
 
 def _require_in_plane(frame: PlaneFrame, vectors) -> None:
     for x in vectors:
-        if is_zero(x):
+        if not any(x):
             raise PreconditionViolated("zero vector in angle predicate")
         if not frame.contains(x):
             raise PreconditionViolated(f"vector {x} not in the frame plane")
@@ -304,8 +304,8 @@ def test_reduce_cube_corner():
     )
     verdict = reduce_to_3d(star)
     assert isinstance(verdict, Cone)
-    assert verdict.realization.rim == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert check_cone_convex(verdict.realization) is True
+    assert verdict.rim == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert check_cone_convex(verdict.rim) is True
 
 
 def test_reduce_n3_rim_is_ridge_normals(cube_standard):
@@ -318,7 +318,7 @@ def test_reduce_n3_rim_is_ridge_normals(cube_standard):
     for s in (star, scaled):
         verdict = reduce_to_3d(s)
         assert isinstance(verdict, Cone)
-        assert verdict.realization.rim == s.ridge_normals
+        assert verdict.rim == s.ridge_normals
 
 
 def test_reduce_rejects_normals_that_are_not_3_vectors():
@@ -426,7 +426,7 @@ def test_reduce_prism_corner_with_nonconsecutive_antiparallel_rays():
     )
     verdict = reduce_to_3d(star)
     assert isinstance(verdict, Cone)
-    assert check_cone_convex(verdict.realization) is True
+    assert check_cone_convex(verdict.rim) is True
 
 
 def test_reduce_planar_double_cover():
@@ -504,7 +504,7 @@ def test_one_way_rims_bounding_no_convex_cone_rejected(rim, lift):
     assert oracle_cone_convex(rim) is False
     verdict = reduce_to_3d(_star_from_rim(rim, lift=lift))
     assert isinstance(verdict, Cone)
-    assert check_cone_convex(verdict.realization) is False
+    assert check_cone_convex(verdict.rim) is False
 
 
 def _spiral_link(shape, k):
@@ -575,9 +575,9 @@ def test_spiral_links_fail(shape, lift):
                 assert PLANAR_SPIRAL_FAULTS[close] in verdict.reason
                 continue
             assert isinstance(verdict, Cone), (k, star.rim_ridges, verdict)
-            rim = verdict.realization.rim
+            rim = verdict.rim
             assert oracle_cone_convex(rim) is False
-            assert check_cone_convex(verdict.realization) is False
+            assert check_cone_convex(verdict.rim) is False
 
 
 # ---------------------------------------------------------------------------
@@ -586,26 +586,15 @@ def test_spiral_links_fail(shape, lift):
 
 
 def test_cone_square():
-    cone = ConeRealization3D(((1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)))
+    cone = ((1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1))
     assert check_cone_convex(cone) is True
-
-
-@pytest.mark.parametrize("rim", [
-    ((1, 1, 1), (0, 0, 0), (1, -1, 1)),
-    ((1, 1, 1), (-1, 1), (1, -1, 1)),
-    ((1, 1, 1), (-1, 1, 1, 0), (1, -1, 1)),
-], ids=["zero", "short", "long"])
-def test_cone_realization_rejects_bad_rim_points(rim):
-    # reduce_to_3d builds its cones without this check; direct callers keep it.
-    with pytest.raises(ValueError, match="nonzero 3-vectors"):
-        ConeRealization3D(rim)
 
 
 def test_cone_dented_diamond():
     # Cross-section (4,0),(0,4),(1,1),(0,-4) at height 4 is reflex at (1,1).
     rim = ((4, 0, 4), (0, 4, 4), (1, 1, 4), (0, -4, 4))
     assert oracle_cone_convex(rim) is False
-    assert check_cone_convex(ConeRealization3D(rim)) is False
+    assert check_cone_convex(rim) is False
 
 
 def test_cone_straight_section_vertex_is_convex():
@@ -614,18 +603,18 @@ def test_cone_straight_section_vertex_is_convex():
     # convex cone over a triangle with one subdivided edge.
     rim = ((1, 0, 1), (0, 1, 1), (0, 0, 1), (0, -1, 1))
     assert oracle_cone_convex(rim) is True
-    assert check_cone_convex(ConeRealization3D(rim)) is True
+    assert check_cone_convex(rim) is True
 
 
 def test_cone_flat_ridge_zero_sign():
     rim = ((1, 1, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1))
-    assert check_cone_convex(ConeRealization3D(rim)) is True
+    assert check_cone_convex(rim) is True
     assert oracle_cone_convex(rim) is True
 
 
 def _cone_outcome(rim):
     try:
-        return check_cone_convex(ConeRealization3D(rim=tuple(rim)))
+        return check_cone_convex(tuple(rim))
     except DegenerateCone:
         return "degenerate"
 
@@ -685,7 +674,7 @@ def _rank3_rims(draw):
 @example([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1)])
 @example([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, -1)])
 def test_cone_check_matches_spherical_oracle(rim):
-    assert check_cone_convex(ConeRealization3D(tuple(rim))) is (
+    assert check_cone_convex(tuple(rim)) is (
         oracle_cone_convex(rim)
     )
 
@@ -698,13 +687,13 @@ def test_cone_scale_invariance():
         ((2, 1, 1), (-1, 2, 1), (-2, -1, 2), (1, -2, 1)),
     ]
     for rim in rims:
-        base = check_cone_convex(ConeRealization3D(rim))
+        base = check_cone_convex(rim)
         for _ in range(10):
             idx = rng.randrange(len(rim))
             lam = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
             scaled = list(rim)
             scaled[idx] = tuple(lam * c for c in scaled[idx])
-            assert check_cone_convex(ConeRealization3D(tuple(scaled))) is base
+            assert check_cone_convex(tuple(scaled)) is base
 
 
 # ---------------------------------------------------------------------------
@@ -1034,14 +1023,14 @@ def test_lifted_stars_keep_their_verdicts(star, lift):
     if isinstance(base, Inconsistent):
         assert lifted.reason == base.reason
     if isinstance(base, Cone):
-        assert check_cone_convex(lifted.realization) is check_cone_convex(
-            base.realization
+        assert check_cone_convex(lifted.rim) is check_cone_convex(
+            base.rim
         )
 
 
 def test_cone_oracle_agreement_on_reduced_realizations():
-    # The oracle also holds on the rim of the realization reduce_to_3d
-    # returns, the one the checker actually sees.
+    # The oracle also holds on the rim reduce_to_3d returns, the one the
+    # checker actually sees.
     rng = random.Random(123)
     checked = 0
     while checked < 120:
@@ -1056,8 +1045,7 @@ def test_cone_oracle_agreement_on_reduced_realizations():
         if not isinstance(verdict, Cone):
             continue
         checked += 1
-        p = verdict.realization
-        assert check_cone_convex(p) == oracle_cone_convex(p.rim)
+        assert check_cone_convex(verdict.rim) == oracle_cone_convex(verdict.rim)
 
 
 def test_reduce_scale_invariance():
@@ -1135,19 +1123,23 @@ def _reduce_counting(monkeypatch, stars):
     a normal's coordinate, both per corner-ridge incidence, and the verdict
     kinds."""
     calls = []
-    for name in ("_multiple_pivot", "pivot_columns"):
-        helper = getattr(plconvex.exact, name)
+    pivot_columns = plconvex.exact.pivot_columns
 
-        def counting(*args, _helper=helper):
-            calls.append(None)
-            return _helper(*args)
+    def counting(*args):
+        calls.append(None)
+        return pivot_columns(*args)
 
-        monkeypatch.setattr(plconvex.exact, name, counting)
-        monkeypatch.setattr(plconvex.local, name, counting, raising=False)
-    # The plane frame lives in the tests: no plconvex module can build one
-    # except through this class, whose constructions are counted too.
-    assert not any(hasattr(module, "PlaneFrame")
-                   for module in (plconvex.exact, plconvex.local))
+    monkeypatch.setattr(plconvex.exact, "pivot_columns", counting)
+    monkeypatch.setattr(plconvex.local, "pivot_columns", counting,
+                        raising=False)
+    # The collinearity pivot and the plane frame live in the tests: no
+    # plconvex module binds either, so nothing there can call the one or
+    # build the other except through this class, whose constructions are
+    # counted too.
+    modules = [m for key, m in sys.modules.items()
+               if key == "plconvex" or key.startswith("plconvex.")]
+    assert not any(hasattr(module, name) for module in modules
+                   for name in ("_multiple_pivot", "PlaneFrame"))
     init = PlaneFrame.__post_init__
 
     def counting_frame(self):
@@ -1242,7 +1234,7 @@ def test_products_per_incidence_do_not_grow_with_m(monkeypatch, m):
 def _cone_products(rim):
     from test_normals import _Counted
 
-    cone = ConeRealization3D(tuple(tuple(map(_Counted, p)) for p in rim))
+    cone = tuple(tuple(map(_Counted, p)) for p in rim)
     _Counted.products = 0
     convex = check_cone_convex(cone)
     return convex, _Counted.products
@@ -1325,7 +1317,7 @@ def _reference_reduce(star):
             return Inconsistent(f"facet normal {j} lies on a ridge ray")
         return Inconsistent(
             f"facet angle {j} between ridges {j} and {(j + 1) % m} is reflex")
-    return Cone(ConeRealization3D(u))
+    return Cone(u)
 
 
 def _reference_planar(u, f, frame, antiparallel):

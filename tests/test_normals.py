@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 import re
@@ -25,9 +26,6 @@ from plconvex import (
     InvalidInput,
     NotConvex,
     check_convexity,
-    facet_inner_direction_polygon,
-    facet_normal_simplicial,
-    ridge_normal_simplicial,
     to_standard,
 )
 from plconvex.errors import (
@@ -37,18 +35,31 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.checker import check_complex
-from plconvex.exact import _multiple_pivot, dot, same_ray, vsub
+from plconvex.exact import dot, vsub
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
     _convex_certificate,
+    _link_residuals,
     orthogonal_components,
     validate_polygon,
     validate_traditional,
 )
 from plconvex.formats import parse_off
-from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
-from test_exact import PlaneFrame, collinearity_coefficient, rank_le3, sign
+from plconvex.oracle import (
+    _ortho_residual,
+    dent,
+    gen_convex_surface,
+    is_hull_boundary,
+)
+from test_exact import (
+    PlaneFrame,
+    _multiple_pivot,
+    collinearity_coefficient,
+    rank_le3,
+    same_ray,
+    sign,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,42 +85,42 @@ def in_span(v, basis) -> bool:
 
 def test_ridge_normal_r3_vertex_difference():
     coords = _coords({0: (0, 0, 0), 1: (2, 0, 0)})
-    assert ridge_normal_simplicial((0,), (0, 1), coords) == (2, 0, 0)
+    assert _link_residuals((0,), [(0, 1)], coords) == {1: (2, 0, 0)}
 
 
 def test_ridge_normal_r4_strips_corner_direction():
     coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (1, 2, 0, 0)})
-    assert ridge_normal_simplicial((0, 1), (0, 1, 2), coords) == (0, 2, 0, 0)
+    assert _link_residuals((0, 1), [(0, 1, 2)], coords) == {2: (0, 2, 0, 0)}
     coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (3, 4, 5, 0)})
-    assert ridge_normal_simplicial((0, 1), (0, 1, 2), coords) == (0, 4, 5, 0)
+    assert _link_residuals((0, 1), [(0, 1, 2)], coords) == {2: (0, 4, 5, 0)}
 
 
 def test_ridge_normal_degenerate():
+    # A ridge vertex in the corner's affine span has the zero residual;
+    # validation rejects every facet through such a ridge first.
     coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 0, 0, 0)})
-    with pytest.raises(DegenerateCell):
-        ridge_normal_simplicial((0, 1), (0, 1, 2), coords)
+    assert _link_residuals((0, 1), [(0, 1, 2)], coords) == {2: (0, 0, 0, 0)}
     # A dependent corner fails its own Gram elimination, named as a cell.
     coords = _coords({0: (1, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 1, 0, 0),
                       3: (5, 0, 1, 0)})
     flat = re.escape("cell (0, 1) is not cellwise-flat")
     with pytest.raises(DegenerateCell, match=f"^{flat}$"):
-        ridge_normal_simplicial((0, 1), (0, 1, 2), coords)
+        _link_residuals((0, 1), [(0, 1, 2)], coords)
     with pytest.raises(DegenerateCell, match=f"^{flat}$"):
-        facet_normal_simplicial((0, 1), (0, 1, 2, 3), coords)
+        _link_residuals((0, 1), [(0, 1, 2, 3)], coords)
 
 
 def test_facet_normal_examples():
+    # A facet's normal at a corner is the sum of its two extra vertices'
+    # residuals, one per vertex however many cells share it.
     coords = _coords({0: (0, 0, 0), 1: (2, 0, 0), 2: (0, 2, 0)})
-    assert facet_normal_simplicial((0,), (0, 1, 2), coords) == (2, 2, 0)
+    assert _link_residuals((0,), [(0, 1), (0, 2), (0, 1, 2)], coords) == {
+        1: (2, 0, 0), 2: (0, 2, 0)}
     coords = _coords(
         {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (1, 2, 0, 0), 3: (1, 0, 3, 0)}
     )
-    assert facet_normal_simplicial((0, 1), (0, 1, 2, 3), coords) == (0, 2, 3, 0)
-    bad = _coords(
-        {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (2, 0, 0, 0), 3: (3, 0, 0, 0)}
-    )
-    with pytest.raises(DegenerateCell):
-        facet_normal_simplicial((0, 1), (0, 1, 2, 3), bad)
+    assert _link_residuals((0, 1), [(0, 1, 2, 3)], coords) == {
+        2: (0, 2, 0, 0), 3: (0, 0, 3, 0)}
 
 
 def test_ridge_normal_perpendicular_and_contained():
@@ -122,8 +133,10 @@ def test_ridge_normal_perpendicular_and_contained():
         }
         coords = _coords(pts)
         try:
-            w = ridge_normal_simplicial((0, 1), (0, 1, 2), coords)
+            w = _link_residuals((0, 1), [(0, 1, 2)], coords)[2]
         except DegenerateCell:
+            continue
+        if not any(w):
             continue
         produced += 1
         d1 = vsub(pts[1], pts[0])
@@ -288,7 +301,7 @@ def _point_in_polygon_2d(pt, cycle):
 
 def _assert_inner_direction(vid, cycle, table, expected_parallel=None):
     coords = _coords(table)
-    d = facet_inner_direction_polygon(vid, cycle, coords)
+    d = validate_polygon(cycle, coords)[cycle.index(vid)]
     if expected_parallel is not None:
         lam = collinearity_coefficient(tuple(expected_parallel), d)
         assert lam is not None and lam > 0, (d, expected_parallel)
@@ -317,7 +330,7 @@ def test_inner_direction_triangle_corners():
         _assert_inner_direction(vid, (2, 1, 0), table)
     collinear_table = [(0, 0, 0), (1, 1, 0), (3, 3, 0)]
     with pytest.raises(NotPlanar):
-        facet_inner_direction_polygon(0, (0, 1, 2), _coords(collinear_table))
+        validate_polygon((0, 1, 2), _coords(collinear_table))
 
 
 def test_inner_direction_reflex_vertex():
@@ -335,8 +348,8 @@ def test_inner_direction_straight_vertex():
 def test_inner_direction_orientation_independent():
     table = dict(enumerate(L_POLY))
     coords = _coords(table)
-    fwd = facet_inner_direction_polygon(3, (0, 1, 2, 3, 4, 5), coords)
-    rev = facet_inner_direction_polygon(3, (5, 4, 3, 2, 1, 0), coords)
+    fwd = validate_polygon((0, 1, 2, 3, 4, 5), coords)[3]
+    rev = validate_polygon((5, 4, 3, 2, 1, 0), coords)[2]  # vertex 3 again
     assert collinearity_coefficient(fwd, rev) is not None and \
         collinearity_coefficient(fwd, rev) > 0
 
@@ -478,13 +491,18 @@ def _lattice_polygons(draw, kinds=("random", "convex", "dented", "star")):
     ]
 
 
-def _certify(pts, normal):
-    """_convex_certificate on a closed point list, with its edges and turns."""
+def _edges_and_turns(pts, normal):
+    """Edge vectors of a closed point list and their turns about normal."""
     k = len(pts)
     edges = [vsub(pts[(i + 1) % k], pts[i]) for i in range(k)]
     turns = [sign(dot(normal, _cross(edges[i - 1], edges[i])))
              for i in range(k)]
-    return _convex_certificate(edges, turns, normal)
+    return edges, turns
+
+
+def _certify(pts, normal):
+    """_convex_certificate on a closed point list, with its edges and turns."""
+    return _convex_certificate(*_edges_and_turns(pts, normal), normal)
 
 
 def _framed(pts):
@@ -506,8 +524,9 @@ def test_convex_certificate_implies_pairwise_simple(case):
     _, pts = case
     normal = _framed(pts)
     assume(normal is not None)
-    if _certify(pts, normal):
-        _check_simple(tuple(range(len(pts))), pts, normal)
+    edges, turns = _edges_and_turns(pts, normal)
+    if _convex_certificate(edges, turns, normal):
+        _check_simple(tuple(range(len(pts))), pts, normal, edges, turns)
 
 
 @settings(max_examples=200, deadline=None)
@@ -622,9 +641,8 @@ def _frame_corner_normal(a, b, turn, frame, orientation):
     if turn:
         d = vsub(b, a)
         return d if orientation * turn > 0 else tuple(-c for c in d)
-    x = frame.e2 if _multiple_pivot(a, frame.e1) is not None else frame.e1
-    aa, xa = dot(a, a), dot(x, a)
-    d = tuple(aa * xc - xa * ac for xc, ac in zip(x, a))
+    # N x a for the frame's N = e1 x e2: in the plane, perpendicular to a.
+    d = _cross(_cross(frame.e1, frame.e2), a)
     return d if frame.orient(a, d) == orientation else tuple(-c for c in d)
 
 
@@ -896,15 +914,15 @@ class _Counted(int):
 # validate_polygon's products on a prism cap, the hexagon of
 # _subdivided_ring with all but six vertices straight: 22 at every vertex
 # (3 for the plane test, 6 for the area, 9 for the turn and 4 for the
-# winding sweep), 24 more at a straight vertex (3 for the straight-on test,
-# 21 for its normal) and 6 more again where that vertex is parallel to e1;
-# the search for e2 takes 6 per straight vertex on the first side, and N,
-# the area's sum and the sweep's cross product 12 per polygon.  Per cap
-# vertex that is 36.4, 42.7, 45.9, 47.4 and 48.9 for k = 12, 24, 48, 96
-# and 2,004, approaching 49.  The bound is tight on purpose: one more cross
-# product per vertex (N recomputed at each vertex, say) exceeds it from
-# k = 48 on.
-PRODUCTS_PER_CAP_VERTEX = 49
+# winding sweep, which skips one vertex) and 9 more at a straight vertex
+# (3 for the straight-on test, 6 for its normal M x a); the search for e2
+# takes 6 per straight vertex on the first side, and N, the sweep's cross
+# product, the area's sum and M = orientation * N take 18 per polygon.
+# That is 32k - 46 on a k-gon: 28.2, 30.1, 31.0, 31.5 and 32.0 per cap
+# vertex for k = 12, 24, 48, 96 and 2,004, approaching 32.  The bound is
+# tight on purpose: one more cross product per vertex (N recomputed at
+# each vertex, say) exceeds it at every k tested.
+PRODUCTS_PER_CAP_VERTEX = 32
 PRODUCTS_PER_POLYGON = 12
 
 
@@ -972,7 +990,7 @@ def test_to_standard_corners_with_more_than_three_directions(n):
     assert check_complex(t).verdict == Convex()
     coords = _coords(dict(enumerate(t.vertices)))
     corner, ridge = tuple(range(n - 2)), tuple(range(n - 1))
-    w = ridge_normal_simplicial(corner, ridge, coords)
+    w = _link_residuals(corner, [ridge], coords)[n - 2]
     assert all(dot(w, vsub(t.vertices[v], t.vertices[0])) == 0
                for v in corner[1:])
     if n == 7:
@@ -1045,10 +1063,22 @@ def _polygonal_builder_cases():
                                          _split_top_cube())]
 
 
+def _simplicial_oracle_cases():
+    cyclic = _cyclic_polytope_4d(12)
+    yield cyclic
+    yield dent(cyclic, 5, Fraction(3, 4))
+    for n in range(4, 9):
+        yield _cross_polytope(n)
+        yield simplex_boundary(n)
+    # The n = 6 hull of the golden reports.
+    yield gen_convex_surface(seed=3, n=6, num_points=10, coord_bound=20)
+
+
 def test_to_standard_normals_equal_public_builders():
-    # to_standard skips the checks validation has already made; its normals
-    # are the checked public builders' exactly: a vertex difference for each
-    # ridge, facet_inner_direction_polygon for each facet.  The facet case
+    # to_standard skips the checks validation has already made.  Each
+    # polygonal normal is exactly what the checked public rules give: a
+    # vertex difference for each ridge, and validate_polygon's direction
+    # at the corner's place in the cycle for each facet.  The facet case
     # also pins the pairing of validation's per-polygon lists, in cycle
     # order, with the corner-facet pairs.
     for t, original in _polygonal_builder_cases():
@@ -1060,15 +1090,35 @@ def test_to_standard_normals_equal_public_builders():
             (other,) = (u for u in t.ridges[r] if u != v)
             assert w == vsub(original.coords(other), original.coords(v))
         for (c, f), w in std.facet_normals.items():
-            assert w == facet_inner_direction_polygon(
-                t.corners[c][0], t.facets[f], original.coords
-            )
-    t = _cyclic_polytope_4d(12)
-    std = to_standard(t)
-    for (c, r), w in std.ridge_normals.items():
-        assert w == ridge_normal_simplicial(t.corners[c], t.ridges[r], t.coords)
-    for (c, f), w in std.facet_normals.items():
-        assert w == facet_normal_simplicial(t.corners[c], t.facets[f], t.coords)
+            cycle = t.facets[f]
+            directions = validate_polygon(cycle, original.coords)
+            assert w == directions[cycle.index(t.corners[c][0])]
+
+
+def test_to_standard_simplicial_normals_match_oracle_residuals():
+    # The oracle's Fraction elimination is written apart from normals.py.
+    # Against the residuals r(v) of the corner's link vertices over its
+    # direction basis, each ridge normal is a positive multiple of r(v)
+    # for the ridge's extra vertex v, and each facet normal of
+    # r(v) + r(w) for the facet's extra vertices v and w.  Conversion has
+    # proven every corner independent, so its vertex differences are the
+    # basis.
+    for t in _simplicial_oracle_cases():
+        std = to_standard(t)
+
+        @functools.cache
+        def residual(c, v):
+            base, *others = (t.vertices[u] for u in t.corners[c])
+            basis = [vsub(u, base) for u in others]
+            return _ortho_residual(vsub(t.vertices[v], base), basis)
+
+        for (c, r), w in std.ridge_normals.items():
+            (v,) = set(t.ridges[r]) - set(t.corners[c])
+            assert _positive_multiple(w, residual(c, v)), (c, r)
+        for (c, f), w in std.facet_normals.items():
+            v, x = set(t.facets[f]) - set(t.corners[c])
+            want = tuple(map(sum, zip(residual(c, v), residual(c, x))))
+            assert _positive_multiple(w, want), (c, f)
 
 
 def test_to_standard_propagates_degenerate_cells():

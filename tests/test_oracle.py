@@ -10,7 +10,7 @@ from conftest import (
     simplicial_surface,
     subdivided_cube,
 )
-from plconvex import Convex, NotConvex, check_traditional
+from plconvex import Convex, NotConvex, check_complex
 from plconvex.errors import GenerationFailed, NotFullDimensional, NotSimplicial
 from plconvex.oracle import (
     brute_hull_supports,
@@ -96,7 +96,7 @@ def test_is_hull_boundary_moved_apex():
     t = octahedron_traditional()
     t.vertices[4] = (0, 0, -1)  # strictly inside the remaining hull
     assert is_hull_boundary(t) is False
-    verdict, _ = check_traditional(t)
+    verdict = check_complex(t).verdict
     assert isinstance(verdict, NotConvex)
 
 
@@ -107,7 +107,7 @@ def test_is_hull_boundary_apex_flattened_onto_equator():
     t = octahedron_traditional()
     t.vertices[4] = (0, 0, 0)
     assert is_hull_boundary(t) is True
-    verdict, _ = check_traditional(t)
+    verdict = check_complex(t).verdict
     assert isinstance(verdict, Convex)
 
 
@@ -134,7 +134,7 @@ def test_is_hull_boundary_detects_missing_coverage():
     t2 = simplicial_surface(3, t.vertices, t.facets[:-1])
     from plconvex import InvalidInput
 
-    verdict, _ = check_traditional(t2)
+    verdict = check_complex(t2).verdict
     assert isinstance(verdict, InvalidInput)
     assert is_hull_boundary(t2) is False
 
@@ -153,7 +153,7 @@ def test_gen_output_is_hull_boundary_all_dims():
         t = gen_convex_surface(seed=n, n=n, num_points=pts, coord_bound=40)
         assert t.n == n
         assert is_hull_boundary(t) is True
-        verdict, _ = check_traditional(t)
+        verdict = check_complex(t).verdict
         assert isinstance(verdict, Convex)
 
 
@@ -180,6 +180,6 @@ def test_dent_factor_half_breaks_convexity():
         t = gen_convex_surface(seed=seed, n=3, num_points=16, coord_bound=200)
         for factor in (Fraction(1, 2), Fraction(3, 4)):
             d = dent(t, seed % len(t.vertices), factor)
-            verdict, _ = check_traditional(d)
+            verdict = check_complex(d).verdict
             assert isinstance(verdict, NotConvex), (seed, factor)
             assert is_hull_boundary(d) is False
