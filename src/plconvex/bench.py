@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .checker import Convex, check_convexity
-from .normals import POLYGONAL, TraditionalFormComplex, to_standard
+from .normals import TraditionalFormComplex, to_standard
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ def sphere_hull_surface(num_points: int, seed: int = 0,
         corners=[(i,) for i in range(len(vertices))],
         ridges=ridges,
         facets=facets,
-        mode=POLYGONAL,
     )
 
 

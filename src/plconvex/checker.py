@@ -137,8 +137,8 @@ class CheckRun:
             return 0
         if isinstance(self.verdict, Convex):
             return self.standard.num_corners
-        if self.verdict.witness is None:
-            return 0
+        # Only the precheck returns a NotConvex without a witness, and its
+        # run has no standard complex.
         return self.verdict.witness.index + 1
 
 

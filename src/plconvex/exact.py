@@ -5,7 +5,7 @@ freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
 operations the checker actually needs live here: fraction-free echelon
 forms with their pivot columns, a span test against three of those
-pivots, and quotients known to be exact.
+pivots, and integer quotients known to be exact.
 """
 
 from __future__ import annotations
@@ -70,18 +70,18 @@ def dot(u: Vector, v: Vector) -> Scalar:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def exact_quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b for a b known to divide a; int operands give an int.
+def exact_quotient(a: int, b: int) -> int:
+    """a / b for ints a and b where b is known to divide a.
 
-    Raises ArithmeticError if int division leaves a remainder, which means
-    the caller's divisibility argument does not hold.
+    Both must be ints: its one caller, the fraction-free Gram elimination,
+    runs on vertex tables already scaled to integers.  Raises
+    ArithmeticError if the division leaves a remainder, which means the
+    caller's divisibility argument does not hold.
     """
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"{b} does not divide {a}")
-        return q
-    return as_exact(Fraction(a) / b)
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
 
 
 def _reduce(v: Vector, echelon: list[tuple[Vector, int]]) -> Vector:

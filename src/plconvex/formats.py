@@ -21,7 +21,7 @@ from operator import itemgetter
 from .complexes import StandardFormComplex
 from .errors import InvalidInputError, ParseError
 from .exact import Scalar, Vector, as_exact, format_rational, parse_rational
-from .normals import POLYGONAL, SIMPLICIAL, TraditionalFormComplex
+from .normals import TraditionalFormComplex
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,6 @@ def parse_off(text: str) -> TraditionalFormComplex:
         corners=[(v,) for v in range(nv)],
         ridges=list(edges),
         facets=facets,
-        mode=POLYGONAL,
     )
 
 
@@ -170,7 +169,7 @@ def _off_coord(x: Scalar) -> str:
 
 
 def serialize_off(t: TraditionalFormComplex) -> str:
-    if t.n != 3 or t.mode != POLYGONAL:
+    if t.n != 3:
         raise InvalidInputError("OFF output is limited to R^3 polygonal form")
     out = io.StringIO()
     out.write("OFF\n")
@@ -221,6 +220,8 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
         if record is None:
             break
         ln, tok = record
+        if tok[0] in decl_ln:
+            raise ParseError(f"repeated {tok[0]!r} declaration", ln)
         if tok[0] == "form" and len(tok) == 2:
             form = tok[1]
         elif tok[0] == "n" and len(tok) == 2:
@@ -236,6 +237,13 @@ def parse_plc(text: str) -> StandardFormComplex | TraditionalFormComplex:
     if form == "traditional":
         return _parse_plc_traditional(n, records, text)
     return _parse_plc_standard(n, records, ln, text)
+
+
+def _unknown_record(kind: str, ln: int) -> ParseError:
+    """The error for a body line of no known kind; form and n come once."""
+    if kind in ("form", "n"):
+        return ParseError(f"repeated {kind!r} declaration", ln)
+    return ParseError(f"unknown record {kind!r}", ln)
 
 
 def _parse_plc_traditional(n, records, text) -> TraditionalFormComplex:
@@ -268,7 +276,7 @@ def _parse_plc_traditional(n, records, text) -> TraditionalFormComplex:
                 raise ParseError(f"duplicate vertex id {vid}", ln)
             vertices[vid] = row[1:] or _coordinates(tok[2:], ln)
         else:
-            raise ParseError(f"unknown record {kind!r}", ln)
+            raise _unknown_record(kind, ln)
     for name, table in (("vertex", vertices),) + tuple(cells.items()):
         # Ids are distinct, so they are dense iff they run from 0 to len - 1.
         if table and (min(table) != 0 or max(table) != len(table) - 1):
@@ -280,14 +288,12 @@ def _parse_plc_traditional(n, records, text) -> TraditionalFormComplex:
                       if tok[0] == name and int(tok[1]) == bad)
             raise ParseError(f"{name} ids must be dense from 0", ln)
     coords = [vertices[i] for i in range(len(vertices))]
-    mode = POLYGONAL if n == 3 else SIMPLICIAL
     return TraditionalFormComplex(
         n=n,
         vertices=coords,
         corners=[cells["corner"][i] for i in range(len(cells["corner"]))],
         ridges=[cells["ridge"][i] for i in range(len(cells["ridge"]))],
         facets=[cells["facet"][i] for i in range(len(cells["facet"]))],
-        mode=mode,
     )
 
 
@@ -322,9 +328,11 @@ def _parse_plc_standard(n, records, ln, text) -> StandardFormComplex:
         elif kind in ("corners", "ridges", "facets"):
             if len(tok) != 2:
                 raise ParseError(f"{kind} line needs one count", ln)
+            if kind in counts:
+                raise ParseError(f"repeated {kind} count", ln)
             counts[kind] = _int(tok[1], ln)
         else:
-            raise ParseError(f"unknown record {kind!r}", ln)
+            raise _unknown_record(kind, ln)
     for kind in ("corners", "ridges", "facets"):
         if kind not in counts:
             raise ParseError(f"missing {kind} count", ln)

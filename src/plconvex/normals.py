@@ -52,6 +52,11 @@ class TraditionalFormComplex:
     Cells are given by vertex-id tuples; polygonal facets list their boundary
     cycle in order.  Incidences are derived: by vertex containment for
     simplicial cells, and by consecutive boundary pairs for polygon edges.
+
+    The mode follows from n: POLYGONAL at n = 3, where facets may be any
+    simple planar polygons (triangles included) and corners are single
+    vertices, and SIMPLICIAL at n >= 4.  mode need not be given; a given
+    mode that differs from the one n implies is an InvalidInputError.
     """
 
     n: int
@@ -59,20 +64,20 @@ class TraditionalFormComplex:
     corners: list[tuple[int, ...]]
     ridges: list[tuple[int, ...]]
     facets: list[tuple[int, ...]]
-    mode: str
+    mode: str | None = None
 
     def __post_init__(self):
-        if self.mode not in (POLYGONAL, SIMPLICIAL):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if self.mode == POLYGONAL and self.n != 3:
-            raise InvalidInputError("polygonal mode is R^3 only")
+        mode = POLYGONAL if self.n == 3 else SIMPLICIAL
+        if self.mode not in (None, mode):
+            raise InvalidInputError(
+                f"mode {self.mode!r} does not fit n = {self.n}: want {mode!r}"
+            )
+        self.mode = mode
         self.vertices = [tuple(as_exact(c) for c in v) for v in self.vertices]
 
     @property
     def is_simplicial(self) -> bool:
-        if self.mode == SIMPLICIAL:
-            return True
-        return all(len(f) == 3 for f in self.facets)
+        return self.n > 3 or all(len(f) == 3 for f in self.facets)
 
     def coords(self, vid: int) -> Vector:
         return self.vertices[vid]
@@ -128,9 +133,12 @@ def orthogonal_components(xs, basis: list[Vector]) -> list[Vector]:
     columns.  The products pair entries without a length check: every x
     and basis vector is a difference of two vertices, and
     validate_traditional checks that every vertex has n coordinates.
+
+    The basis is never empty: _link_residuals passes the differences of a
+    simplicial corner's vertices, and validate_traditional has checked
+    that such a corner has n - 2 distinct vertices, at least 2 since
+    simplicial mode is n >= 4 (an R^3 complex is polygonal).
     """
-    if not basis:
-        return list(xs)
     gram = [[sum(map(mul, a, b)) for b in basis] for a in basis]
     rhs = [[sum(map(mul, a, x)) for a in basis] for x in xs]
     det, coeffs = _adjugate_solve(gram, rhs)
@@ -171,9 +179,9 @@ def _convex_certificate(edges, turns, normal) -> bool:
     wind once close the polygon before that.  False means "don't know".
     """
     k = len(edges)
-    start = next((i for i, t in enumerate(turns) if t), None)
-    if start is None:
-        return False
+    # Some turn is strict: validate_polygon has rejected zero area, and
+    # with every turn zero all edges would lie on one line.
+    start = next(i for i, t in enumerate(turns) if t)
     sense = turns[start]
     for t, (ax, ay, az), (bx, by, bz) in zip(turns, edges[-1:] + edges, edges):
         if t == -sense or (t == 0 and ax * bx + ay * by + az * bz <= 0):

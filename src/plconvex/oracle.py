@@ -10,18 +10,14 @@ enumeration, guarded by proven magnitude bounds so it stays exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import GenerationFailed, NotFullDimensional, NotSimplicial
-from .normals import (
-    POLYGONAL,
-    SIMPLICIAL,
-    TraditionalFormComplex,
-    validate_traditional,
-)
+from .normals import TraditionalFormComplex, validate_traditional
 
 Scalar = int | Fraction
 Point = tuple[Scalar, ...]
@@ -98,44 +94,58 @@ def _rank(vectors) -> int:
     return rank
 
 
-def _ortho_residual(x, basis):
-    """x minus its orthogonal projection onto span(basis), exactly."""
+def _ortho_residuals(xs, basis):
+    """Each x minus its orthogonal projection onto span(basis), exactly.
+
+    One Fraction elimination of the Gram matrix serves every x: its
+    right-hand sides are carried along as columns.
+    """
     if not basis:
-        return tuple(x)
+        return [tuple(x) for x in xs]
     k = len(basis)
-    gram = [[Fraction(_dotp(a, b)) for b in basis] for a in basis]
-    rhs = [Fraction(_dotp(a, x)) for a in basis]
+    gram = [
+        [Fraction(_dotp(a, b)) for b in basis] + [_dotp(a, x) for x in xs]
+        for a in basis
+    ]
     for col in range(k):
         pivot = next(r for r in range(col, k) if gram[r][col] != 0)
         gram[col], gram[pivot] = gram[pivot], gram[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         for r in range(k):
             if r != col and gram[r][col] != 0:
                 f = gram[r][col] / gram[col][col]
                 gram[r] = [x_ - f * y_ for x_, y_ in zip(gram[r], gram[col])]
-                rhs[r] -= f * rhs[col]
-    lam = [rhs[i] / gram[i][i] for i in range(k)]
-    out = list(x)
-    for coeff, b in zip(lam, basis):
-        out = [o - coeff * c for o, c in zip(out, b)]
-    return tuple(out)
+    out = []
+    for j, x in enumerate(xs, start=k):
+        res = list(x)
+        for i, b in enumerate(basis):
+            coeff = gram[i][j] / gram[i][i]
+            res = [o - coeff * c for o, c in zip(res, b)]
+        out.append(tuple(res))
+    return out
 
 
 def _direction_basis_of(ids, coords):
+    """The first vertex differences that are independent, in id order.
+
+    One elimination per basis vector found: the remaining differences are
+    projected together, and the first with a nonzero residual joins.
+    """
     base = coords[ids[0]]
+    rest = [_sub(coords[i], base) for i in ids[1:]]
     basis = []
-    for i in ids[1:]:
-        d = _sub(coords[i], base)
-        r = _ortho_residual(d, basis)
-        if any(c != 0 for c in r):
-            basis.append(d)
+    while rest:
+        residuals = _ortho_residuals(rest, basis)
+        j = next((j for j, r in enumerate(residuals) if any(r)), None)
+        if j is None:
+            break
+        basis.append(rest[j])
+        rest = rest[j + 1:]
     return basis
 
 
 def _collinear_coeff(v, w):
-    pivot = next((i for i, c in enumerate(v) if c != 0), None)
-    if pivot is None:
-        raise ValueError("zero reference vector")
+    """w / v if w is a multiple of the nonzero vector v, else None."""
+    pivot = next(i for i, c in enumerate(v) if c != 0)
     for a, b in zip(v, w):
         if a * w[pivot] != b * v[pivot]:
             return None
@@ -183,25 +193,12 @@ def _normal_through(subset_pts, n):
 
 
 def _canonical_plane(normal, offset):
-    from math import gcd
-
-    nums = []
-    dens = []
-    for c in list(normal) + [offset]:
-        f = Fraction(c)
-        nums.append(f.numerator)
-        dens.append(f.denominator)
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    ints = [f * scale for f in
-            (Fraction(c) for c in list(normal) + [offset])]
-    ints = [int(v) for v in ints]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
+    """The plane as coprime integers: denominators cleared, gcd divided out."""
+    values = [Fraction(c) for c in (*normal, offset)]
+    scale = math.lcm(*(f.denominator for f in values))
+    ints = [int(f * scale) for f in values]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints[:-1]), ints[-1] // g
 
 
 def _supports_exact(pts, n):
@@ -330,8 +327,10 @@ def _proper_faces(ids, coords, dim):
         ref = None
         sides = {}
         degenerate = False
-        for q in ids:
-            r = _ortho_residual(_sub(coords[q], base), basis)
+        residuals = _ortho_residuals(
+            [_sub(coords[q], base) for q in ids], basis
+        )
+        for q, r in zip(ids, residuals):
             if all(c == 0 for c in r):
                 on_face.append(q)
                 continue
@@ -400,7 +399,11 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
     if not t.is_simplicial:
         raise NotSimplicial("hull-boundary oracle needs simplicial input")
     validate_traditional(t)
-    pts = t.vertices
+    # Scaled to integers: a uniform positive scaling keeps the hull, each
+    # support's point set and both sides of every volume equality, and
+    # keeps the determinants below in int arithmetic.
+    scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
+    pts = [tuple(int(c * scale) for c in v) for v in t.vertices]
     supports = brute_hull_supports(pts)
     on_sets = _support_point_sets(pts, supports)
 
@@ -463,14 +466,12 @@ def _assemble_complex(n, coords, facet_simplices) -> TraditionalFormComplex:
             corner_map.setdefault(frozenset(sub), len(corner_map))
     ridges = sorted(tuple(sorted(s)) for s in ridge_map)
     corners = sorted(tuple(sorted(s)) for s in corner_map)
-    mode = POLYGONAL if n == 3 else SIMPLICIAL
     return TraditionalFormComplex(
         n=n,
         vertices=vertices,
         corners=corners,
         ridges=ridges,
         facets=facets,
-        mode=mode,
     )
 
 
@@ -545,5 +546,4 @@ def dent(
         corners=list(t.corners),
         ridges=list(t.ridges),
         facets=list(t.facets),
-        mode=t.mode,
     )

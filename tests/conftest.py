@@ -52,12 +52,15 @@ def polygonal_surface(vertices, facets) -> TraditionalFormComplex:
         corners=[(i,) for i in range(len(vertices))],
         ridges=edges,
         facets=[tuple(f) for f in facets],
-        mode="polygonal",
     )
 
 
 def simplicial_surface(n, vertices, facets) -> TraditionalFormComplex:
-    """Simplicial traditional complex; ridges and corners are derived."""
+    """Simplicial traditional complex; ridges and corners are derived.
+
+    At n = 3 the complex is polygonal, as every R^3 complex is: its
+    triangles are polygons and its corners single vertices.
+    """
     facets = sorted(tuple(sorted(f)) for f in facets)
     ridges = sorted({tuple(sorted(s)) for f in facets for s in combinations(f, n - 1)})
     corners = sorted({tuple(sorted(s)) for f in facets for s in combinations(f, n - 2)})
@@ -67,7 +70,6 @@ def simplicial_surface(n, vertices, facets) -> TraditionalFormComplex:
         corners=corners,
         ridges=ridges,
         facets=facets,
-        mode="simplicial",
     )
 
 

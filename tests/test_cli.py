@@ -461,6 +461,125 @@ def test_parse_error_line_numbers(tmp_path, capsys, name, text, line):
     assert "Traceback" not in err
 
 
+def _plc4(vertices, corners, ridges, facets):
+    """A traditional PLC document in R^4 from its cell lists."""
+    lines = ["plc 1", "form traditional", "n 4"]
+    lines += [f"vertex {i} " + " ".join(map(str, v))
+              for i, v in enumerate(vertices)]
+    for kind, cells in (("corner", corners), ("ridge", ridges),
+                        ("facet", facets)):
+        lines += [f"{kind} {i} " + " ".join(map(str, c))
+                  for i, c in enumerate(cells)]
+    return "\n".join(lines) + "\n"
+
+
+_V4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+_F4 = list(combinations(range(5), 4))
+_R4 = list(combinations(range(5), 3))
+_C4 = list(combinations(range(5), 2))
+_TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+# Parse errors go to stderr; conversion errors are the report's reason.
+@pytest.mark.parametrize("name, text, stderr, reason", [
+    ("x.off", "# nothing\n", "empty OFF document", None),
+    ("x.off", "OFF\n", "line 1: missing counts line", None),
+    ("x.off", "OFF\n1 2\n", "line 2: counts line must be 'V F E'", None),
+    ("x.off", "OFF\n1 x 0\n", "line 2: bad counts line: invalid literal "
+     "for int() with base 10: 'x'", None),
+    ("x.off", "OFF\n3 1 0\n0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     "line 3: vertex line needs 3 coordinates", None),
+    ("x.off", "OFF\n3 1 0\n" + _TRIANGLE + "4 0 1 2\n",
+     "line 6: facet line must be 'k i1 ... ik'", None),
+    ("x.off", "OFF\n3 1 0\n" + _TRIANGLE + "-1\n",
+     "line 6: facet line must be 'k i1 ... ik'", None),
+    ("x.off", "OFF\n3 1 0\n" + _TRIANGLE + "2 0 1\n",
+     "line 6: facet needs at least 3 vertices", None),
+    ("x.off", "OFF\n3 1 0\n" + _TRIANGLE + "3 0 1 9\n",
+     "line 6: facet vertex 9 out of range", None),
+    ("x.plc", "plc 1\nvertex 0 0 0 0\n",
+     "line 2: expected form/n declarations, got 'vertex'", None),
+    ("x.plc", _TRAD + "corner 0 0\ncorner 0 0\n",
+     "line 6: duplicate corner id 0", None),
+    ("x.plc", _TRAD + "vertex 1 0 0\n",
+     "line 5: vertex line needs id + 3 coordinates", None),
+    ("x.plc", _TRAD + "vertex 0 1 0 0\n", "line 5: duplicate vertex id 0",
+     None),
+    ("x.plc", _STD + "incidence bogus 0 0\n",
+     "line 5: incidence line: kind id id", None),
+    ("x.plc", "plc 1\nform standard\nn 3\ncorners 1 2\n",
+     "line 4: corners line needs one count", None),
+    ("x.plc", _plc4(_V4, _C4, _R4[:-1], _F4), None,
+     "facet 3 boundary ridge (2, 3, 4) missing from input"),
+    ("x.plc", _plc4(_V4, _C4[:-1], _R4, _F4), None,
+     "facet 2 boundary corner (3, 4) missing from input"),
+    ("x.plc", _plc4([*_V4, (1, 1, 1, 1)], _C4, [*_R4, (0, 1, 5)], _F4), None,
+     "ridge 10 boundary corner (0, 5) missing from input"),
+    ("x.plc", _plc4(_V4, [(0, 0), *_C4[1:]], _R4, _F4), None,
+     "simplicial cell (0, 0) needs 2 distinct vertices"),
+    ("x.off", "OFF\n3 1 3\n" + _TRIANGLE + "3 0 1 2\n", None,
+     "closed surface needs >= 4 vertices, got 3"),
+], ids=["off_empty", "off_no_counts", "off_counts_shape", "off_counts_value",
+        "off_vertex_short", "off_facet_shape", "off_facet_negative",
+        "off_facet_small", "off_facet_range", "plc_declarations",
+        "plc_duplicate_corner", "plc_vertex_short", "plc_duplicate_vertex",
+        "plc_incidence", "plc_corners_line", "ridge_missing",
+        "facet_corner_missing", "ridge_corner_missing", "cell_size",
+        "three_vertices"])
+def test_malformed_input_messages(tmp_path, capsys, name, text, stderr,
+                                  reason):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["check", str(path), "--report", "json"]) == 2
+    captured = capsys.readouterr()
+    if stderr is not None:
+        assert captured.err == f"error: {stderr}\n"
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["verdict"], payload["reason"]) == (
+            "invalid_input", reason)
+
+
+def _insert_after(text, line, extra):
+    lines = text.splitlines(keepends=True)
+    at = lines.index(line + "\n") + 1
+    return "".join(lines[:at] + [extra + "\n"] + lines[at:])
+
+
+@pytest.mark.parametrize("after, extra, at, kind", [
+    ("plc 1", "form standard", 3, "form"),
+    ("n 3", "n 3", 4, "n"),
+    ("n 3", "form traditional", 4, "form"),
+], ids=["form", "n", "form_after_n"])
+def test_repeated_declaration_is_parse_error(tmp_path, capsys, after, extra,
+                                             at, kind):
+    # A second declaration, before the body or in it, is refused instead of
+    # overriding the first: the cube with "form standard" first would
+    # otherwise check as a convex traditional complex.
+    text = _insert_after(serialize_plc(cube_traditional()), after, extra)
+    path = tmp_path / "cube.plc"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {at}: repeated {kind!r} declaration\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["corners", "ridges", "facets"])
+def test_repeated_count_is_parse_error(tmp_path, capsys, kind):
+    text = (DATA / "cube_standard.plc").read_text()
+    line = next(x for x in text.splitlines() if x.startswith(kind + " "))
+    path = tmp_path / "cube.plc"
+    path.write_text(_insert_after(text, line, line))
+    at = text.splitlines().index(line) + 2
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {at}: repeated {kind} count\n"
+    )
+
+
 @pytest.mark.parametrize("name, text, line", [
     ("huge.off", "OFF\n3 1 0\n0 0 0\n1e10000000 0 0\n0 1 0\n3 0 1 2\n", 4),
     ("huge.plc", _TRAD + "vertex 1 0 -2.5E-10000000 0\n", 5),
@@ -533,6 +652,14 @@ def test_stats_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "f_0 = 8" in out
     assert "traditional" in out
+
+
+def test_stats_standard_form(capsys):
+    assert main(["stats", str(DATA / "cube_standard.plc")]) == 0
+    assert capsys.readouterr().out == (
+        "form: standard, n=3\nf_0 = 8\nf_1 = 12\nf_2 = 6\n"
+        "corner-ridge incidences = 24\n"
+    )
 
 
 def test_bench_command_smoke(capsys):

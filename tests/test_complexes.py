@@ -372,14 +372,14 @@ def test_single_ridge_star_rejected():
 
 def test_face_counts_cube(cube_standard):
     counts = face_counts(cube_standard)
-    assert counts.f(0) == 8 and counts.f(1) == 12 and counts.f(2) == 6
+    assert counts.by_dim == {0: 8, 1: 12, 2: 6}
     assert counts.corner_ridge == 24
-    assert counts.corner_ridge == counts.corner_facet
+    assert sum(map(len, cube_standard.corner_facets)) == 24
 
 
 def test_face_counts_tetrahedron():
     counts = face_counts(to_standard(tetrahedron_traditional()))
-    assert counts.f(0) == 4 and counts.f(1) == 6 and counts.f(2) == 4
+    assert counts.by_dim == {0: 4, 1: 6, 2: 4}
 
 
 def test_face_counts_4simplex():
@@ -388,7 +388,7 @@ def test_face_counts_4simplex():
     # corner-ridge incidences: each triangle has 3 edges -> 30.
     std = to_standard(simplex_boundary(4))
     counts = face_counts(std)
-    assert counts.f(1) == 10 and counts.f(2) == 10 and counts.f(3) == 5
+    assert counts.by_dim == {1: 10, 2: 10, 3: 5}
     assert counts.corner_ridge == 30
 
 

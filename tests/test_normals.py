@@ -47,7 +47,7 @@ from plconvex.normals import (
 )
 from plconvex.formats import parse_off
 from plconvex.oracle import (
-    _ortho_residual,
+    _ortho_residuals,
     dent,
     gen_convex_surface,
     is_hull_boundary,
@@ -83,11 +83,6 @@ def in_span(v, basis) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def test_ridge_normal_r3_vertex_difference():
-    coords = _coords({0: (0, 0, 0), 1: (2, 0, 0)})
-    assert _link_residuals((0,), [(0, 1)], coords) == {1: (2, 0, 0)}
-
-
 def test_ridge_normal_r4_strips_corner_direction():
     coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (1, 2, 0, 0)})
     assert _link_residuals((0, 1), [(0, 1, 2)], coords) == {2: (0, 2, 0, 0)}
@@ -113,9 +108,6 @@ def test_ridge_normal_degenerate():
 def test_facet_normal_examples():
     # A facet's normal at a corner is the sum of its two extra vertices'
     # residuals, one per vertex however many cells share it.
-    coords = _coords({0: (0, 0, 0), 1: (2, 0, 0), 2: (0, 2, 0)})
-    assert _link_residuals((0,), [(0, 1), (0, 2), (0, 1, 2)], coords) == {
-        1: (2, 0, 0), 2: (0, 2, 0)}
     coords = _coords(
         {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (1, 2, 0, 0), 3: (1, 0, 3, 0)}
     )
@@ -191,7 +183,7 @@ _ENTRIES = st.one_of(
 @st.composite
 def _projection_cases(draw):
     n = draw(st.integers(4, 6))
-    k = draw(st.integers(0, n - 3))
+    k = draw(st.integers(1, n - 3))
     vector = st.tuples(*[_ENTRIES] * n)
     return draw(vector), draw(st.lists(vector, min_size=k, max_size=k))
 
@@ -211,10 +203,6 @@ def test_orthogonal_component_positive_multiple_of_reference(case):
     w = orthogonal_component(int_x, int_basis)
     assert all(type(c) is int for c in w)
     assert all(dot(w, b) == 0 for b in int_basis)
-    assert _positive_multiple(w, expected)
-    # Rational input stays exact, on the same ray.
-    w = orthogonal_component(x, basis)
-    assert all(dot(w, b) == 0 for b in basis)
     assert _positive_multiple(w, expected)
 
 
@@ -1102,23 +1090,41 @@ def test_to_standard_simplicial_normals_match_oracle_residuals():
     # for the ridge's extra vertex v, and each facet normal of
     # r(v) + r(w) for the facet's extra vertices v and w.  Conversion has
     # proven every corner independent, so its vertex differences are the
-    # basis.
+    # basis.  One oracle elimination per corner serves its link vertices.
     for t in _simplicial_oracle_cases():
         std = to_standard(t)
+        link = [set() for _ in t.corners]
+        for c, f in std.facet_normals:
+            link[c].update(t.facets[f])
 
         @functools.cache
-        def residual(c, v):
+        def residual(c):
             base, *others = (t.vertices[u] for u in t.corners[c])
             basis = [vsub(u, base) for u in others]
-            return _ortho_residual(vsub(t.vertices[v], base), basis)
+            vs = sorted(link[c] - set(t.corners[c]))
+            xs = [vsub(t.vertices[v], base) for v in vs]
+            return dict(zip(vs, _ortho_residuals(xs, basis)))
 
         for (c, r), w in std.ridge_normals.items():
             (v,) = set(t.ridges[r]) - set(t.corners[c])
-            assert _positive_multiple(w, residual(c, v)), (c, r)
+            assert _positive_multiple(w, residual(c)[v]), (c, r)
         for (c, f), w in std.facet_normals.items():
             v, x = set(t.facets[f]) - set(t.corners[c])
-            want = tuple(map(sum, zip(residual(c, v), residual(c, x))))
+            want = tuple(map(sum, zip(residual(c)[v], residual(c)[x])))
             assert _positive_multiple(w, want), (c, f)
+
+
+@pytest.mark.parametrize("n, given", [
+    (3, "simplicial"), (4, "polygonal"), (5, "polygonal"), (3, "bogus"),
+])
+def test_mode_follows_dimension(n, given):
+    cells = dict(vertices=[], corners=[], ridges=[], facets=[])
+    want = "polygonal" if n == 3 else "simplicial"
+    assert TraditionalFormComplex(n, **cells).mode == want
+    assert TraditionalFormComplex(n, **cells, mode=want).mode == want
+    message = f"mode {given!r} does not fit n = {n}: want {want!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        TraditionalFormComplex(n, **cells, mode=given)
 
 
 def test_to_standard_propagates_degenerate_cells():
