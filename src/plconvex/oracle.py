@@ -1,8 +1,16 @@
 """Brute-force convex-hull ground truth and instance generators.
 
-Everything here is desk-scale and deliberately independent of the checker's
-predicates: determinants, ranks, and projections are reimplemented locally
-so that checker-oracle agreement in the tests is evidence, not tautology.
+Everything here is desk-scale and written apart from the checker's
+predicates, so that checker-oracle agreement in the tests is evidence, not
+tautology.  The one checker function used is normals.validate_traditional,
+which gates is_hull_boundary's input.
+
+All exact algebra is one local fraction-free Gauss-Jordan elimination on
+integer rows (_bareiss): its pivot columns give ranks and a one-to-one
+chart of an affine hull, its last pivot gives a determinant, and its
+reduced rows give the normal of the hyperplane through n points.  Each
+n-subset therefore costs a polynomial in n; the oracle is exponential only
+in the number of points.
 
 The only optimization is a vectorized int64 fast path for hyperplane
 enumeration, guarded by proven magnitude bounds so it stays exact.
@@ -53,103 +61,35 @@ def _dotp(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _det(rows) -> Scalar:
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(d):
-        a = rows[0][j]
-        if a == 0:
-            continue
-        minor = [
-            [rows[r][c] for c in range(d) if c != j] for r in range(1, d)
-        ]
-        total += (-1) ** j * a * _det(minor)
-    return total
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss, 1968).
 
-
-def _rank(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < cols:
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][pivot_col] != 0), None
-        )
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][pivot_col] != 0:
-                f = Fraction(rows[r][pivot_col], pr[pivot_col])
-                rows[r] = [x - f * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        pivot_col += 1
-    return rank
-
-
-def _ortho_residuals(xs, basis):
-    """Each x minus its orthogonal projection onto span(basis), exactly.
-
-    One Fraction elimination of the Gram matrix serves every x: its
-    right-hand sides are carried along as columns.
+    Returns the reduced rows, the pivot columns and the last pivot.  Each
+    step multiplies every other row by the new pivot and divides by the last
+    one; every entry stays a minor of the input, so the floor division is
+    exact.  The first rank rows carry the last pivot in their own pivot
+    column and zero in the others, and the last pivot is, up to sign, the
+    minor on the pivot rows and columns: the determinant of a square matrix
+    of full rank.
     """
-    if not basis:
-        return [tuple(x) for x in xs]
-    k = len(basis)
-    gram = [
-        [Fraction(_dotp(a, b)) for b in basis] + [_dotp(a, x) for x in xs]
-        for a in basis
-    ]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if gram[r][col] != 0)
-        gram[col], gram[pivot] = gram[pivot], gram[col]
-        for r in range(k):
-            if r != col and gram[r][col] != 0:
-                f = gram[r][col] / gram[col][col]
-                gram[r] = [x_ - f * y_ for x_, y_ in zip(gram[r], gram[col])]
-    out = []
-    for j, x in enumerate(xs, start=k):
-        res = list(x)
-        for i, b in enumerate(basis):
-            coeff = gram[i][j] / gram[i][i]
-            res = [o - coeff * c for o, c in zip(res, b)]
-        out.append(tuple(res))
-    return out
-
-
-def _direction_basis_of(ids, coords):
-    """The first vertex differences that are independent, in id order.
-
-    One elimination per basis vector found: the remaining differences are
-    projected together, and the first with a nonzero residual joins.
-    """
-    base = coords[ids[0]]
-    rest = [_sub(coords[i], base) for i in ids[1:]]
-    basis = []
-    while rest:
-        residuals = _ortho_residuals(rest, basis)
-        j = next((j for j, r in enumerate(residuals) if any(r)), None)
-        if j is None:
-            break
-        basis.append(rest[j])
-        rest = rest[j + 1:]
-    return basis
-
-
-def _collinear_coeff(v, w):
-    """w / v if w is a multiple of the nonzero vector v, else None."""
-    pivot = next(i for i, c in enumerate(v) if c != 0)
-    for a, b in zip(v, w):
-        if a * w[pivot] != b * v[pivot]:
-            return None
-    return Fraction(w[pivot]) / Fraction(v[pivot])
+    rows = [list(r) for r in rows]
+    pivots = []
+    last = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        a = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                b = row[col]
+                rows[i] = [(a * x - b * y) // last for x, y in zip(row, top)]
+        pivots.append(col)
+        last = a
+    return rows, pivots, last
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +100,9 @@ def _collinear_coeff(v, w):
 def brute_hull_supports(points) -> SupportSet:
     """All supporting hyperplanes spanned by n-subsets of the input.
 
-    Exponential by design; intended for at most a few dozen points with
-    n <= 5.  Raises NotFullDimensional when the points do not span R^n.
+    Exponential in the number of points by design (every n-subset is
+    tried), polynomial in n per subset; intended for at most a few dozen
+    points.  Raises NotFullDimensional when the points do not span R^n.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -169,26 +110,38 @@ def brute_hull_supports(points) -> SupportSet:
     n = len(pts[0])
     if len(pts) < n + 1:
         raise NotFullDimensional(f"need at least {n + 1} points")
+    # The elimination divides exactly on integers only: scale by the common
+    # denominator here and divide each offset by it on the way out.
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    pts = [tuple(int(c * scale) for c in p) for p in pts]
     diffs = [_sub(p, pts[0]) for p in pts[1:]]
-    if _rank(diffs) != n:
+    if len(_bareiss(diffs)[1]) != n:
         raise NotFullDimensional("points do not span the ambient space")
 
-    all_int = all(isinstance(c, int) for p in pts for c in p)
     limit = _INT64_COORD_LIMIT.get(n)
-    if all_int and limit and max(abs(c) for p in pts for c in p) <= limit:
+    if limit and max(abs(c) for p in pts for c in p) <= limit:
         planes = _supports_int64(pts, n)
     else:
         planes = _supports_exact(pts, n)
-    return SupportSet(hyperplanes=tuple(sorted(planes)))
+    return SupportSet(hyperplanes=tuple(sorted(
+        _canonical_plane(normal, Fraction(offset, scale))
+        for normal, offset in planes
+    )))
 
 
 def _normal_through(subset_pts, n):
+    """Null vector of the points' differences, read off the reduced rows:
+    a normal of their hyperplane, or zero when they are affinely dependent.
+    """
     base = subset_pts[0]
-    rows = [_sub(p, base) for p in subset_pts[1:]]
-    normal = []
-    for j in range(n):
-        cols = [[row[c] for c in range(n) if c != j] for row in rows]
-        normal.append((-1) ** j * _det(cols))
+    rows, pivots, last = _bareiss([_sub(p, base) for p in subset_pts[1:]])
+    if len(pivots) != n - 1:
+        return (0,) * n
+    (free,) = set(range(n)) - set(pivots)
+    normal = [0] * n
+    normal[free] = last
+    for row, col in zip(rows, pivots):
+        normal[col] = -row[free]
     return tuple(normal)
 
 
@@ -305,59 +258,39 @@ def _charted(p, drop):
 def _simplex_chart_volume(ids, coords, drop):
     base = _charted(coords[ids[0]], drop)
     rows = [_sub(_charted(coords[i], drop), base) for i in ids[1:]]
-    return abs(_det(rows))
+    _, pivots, last = _bareiss(rows)
+    return abs(last) if len(pivots) == len(rows) else 0
 
 
 def _lex_min(ids, coords):
     return min(ids, key=lambda i: coords[i])
 
 
-def _proper_faces(ids, coords, dim):
-    """Proper (dim-1)-faces of conv(ids) inside its own affine hull."""
+def _span_chart(ids, coords):
+    """Each id's offset from the first, kept on the pivot columns of those
+    offsets: a one-to-one chart of aff(ids), in which it is full-dimensional.
+    """
+    base = coords[ids[0]]
+    diffs = [_sub(coords[i], base) for i in ids]
+    pivots = _bareiss(diffs)[1]
+    return {i: tuple(d[c] for c in pivots) for i, d in zip(ids, diffs)}
+
+
+def _proper_faces(chart, dim):
+    """Proper (dim-1)-faces of the hull of a full-dimensional chart."""
     faces = set()
     if dim == 0:
-        return faces
-    for subset in combinations(ids, dim):
-        basis = _direction_basis_of(list(subset), coords)
-        if len(basis) != dim - 1:
+        return faces  # coincident points
+    for subset in combinations(chart, dim):
+        normal = _normal_through([chart[i] for i in subset], dim)
+        if not any(normal):
             continue  # affinely dependent subset
-        base = coords[subset[0]]
-        on_face = []
-        neg = pos = False
-        ref = None
-        sides = {}
-        degenerate = False
-        residuals = _ortho_residuals(
-            [_sub(coords[q], base) for q in ids], basis
-        )
-        for q, r in zip(ids, residuals):
-            if all(c == 0 for c in r):
-                on_face.append(q)
-                continue
-            if ref is None:
-                ref = r
-                sides[q] = 1
-                continue
-            lam = _collinear_coeff(ref, r)
-            if lam is None:
-                degenerate = True  # q leaves aff(ids): caller passed bad dim
-                break
-            sides[q] = 1 if lam > 0 else -1
-        if degenerate:
+        offset = _dotp(normal, chart[subset[0]])
+        sides = {i: _dotp(normal, x) - offset for i, x in chart.items()}
+        if min(sides.values()) < 0 < max(sides.values()):
             continue
-        for s in sides.values():
-            pos = pos or s > 0
-            neg = neg or s < 0
-        if pos and neg:
-            continue
-        if not sides:
-            continue  # everything on the flat: not a proper face
-        faces.add(frozenset(on_face))
+        faces.add(frozenset(i for i, side in sides.items() if side == 0))
     return faces
-
-
-def _affine_dim(ids, coords):
-    return len(_direction_basis_of(list(ids), coords))
 
 
 def _triangulate_face(ids, coords, apex_rule):
@@ -368,12 +301,13 @@ def _triangulate_face(ids, coords, apex_rule):
     smallest point, which is always a vertex.
     """
     ids = sorted(ids)
-    dim = _affine_dim(ids, coords)
+    chart = _span_chart(ids, coords)
+    dim = len(chart[ids[0]])
     if len(ids) == dim + 1:
         return [tuple(ids)]
     apex = ids[0] if apex_rule == "index" else _lex_min(ids, coords)
     simplices = []
-    for face in _proper_faces(ids, coords, dim):
+    for face in _proper_faces(chart, dim):
         if apex in face:
             continue
         for sub in _triangulate_face(face, coords, apex_rule):
@@ -401,7 +335,7 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
     validate_traditional(t)
     # Scaled to integers: a uniform positive scaling keeps the hull, each
     # support's point set and both sides of every volume equality, and
-    # keeps the determinants below in int arithmetic.
+    # gives the elimination the integers it divides exactly.
     scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
     pts = [tuple(int(c * scale) for c in v) for v in t.vertices]
     supports = brute_hull_supports(pts)
@@ -447,7 +381,7 @@ def _extreme_points(pts, supports):
     extreme = []
     for i in range(len(pts)):
         mine = [normals[si] for si, s in enumerate(on_sets) if i in s]
-        if len(mine) >= n and _rank(mine) == n:
+        if len(mine) >= n and len(_bareiss(mine)[1]) == n:
             extreme.append(i)
     return extreme
 
@@ -497,7 +431,7 @@ def gen_convex_surface(
         if len(pts) < n + 1:
             continue
         diffs = [_sub(p, pts[0]) for p in pts[1:]]
-        if _rank(diffs) != n:
+        if len(_bareiss(diffs)[1]) != n:
             continue
         supports = brute_hull_supports(pts)
         extreme = set(_extreme_points(pts, supports))

@@ -11,6 +11,9 @@ boundary iff some orientation puts every rim point weakly on one side of
 every consecutive-pair plane; the rim is simple iff its minor arcs meet
 only at shared endpoints.
 
+Orthogonal residuals: the reference that converted simplicial normals are
+checked against.
+
 None of this shares code with the library's predicates.
 """
 
@@ -211,3 +214,42 @@ def rim_simple(rim):
 
 def oracle_cone_convex(rim):
     return cone_supported(rim) and rim_simple(rim)
+
+
+# ---------------------------------------------------------------------------
+# Orthogonal residuals
+# ---------------------------------------------------------------------------
+
+
+def _dotp(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _ortho_residuals(xs, basis):
+    """Each x minus its orthogonal projection onto span(basis), exactly.
+
+    One Fraction elimination of the Gram matrix serves every x: its
+    right-hand sides are carried along as columns.
+    """
+    if not basis:
+        return [tuple(x) for x in xs]
+    k = len(basis)
+    gram = [
+        [Fraction(_dotp(a, b)) for b in basis] + [_dotp(a, x) for x in xs]
+        for a in basis
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if gram[r][col] != 0)
+        gram[col], gram[pivot] = gram[pivot], gram[col]
+        for r in range(k):
+            if r != col and gram[r][col] != 0:
+                f = gram[r][col] / gram[col][col]
+                gram[r] = [x_ - f * y_ for x_, y_ in zip(gram[r], gram[col])]
+    out = []
+    for j, x in enumerate(xs, start=k):
+        res = list(x)
+        for i, b in enumerate(basis):
+            coeff = gram[i][j] / gram[i][i]
+            res = [o - coeff * c for o, c in zip(res, b)]
+        out.append(tuple(res))
+    return out

@@ -21,6 +21,7 @@ from conftest import (
     simplicial_surface,
     subdivided_cube,
 )
+from helpers_oracles import _ortho_residuals
 from plconvex import (
     Convex,
     InvalidInput,
@@ -46,12 +47,7 @@ from plconvex.normals import (
     validate_traditional,
 )
 from plconvex.formats import parse_off
-from plconvex.oracle import (
-    _ortho_residuals,
-    dent,
-    gen_convex_surface,
-    is_hull_boundary,
-)
+from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
 from test_exact import (
     PlaneFrame,
     _multiple_pivot,
@@ -1084,7 +1080,7 @@ def test_to_standard_normals_equal_public_builders():
 
 
 def test_to_standard_simplicial_normals_match_oracle_residuals():
-    # The oracle's Fraction elimination is written apart from normals.py.
+    # The reference Fraction elimination is written apart from normals.py.
     # Against the residuals r(v) of the corner's link vertices over its
     # direction basis, each ridge normal is a positive multiple of r(v)
     # for the ridge's extra vertex v, and each facet normal of

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,20 @@ from conftest import (
     subdivided_cube,
 )
 from plconvex import Convex, NotConvex, check_complex
+from plconvex.cli import main
 from plconvex.errors import GenerationFailed, NotFullDimensional, NotSimplicial
+from plconvex.formats import serialize_plc
 from plconvex.oracle import (
+    _bareiss,
+    _normal_through,
+    _supports_exact,
+    _supports_int64,
     brute_hull_supports,
     dent,
     gen_convex_surface,
     is_hull_boundary,
 )
+from test_exact import _gauss_rank
 
 
 def test_supports_tetrahedron():
@@ -67,20 +75,76 @@ def test_supports_permutation_and_scaling_invariance():
 
 
 def test_supports_exact_path_matches_int64_path():
-    from plconvex.oracle import _supports_exact, _supports_int64
-
+    # Grid sets (coordinates in -2..2) make many n-subsets dependent.
     rng = random.Random(5)
-    for n in (3, 4):
-        for _ in range(5):
+    for n in (3, 4, 5):
+        for bound in (30, 30, 30, 30, 30, 2, 2, 2, 2, 2):
             pts = [
-                tuple(rng.randrange(-30, 31) for _ in range(n))
+                tuple(rng.randrange(-bound, bound + 1) for _ in range(n))
                 for _ in range(n + 5)
             ]
-            diffs_rank_ok = True
-            try:
-                assert _supports_int64(pts, n) == _supports_exact(pts, n)
-            except NotFullDimensional:
-                diffs_rank_ok = False
+            assert _supports_int64(pts, n) == _supports_exact(pts, n)
+
+
+def test_supports_rational_points():
+    # Recorded from the Fraction elimination the integer kernel replaced.
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    pts = [(0, 0, 0), (third, 0, 0), (0, third, 0), (0, 0, third),
+           (seventh, seventh, seventh)]
+    assert brute_hull_supports(pts).hyperplanes == (
+        ((-3, -3, -1), -1), ((-3, -1, -3), -1), ((-1, -3, -3), -1),
+        ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0),
+    )
+    f = Fraction
+    pts = [(0, 0, 0, 0), (f(1, 2), 0, 0, 0), (0, f(2, 3), 0, 0),
+           (0, 0, f(3, 5), 0), (0, 0, 0, f(-5, 4)),
+           (f(1, 9), f(1, 9), f(1, 9), f(-1, 9)),
+           (f(7, 5), f(1, 2), f(-1, 3), f(1, 4))]
+    assert brute_hull_supports(pts).hyperplanes == (
+        ((-905, -1890, -2100, 1008), -1260), ((-90, 94, -75, 36), -45),
+        ((0, 1, 0, -2), 0), ((0, 1, 0, 0), 0), ((0, 2, 3, 0), 0),
+        ((1, 0, 0, 0), 0), ((5, 0, 0, -28), 0), ((5, 0, 21, 0), 0),
+    )
+
+
+def _laplace_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a != 0
+    )
+
+
+def _planted_matrix(rng, n):
+    """An n x n integer matrix whose rows past a random rank are integer
+    combinations of the others, rows shuffled."""
+    rank = rng.randrange(n + 1)
+    rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(rank)]
+    while len(rows) < n:
+        coeffs = [rng.randrange(-2, 3) for _ in range(rank)]
+        rows.append([sum(c * r[k] for c, r in zip(coeffs, rows[:rank]))
+                     for k in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_bareiss_matches_reference_rank_det_and_normal():
+    rng = random.Random(24)
+    for n in [*range(1, 8)] * 8 + [8] * 4:
+        rows = _planted_matrix(rng, n)
+        _, pivots, last = _bareiss(rows)
+        rank = _gauss_rank(rows)
+        assert len(pivots) == rank, rows
+        det = _laplace_det(rows)
+        assert (abs(last) if rank == n else 0) == abs(det), rows
+        normal = _normal_through([(0,) * n, *rows[:-1]], n)
+        assert all(
+            sum(a * b for a, b in zip(normal, r)) == 0 for r in rows[:-1]
+        ), rows
+        assert any(normal) == (_gauss_rank(rows[:-1]) == n - 1), rows
+        assert abs(sum(a * b for a, b in zip(normal, rows[-1]))) == abs(det)
 
 
 def test_supports_not_full_dimensional():
@@ -109,6 +173,14 @@ def test_is_hull_boundary_apex_flattened_onto_equator():
     assert is_hull_boundary(t) is True
     verdict = check_complex(t).verdict
     assert isinstance(verdict, Convex)
+
+
+def test_is_hull_boundary_coincident_vertices():
+    # Vertex 1 moved onto vertex 0: the hull is a pyramid, and triangulating
+    # its faces meets two ids at one point, which have no proper face.
+    t = octahedron_traditional()
+    t.vertices[1] = t.vertices[0]
+    assert is_hull_boundary(t) is False
 
 
 def test_is_hull_boundary_4simplex():
@@ -183,3 +255,21 @@ def test_dent_factor_half_breaks_convexity():
             verdict = check_complex(d).verdict
             assert isinstance(verdict, NotConvex), (seed, factor)
             assert is_hull_boundary(d) is False
+
+
+def test_oracle_cost_is_polynomial_in_n(tmp_path, capsys):
+    # An n = 10 simplex boundary.  On a 2-core x86 box a Laplace expansion
+    # per minor took 43 s to generate it and 52 s to decide it; one
+    # elimination per subset takes about 0.1 s for each.
+    start = time.perf_counter()
+    t = gen_convex_surface(seed=1, n=10, num_points=11, coord_bound=20)
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    assert is_hull_boundary(t) is True
+    assert time.perf_counter() - start < 2
+    path = tmp_path / "hull.plc"
+    path.write_text(serialize_plc(t))
+    start = time.perf_counter()
+    assert main(["oracle", str(path)]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "hull-boundary\n"
