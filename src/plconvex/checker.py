@@ -155,20 +155,16 @@ def check_complex(
     corner is tested once and the verdict (witness included) is read off
     that single report.
     """
-    if isinstance(obj, TraditionalFormComplex):
-        try:
+    std = None if isinstance(obj, TraditionalFormComplex) else obj
+    try:
+        if std is None:
             if obj.n == 3:
                 pre = precheck_edge_count(obj)
                 if isinstance(pre, NotConvex):
                     return CheckRun(pre)
             std = to_standard(obj)
-        except InvalidInputError as exc:
-            return CheckRun(InvalidInput(str(exc)))
-    else:
-        std = obj
-    if not exhaustive:
-        return CheckRun(check_convexity(std), std)
-    try:
+        if not exhaustive:
+            return CheckRun(check_convexity(std), std)
         results = corner_report(std)
     except InvalidInputError as exc:
         return CheckRun(InvalidInput(str(exc)), std)

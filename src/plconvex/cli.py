@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .checker import Convex, InvalidInput, NotConvex, Verdict, check_complex
 from .complexes import face_counts
-from .errors import InvalidInputError, NotSimplicial, ParseError, PLConvexError
+from .errors import InvalidInputError, ParseError, PLConvexError
 from .exact import parse_rational
 from .formats import parse_path, serialize_off, serialize_plc
 from .normals import TraditionalFormComplex
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError, NotSimplicial) as exc:
+    except (ParseError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except PLConvexError as exc:

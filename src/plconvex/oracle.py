@@ -12,6 +12,12 @@ reduced rows give the normal of the hyperplane through n points.  Each
 n-subset therefore costs a polynomial in n; the oracle is exponential only
 in the number of points.
 
+There is one side test: the support enumeration records the points on
+each supporting hyperplane (SupportSet.points_on), and everything else
+reads them from it.  The proper faces of a hull facet are the supports of
+its points in their own chart, and each hull facet is measured in one
+chart, which serves both sides of its volume equality.
+
 The only optimization is a vectorized int64 fast path for hyperplane
 enumeration, guarded by proven magnitude bounds so it stays exact.
 """
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -40,9 +47,11 @@ _INT64_COORD_LIMIT = {3: 500_000, 4: 12_000, 5: 4_500}
 class SupportSet:
     """Supporting hyperplanes of conv(points): dot(normal, x) >= offset holds
     weakly for every input point, and each hyperplane contains at least n
-    affinely independent input points."""
+    affinely independent input points.  points_on[i] is the set of indices
+    of the input points on hyperplanes[i]."""
 
     hyperplanes: tuple[tuple[Point, Scalar], ...]
+    points_on: tuple[frozenset[int], ...]
 
     def __len__(self):
         return len(self.hyperplanes)
@@ -123,10 +132,14 @@ def brute_hull_supports(points) -> SupportSet:
         planes = _supports_int64(pts, n)
     else:
         planes = _supports_exact(pts, n)
-    return SupportSet(hyperplanes=tuple(sorted(
-        _canonical_plane(normal, Fraction(offset, scale))
-        for normal, offset in planes
-    )))
+    pairs = sorted(
+        (_canonical_plane(normal, Fraction(offset, scale)), on)
+        for on, (normal, offset) in planes.items()
+    )
+    return SupportSet(
+        hyperplanes=tuple(h for h, _ in pairs),
+        points_on=tuple(on for _, on in pairs),
+    )
 
 
 def _normal_through(subset_pts, n):
@@ -155,36 +168,37 @@ def _canonical_plane(normal, offset):
 
 
 def _supports_exact(pts, n):
-    planes = set()
+    """{indices of the points on a supporting hyperplane: its canonical
+    inner plane}.  The points on a support span it, so they determine it."""
+    planes = {}
     for subset in combinations(range(len(pts)), n):
         normal = _normal_through([pts[i] for i in subset], n)
-        if all(c == 0 for c in normal):
+        if not any(normal):
             continue
         offset = _dotp(normal, pts[subset[0]])
-        lo = hi = 0
-        ok = True
-        for q in pts:
+        on, lo, hi = [], False, False
+        for i, q in enumerate(pts):
             s = _dotp(normal, q) - offset
-            if s > 0:
-                hi = 1
-            elif s < 0:
-                lo = -1
+            if s == 0:
+                on.append(i)
+            elif s > 0:
+                hi = True
+            else:
+                lo = True
             if lo and hi:
-                ok = False
                 break
-        if not ok:
-            continue
-        if lo:  # flip to the inner orientation: all sides >= 0
-            normal = tuple(-c for c in normal)
-            offset = -offset
-        planes.add(_canonical_plane(normal, offset))
+        else:
+            on = frozenset(on)
+            if on not in planes:
+                if lo:  # flip to the inner orientation: all sides >= 0
+                    normal = tuple(-c for c in normal)
+                    offset = -offset
+                planes[on] = _canonical_plane(normal, offset)
     return planes
 
 
 def _np_det(a):
     d = a.shape[-1]
-    if d == 1:
-        return a[..., 0, 0]
     if d == 2:
         return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     out = None
@@ -214,7 +228,7 @@ def _supports_int64(pts, n):
     mins = sides.min(axis=1)
     maxs = sides.max(axis=1)
     keep = (mins >= 0) | (maxs <= 0)
-    normals, offsets = normals[keep], offsets[keep]
+    normals, offsets, sides = normals[keep], offsets[keep], sides[keep]
     flip = maxs[keep] <= 0
     normals[flip] *= -1
     offsets[flip] *= -1
@@ -225,8 +239,9 @@ def _supports_int64(pts, n):
     normals //= g[:, None]
     offsets //= g
     return {
-        (tuple(int(c) for c in nrm), int(off))
-        for nrm, off in zip(normals, offsets)
+        frozenset(np.flatnonzero(row == 0).tolist()):
+            (tuple(nrm.tolist()), int(off))
+        for row, nrm, off in zip(sides, normals, offsets)
     }
 
 
@@ -235,29 +250,9 @@ def _supports_int64(pts, n):
 # ---------------------------------------------------------------------------
 
 
-def _support_point_sets(pts, supports):
-    out = []
-    for normal, offset in supports.hyperplanes:
-        out.append(
-            frozenset(
-                i for i, p in enumerate(pts) if _dotp(normal, p) == offset
-            )
-        )
-    return out
-
-
-def _chart_drop(normal):
-    drop = max(range(len(normal)), key=lambda i: abs(normal[i]))
-    return drop
-
-
-def _charted(p, drop):
-    return tuple(c for i, c in enumerate(p) if i != drop)
-
-
-def _simplex_chart_volume(ids, coords, drop):
-    base = _charted(coords[ids[0]], drop)
-    rows = [_sub(_charted(coords[i], drop), base) for i in ids[1:]]
+def _simplex_volume(ids, chart):
+    base = chart[ids[0]]
+    rows = [_sub(chart[i], base) for i in ids[1:]]
     _, pivots, last = _bareiss(rows)
     return abs(last) if len(pivots) == len(rows) else 0
 
@@ -277,20 +272,13 @@ def _span_chart(ids, coords):
 
 
 def _proper_faces(chart, dim):
-    """Proper (dim-1)-faces of the hull of a full-dimensional chart."""
-    faces = set()
+    """Proper (dim-1)-faces of the hull of a full-dimensional chart: the
+    point sets of the supports of its points."""
     if dim == 0:
-        return faces  # coincident points
-    for subset in combinations(chart, dim):
-        normal = _normal_through([chart[i] for i in subset], dim)
-        if not any(normal):
-            continue  # affinely dependent subset
-        offset = _dotp(normal, chart[subset[0]])
-        sides = {i: _dotp(normal, x) - offset for i, x in chart.items()}
-        if min(sides.values()) < 0 < max(sides.values()):
-            continue
-        faces.add(frozenset(i for i, side in sides.items() if side == 0))
-    return faces
+        return set()  # coincident points
+    ids = list(chart)
+    on_sets = _supports_exact([chart[i] for i in ids], dim)
+    return {frozenset(ids[j] for j in on) for on in on_sets}
 
 
 def _triangulate_face(ids, coords, apex_rule):
@@ -315,13 +303,6 @@ def _triangulate_face(ids, coords, apex_rule):
     return simplices
 
 
-def _hull_chart_volume(ids, coords, drop):
-    vol = 0
-    for simplex in _triangulate_face(ids, coords, "lex"):
-        vol += _simplex_chart_volume(list(simplex), coords, drop)
-    return vol
-
-
 def is_hull_boundary(t: TraditionalFormComplex) -> bool:
     """Does this simplicial surface embed onto the boundary of its vertex hull?
 
@@ -338,13 +319,8 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
     # gives the elimination the integers it divides exactly.
     scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
     pts = [tuple(int(c * scale) for c in v) for v in t.vertices]
-    supports = brute_hull_supports(pts)
-    on_sets = _support_point_sets(pts, supports)
-
-    covered = set()
-    for s in on_sets:
-        covered |= s
-    if len(covered) != len(pts):
+    on_sets = brute_hull_supports(pts).points_on
+    if len(frozenset().union(*on_sets)) != len(pts):
         return False  # some vertex is strictly inside the hull
 
     facet_sets = [frozenset(f) for f in t.facets]
@@ -357,11 +333,17 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
             return False  # facet not inside any supporting hyperplane
         assignment.setdefault(home, []).append(fi)
 
-    for si, (normal, _offset) in enumerate(supports.hyperplanes):
-        drop = _chart_drop(normal)
-        hull_vol = _hull_chart_volume(on_sets[si], pts, drop)
+    # One chart per hull facet measures both sides: the charts of a
+    # hyperplane are one-to-one linear images of each other, so an equality
+    # of volumes holds in one exactly when it holds in any other.
+    for si, on in enumerate(on_sets):
+        chart = _span_chart(sorted(on), pts)
+        hull_vol = sum(
+            _simplex_volume(simplex, chart)
+            for simplex in _triangulate_face(on, pts, "lex")
+        )
         facet_vol = sum(
-            _simplex_chart_volume(list(t.facets[fi]), pts, drop)
+            _simplex_volume(t.facets[fi], chart)
             for fi in assignment.get(si, [])
         )
         if facet_vol != hull_vol:
@@ -376,35 +358,35 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
 
 def _extreme_points(pts, supports):
     n = len(pts[0])
-    on_sets = _support_point_sets(pts, supports)
     normals = [h[0] for h in supports.hyperplanes]
     extreme = []
     for i in range(len(pts)):
-        mine = [normals[si] for si, s in enumerate(on_sets) if i in s]
+        mine = [
+            normals[si] for si, s in enumerate(supports.points_on) if i in s
+        ]
         if len(mine) >= n and len(_bareiss(mine)[1]) == n:
             extreme.append(i)
     return extreme
 
 
-def _assemble_complex(n, coords, facet_simplices) -> TraditionalFormComplex:
+def _assemble_complex(
+    n, coords, facet_simplices
+) -> TraditionalFormComplex | None:
+    """The complex of the facet simplices, or None unless every ridge lies
+    on exactly two facets (a degenerate triangulation)."""
     used = sorted({v for f in facet_simplices for v in f})
     remap = {old: new for new, old in enumerate(used)}
     vertices = [coords[old] for old in used]
     facets = sorted(tuple(sorted(remap[v] for v in f)) for f in facet_simplices)
-    ridge_map = {}
-    corner_map = {}
-    for f in facets:
-        for sub in combinations(f, n - 1):
-            ridge_map.setdefault(frozenset(sub), len(ridge_map))
-        for sub in combinations(f, n - 2):
-            corner_map.setdefault(frozenset(sub), len(corner_map))
-    ridges = sorted(tuple(sorted(s)) for s in ridge_map)
-    corners = sorted(tuple(sorted(s)) for s in corner_map)
+    ridges = Counter(sub for f in facets for sub in combinations(f, n - 1))
+    if any(c != 2 for c in ridges.values()):
+        return None
+    corners = {sub for f in facets for sub in combinations(f, n - 2)}
     return TraditionalFormComplex(
         n=n,
         vertices=vertices,
-        corners=corners,
-        ridges=ridges,
+        corners=sorted(corners),
+        ridges=sorted(ridges),
         facets=facets,
     )
 
@@ -428,27 +410,19 @@ def gen_convex_surface(
             for _ in range(num_points)
         ]
         pts = list(dict.fromkeys(raw))
-        if len(pts) < n + 1:
+        try:
+            supports = brute_hull_supports(pts)
+        except NotFullDimensional:
             continue
-        diffs = [_sub(p, pts[0]) for p in pts[1:]]
-        if len(_bareiss(diffs)[1]) != n:
-            continue
-        supports = brute_hull_supports(pts)
         extreme = set(_extreme_points(pts, supports))
-        on_sets = _support_point_sets(pts, supports)
         facet_simplices = []
-        for s in on_sets:
+        for s in supports.points_on:
             facet_simplices.extend(
                 _triangulate_face(sorted(s & extreme), pts, "index")
             )
         complex = _assemble_complex(n, pts, facet_simplices)
-        counts = {}
-        for f in complex.facets:
-            for sub in combinations(f, n - 1):
-                counts[sub] = counts.get(sub, 0) + 1
-        if any(c != 2 for c in counts.values()):
-            continue  # degenerate triangulation; resample
-        return complex
+        if complex is not None:
+            return complex  # else a degenerate triangulation; resample
     raise GenerationFailed(
         f"no full-dimensional sample after retries "
         f"(seed={seed}, n={n}, points={num_points}, bound={coord_bound})"

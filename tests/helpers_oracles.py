@@ -14,6 +14,9 @@ only at shared endpoints.
 Orthogonal residuals: the reference that converted simplicial normals are
 checked against.
 
+Support point sets: the points on each supporting hyperplane, by direct
+evaluation; the reference for SupportSet.points_on.
+
 None of this shares code with the library's predicates.
 """
 
@@ -252,4 +255,20 @@ def _ortho_residuals(xs, basis):
             coeff = gram[i][j] / gram[i][i]
             res = [o - coeff * c for o, c in zip(res, b)]
         out.append(tuple(res))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Support point sets
+# ---------------------------------------------------------------------------
+
+
+def _support_point_sets(pts, supports):
+    out = []
+    for normal, offset in supports.hyperplanes:
+        out.append(
+            frozenset(
+                i for i, p in enumerate(pts) if _dotp(normal, p) == offset
+            )
+        )
     return out

@@ -8,6 +8,7 @@ from conftest import (
     cube_traditional,
     octahedron_traditional,
     rim_flips,
+    simplex_boundary,
     subdivided_cube,
     tetrahedron_traditional,
 )
@@ -23,6 +24,7 @@ from plconvex import (
 from helpers_oracles import oracle_cone_convex
 from plconvex.checker import EDGE_COUNT_EXCEEDED, check_complex
 from plconvex.complexes import CellId, validate_standard, wheel_star
+from plconvex.errors import InvalidInputError
 from plconvex.local import Cone, reduce_to_3d
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
 
@@ -104,6 +106,12 @@ def test_corner_report_flat_subdivision():
 def test_precheck_cube_and_tetrahedron():
     assert isinstance(precheck_edge_count(cube_traditional()), Convex)
     assert isinstance(precheck_edge_count(tetrahedron_traditional()), Convex)
+
+
+def test_precheck_refuses_n4():
+    with pytest.raises(InvalidInputError,
+                       match=r"^edge-count precheck applies to R\^3 input only$"):
+        precheck_edge_count(simplex_boundary(4))
 
 
 def test_precheck_torus():

@@ -519,13 +519,20 @@ _TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
      "simplicial cell (0, 0) needs 2 distinct vertices"),
     ("x.off", "OFF\n3 1 3\n" + _TRIANGLE + "3 0 1 2\n", None,
      "closed surface needs >= 4 vertices, got 3"),
+    ("x.off", "OFF\n4 4 6\n" + _TRIANGLE + "0 0 1\n3 0 1 2\n3 0 1 3\n"
+     "3 0 2 3\n3 1 2 3\n3 0 1 2\n",
+     "line 2: expected 4 vertex and 4 facet lines, got 9", None),
+    ("x.plc", "plc 1\nform standard\n",
+     "line 2: bad ambient dimension None", None),
+    ("x.plc", "plc 1\n", "line 1: unknown form None", None),
 ], ids=["off_empty", "off_no_counts", "off_counts_shape", "off_counts_value",
         "off_vertex_short", "off_facet_shape", "off_facet_negative",
         "off_facet_small", "off_facet_range", "plc_declarations",
         "plc_duplicate_corner", "plc_vertex_short", "plc_duplicate_vertex",
         "plc_incidence", "plc_corners_line", "ridge_missing",
         "facet_corner_missing", "ridge_corner_missing", "cell_size",
-        "three_vertices"])
+        "three_vertices", "off_extra_row", "plc_ends_before_n",
+        "plc_ends_before_form"])
 def test_malformed_input_messages(tmp_path, capsys, name, text, stderr,
                                   reason):
     path = tmp_path / name
@@ -540,6 +547,22 @@ def test_malformed_input_messages(tmp_path, capsys, name, text, stderr,
         payload = json.loads(captured.out)
         assert (payload["verdict"], payload["reason"]) == (
             "invalid_input", reason)
+
+
+@pytest.mark.parametrize("command, message", [
+    (["dent", "--vertex", "0", "--factor", "1/2", "--out", "x.plc"],
+     "dent needs traditional-form input"),
+    (["oracle"], "the hull oracle needs traditional-form input"),
+], ids=["dent", "oracle"])
+def test_standard_input_refused_by_traditional_commands(tmp_path, capsys,
+                                                        command, message):
+    out = tmp_path / "x.plc"
+    argv = [str(out) if a == "x.plc" else a for a in command]
+    assert main([*argv, str(DATA / "cube_standard.plc")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def _insert_after(text, line, extra):

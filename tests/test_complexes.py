@@ -30,6 +30,12 @@ def test_validate_cube(cube_standard):
     validate_standard(cube_standard)  # no exception
 
 
+def test_standard_complex_refuses_n2():
+    with pytest.raises(InvalidInputError,
+                       match=r"^ambient dimension must be >= 3, got 2$"):
+        StandardFormComplex(2, 0, 0, 0, [], {}, {})
+
+
 def test_validate_missing_ridge_facet_incidence(cube):
     std = to_standard(cube)
     # Drop one ridge->facet incidence: that ridge now has a single facet.

@@ -15,6 +15,7 @@ from plconvex.exact import (
     parse_rational,
     pivot_columns,
 )
+from plconvex.normals import TraditionalFormComplex
 
 
 def sign(x):
@@ -286,6 +287,14 @@ def test_rational_parsing_round_trip():
     assert as_exact(Fraction(4, 2)) == 2 and isinstance(as_exact(Fraction(4, 2)), int)
     for text in ["5", "-7", "2/3", "-11/4"]:
         assert format_rational(parse_rational(text)) == text
+
+
+def test_float_vertex_coordinate_is_refused():
+    with pytest.raises(TypeError, match=r"^not an exact rational: 0\.5$"):
+        as_exact(0.5)
+    with pytest.raises(TypeError, match=r"^not an exact rational: 0\.5$"):
+        TraditionalFormComplex(n=3, vertices=[(0.5, 0, 0)], corners=[],
+                               ridges=[], facets=[])
 
 
 def test_parse_rational_caps_decimal_exponent():

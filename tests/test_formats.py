@@ -21,6 +21,7 @@ from plconvex.exact import parse_rational
 from plconvex.formats import (
     _coordinates,
     parse_off,
+    parse_path,
     parse_plc,
     serialize_off,
     serialize_plc,
@@ -366,3 +367,14 @@ def test_standard_form_rational_normal_parses_exactly():
     assert [type(x) for x in std.ridge_normals[(0, 1)]] == [Fraction, Fraction, int]
     assert std.ridge_normals[(0, 0)] == (1, 0, 0)
     assert std.corner_ridges == [[0, 1]] and std.corner_facets == [[0]]
+
+
+def test_parse_path_refuses_unknown_format():
+    with pytest.raises(ParseError, match=r"^unknown format 'xyz'$"):
+        parse_path(str(DATA / "cube.off"), "xyz")
+
+
+def test_serialize_off_refuses_n4():
+    with pytest.raises(InvalidInputError,
+                       match=r"^OFF output is limited to R\^3 polygonal form$"):
+        serialize_off(simplex_boundary(4))

@@ -612,6 +612,12 @@ def test_cone_flat_ridge_zero_sign():
     assert oracle_cone_convex(rim) is True
 
 
+def test_cone_check_refuses_two_point_rim():
+    with pytest.raises(DegenerateCone,
+                       match=r"^cone check needs at least 3 rim points$"):
+        check_cone_convex(((1, 0, 0), (0, 1, 0)))
+
+
 def _cone_outcome(rim):
     try:
         return check_cone_convex(tuple(rim))

@@ -11,11 +11,14 @@ from conftest import (
     simplicial_surface,
     subdivided_cube,
 )
+from helpers_oracles import _support_point_sets
 from plconvex import Convex, NotConvex, check_complex
 from plconvex.cli import main
 from plconvex.errors import GenerationFailed, NotFullDimensional, NotSimplicial
 from plconvex.formats import serialize_plc
 from plconvex.oracle import (
+    _INT64_COORD_LIMIT,
+    _assemble_complex,
     _bareiss,
     _normal_through,
     _supports_exact,
@@ -86,25 +89,55 @@ def test_supports_exact_path_matches_int64_path():
             assert _supports_int64(pts, n) == _supports_exact(pts, n)
 
 
+_f = Fraction
+_RATIONAL_3 = [(0, 0, 0), (_f(1, 3), 0, 0), (0, _f(1, 3), 0), (0, 0, _f(1, 3)),
+               (_f(1, 7), _f(1, 7), _f(1, 7))]
+_RATIONAL_4 = [(0, 0, 0, 0), (_f(1, 2), 0, 0, 0), (0, _f(2, 3), 0, 0),
+               (0, 0, _f(3, 5), 0), (0, 0, 0, _f(-5, 4)),
+               (_f(1, 9), _f(1, 9), _f(1, 9), _f(-1, 9)),
+               (_f(7, 5), _f(1, 2), _f(-1, 3), _f(1, 4))]
+
+
 def test_supports_rational_points():
     # Recorded from the Fraction elimination the integer kernel replaced.
-    third, seventh = Fraction(1, 3), Fraction(1, 7)
-    pts = [(0, 0, 0), (third, 0, 0), (0, third, 0), (0, 0, third),
-           (seventh, seventh, seventh)]
-    assert brute_hull_supports(pts).hyperplanes == (
+    assert brute_hull_supports(_RATIONAL_3).hyperplanes == (
         ((-3, -3, -1), -1), ((-3, -1, -3), -1), ((-1, -3, -3), -1),
         ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0),
     )
-    f = Fraction
-    pts = [(0, 0, 0, 0), (f(1, 2), 0, 0, 0), (0, f(2, 3), 0, 0),
-           (0, 0, f(3, 5), 0), (0, 0, 0, f(-5, 4)),
-           (f(1, 9), f(1, 9), f(1, 9), f(-1, 9)),
-           (f(7, 5), f(1, 2), f(-1, 3), f(1, 4))]
-    assert brute_hull_supports(pts).hyperplanes == (
+    assert brute_hull_supports(_RATIONAL_4).hyperplanes == (
         ((-905, -1890, -2100, 1008), -1260), ((-90, 94, -75, 36), -45),
         ((0, 1, 0, -2), 0), ((0, 1, 0, 0), 0), ((0, 2, 3, 0), 0),
         ((1, 0, 0, 0), 0), ((5, 0, 0, -28), 0), ((5, 0, 21, 0), 0),
     )
+
+
+def test_points_on_match_direct_evaluation():
+    # Both enumeration paths: coordinates the int64 path takes (and grid
+    # sets with many points per support), coordinates beyond its limits,
+    # and rational points.
+    rng = random.Random(29)
+    cases = [_RATIONAL_3, _RATIONAL_4]
+    for n in (3, 4, 5):
+        limit = _INT64_COORD_LIMIT[n]
+        for bound in (2, 30, limit, 2 * limit):
+            for _ in range(3):
+                pts = [
+                    tuple(rng.randrange(-bound, bound + 1) for _ in range(n))
+                    for _ in range(n + 5)
+                ]
+                beyond = max(abs(c) for p in pts for c in p) > limit
+                assert beyond == (bound > limit)
+                cases.append(pts)
+    checked = 0
+    for pts in cases:
+        try:
+            supports = brute_hull_supports(pts)
+        except NotFullDimensional:
+            continue
+        assert len(supports.points_on) == len(supports.hyperplanes)
+        assert list(supports.points_on) == _support_point_sets(pts, supports)
+        checked += 1
+    assert checked >= 30
 
 
 def _laplace_det(rows):
@@ -150,6 +183,10 @@ def test_bareiss_matches_reference_rank_det_and_normal():
 def test_supports_not_full_dimensional():
     with pytest.raises(NotFullDimensional):
         brute_hull_supports([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(NotFullDimensional, match=r"^no points$"):
+        brute_hull_supports([])
+    with pytest.raises(NotFullDimensional, match=r"^need at least 4 points$"):
+        brute_hull_supports([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
 
 def test_is_hull_boundary_octahedron():
@@ -232,6 +269,17 @@ def test_gen_output_is_hull_boundary_all_dims():
 def test_gen_degenerate_bound_fails():
     with pytest.raises(GenerationFailed):
         gen_convex_surface(seed=1, n=3, num_points=10, coord_bound=0)
+    with pytest.raises(GenerationFailed, match=r"^dimension must be >= 3$"):
+        gen_convex_surface(seed=1, n=2, num_points=10, coord_bound=10)
+
+
+def test_assemble_complex_refuses_a_ridge_on_three_facets():
+    coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    tetrahedron = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    t = _assemble_complex(3, coords, tetrahedron)
+    assert (t.facets, len(t.ridges), len(t.corners)) == (tetrahedron, 6, 4)
+    # A fin on edge (0, 1): that ridge lies on three facets.
+    assert _assemble_complex(3, coords, [*tetrahedron, (0, 1, 4)]) is None
 
 
 def test_dent_zero_factor_is_identity():
