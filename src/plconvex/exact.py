@@ -5,7 +5,8 @@ freely, and all routines here avoid division unless the result type demands
 it, so integer inputs stay integers on the hot path.  Only the handful of
 operations the checker actually needs live here: fraction-free echelon
 forms with their pivot columns, a span test against three of those
-pivots, and integer quotients known to be exact.
+pivots, residuals of integer vectors modulo a span, and integer quotients
+known to be exact.
 """
 
 from __future__ import annotations
@@ -73,15 +74,52 @@ def dot(u: Vector, v: Vector) -> Scalar:
 def exact_quotient(a: int, b: int) -> int:
     """a / b for ints a and b where b is known to divide a.
 
-    Both must be ints: its one caller, the fraction-free Gram elimination,
-    runs on vertex tables already scaled to integers.  Raises
-    ArithmeticError if the division leaves a remainder, which means the
-    caller's divisibility argument does not hold.
+    Both must be ints: its one caller, quotient_residuals, runs on vertex
+    tables already scaled to integers.  Raises ArithmeticError if the
+    division leaves a remainder, which means the caller's divisibility
+    argument does not hold.
     """
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError(f"{b} does not divide {a}")
     return q
+
+
+def quotient_residuals(directions, xs) -> list[Vector] | None:
+    """d x minus a combination of the directions, for each integer x.
+
+    One fraction-free elimination (Bareiss 1968) of the direction rows,
+    with the xs carried along as extra rows.  Step p takes the first
+    nonzero entry of row p as its pivot and clears that column from every
+    later row.  After step p each later entry is the minor of rows 0..p
+    and its own row on the pivot columns so far and its own column, so
+    each division by the previous pivot is exact.  After the last step an
+    extra row is zero on every pivot column and equals d x minus a
+    combination of the directions, where d, the last pivot, is the
+    directions' minor on the pivot columns; each entry is a minor of one
+    row more.  The extra rows are negated when d < 0, so one positive
+    factor |d| serves every x.  Returns None when some step finds no
+    nonzero entry: the directions are dependent.
+    """
+    k = len(directions)
+    rows = [*directions, *xs]
+    prev = 1
+    for p in range(k):
+        top = rows[p]
+        col = next((j for j, c in enumerate(top) if c), None)
+        if col is None:
+            return None
+        pv = top[col]
+        for i in range(p + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            rows[i] = [
+                exact_quotient(pv * a - f * b, prev) for a, b in zip(row, top)
+            ]
+        prev = pv
+    if prev < 0:
+        return [tuple(-c for c in row) for row in rows[k:]]
+    return [tuple(row) for row in rows[k:]]
 
 
 def _reduce(v: Vector, echelon: list[tuple[Vector, int]]) -> Vector:

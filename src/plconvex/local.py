@@ -1,9 +1,9 @@
 """Per-corner local convexity test.
 
 A corner's star is a wheel of ridge rays and facet wedges inside the
-3-dimensional orthogonal complement of the corner.  wheel_star hands it over
-as 3-vectors at every n (at n >= 4, the normals' coordinates on three axes
-that are injective on their span), so every test here runs in R^3.  One
+3-dimensional quotient of R^n by the corner's direction space.  wheel_star
+hands it over as 3-vectors at every n (at n >= 4, the normals' coordinates
+on three axes injective on their span), so every test here runs in R^3.  One
 pass over the consecutive ridge pairs computes e_i = u_i x u_(i+1) inline
 and classifies the star from those vectors alone: e_i = 0 marks a
 collinear pair, the first nonzero e_i is a plane normal N, and the ridge

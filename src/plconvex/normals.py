@@ -1,21 +1,23 @@
-"""Traditional-form complexes and exact Euclidean inner-normal construction.
+"""Traditional-form complexes and exact inner-normal construction.
 
 Traditional input is a face poset equipped with vertex coordinates.  Two
-modes are supported: simplicial complexes in any ambient dimension n >= 3
-(normals via exact orthogonal projection against the corner's direction
-space), and arbitrary polygonal facets in R^3, where corner-ridge normals
-are vertex differences and corner-facet normals are in-plane interior
-directions that work for non-convex polygons too.  Each polygon is read
-against one plane normal N, the cross product of two of its vertex
-differences: in-plane orientations are sign(N.(a x b)), fixed-size
-products written out inline, so no coordinate frame is built.
+modes are supported: simplicial complexes in any ambient dimension n >= 4
+(each normal is an integer representative of a class in the quotient by
+the corner's direction space), and arbitrary polygonal facets in R^3,
+where corner-ridge normals are vertex differences and corner-facet
+normals are in-plane interior directions that work for non-convex
+polygons too.  Each polygon is read against one plane normal N, the cross
+product of two of its vertex differences: in-plane orientations are
+sign(N.(a x b)), fixed-size products written out inline, so no coordinate
+frame is built.
 
 Normals are never normalized to unit length: the checker only consumes
 signs, and unit vectors would leave the rational field.  Any positive
 scaling is free for the same reason, and the construction uses it to stay
-in integers: to_standard clears the coordinate denominators once, the Gram
-projection is fraction-free, and straight polygon vertices multiply instead
-of dividing.
+in integers: to_standard clears the coordinate denominators once, each
+simplicial corner's quotient residuals come from one fraction-free
+elimination whose entries are minors of coordinate differences, and
+straight polygon vertices multiply instead of dividing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, sub
 
 from .complexes import StandardFormComplex
 from .errors import (
@@ -33,11 +35,10 @@ from .errors import (
     NotPlanar,
 )
 from .exact import (
-    Scalar,
     Vector,
     as_exact,
-    exact_quotient,
     pivot_columns,
+    quotient_residuals,
     vsub,
 )
 
@@ -81,72 +82,6 @@ class TraditionalFormComplex:
 
     def coords(self, vid: int) -> Vector:
         return self.vertices[vid]
-
-
-# ---------------------------------------------------------------------------
-# Exact projection helpers
-# ---------------------------------------------------------------------------
-
-
-def _adjugate_solve(
-    g: list[list[Scalar]], columns: list[list[Scalar]]
-) -> tuple[Scalar, list[list[Scalar]]]:
-    """(det G, [adj(G) r for r in columns]) for a positive definite G.
-
-    Gauss-Jordan form of Bareiss elimination (Bareiss 1968), fraction-free:
-    every entry after step p is a minor of [G | columns], so each division by
-    the previous pivot is exact, and the pivots are the leading principal
-    minors of G.  Those are positive for a Gram matrix of independent
-    vectors, so no row exchange is needed.  At the end the left block is
-    det(G) times the identity and each right column r has become
-    det(G) G^-1 r = adj(G) r.  Columns do not mix, so one pass solves them all.
-    """
-    k = len(g)
-    a = [[*row, *(col[i] for col in columns)] for i, row in enumerate(g)]
-    prev = 1
-    for p in range(k):
-        top = a[p]
-        pv = top[p]
-        if pv <= 0:
-            raise DegenerateCell("singular Gram system")
-        for i in range(k):
-            if i == p:
-                continue
-            row = a[i]
-            f = row[p]
-            a[i] = [
-                0 if j == p else exact_quotient(pv * x - f * y, prev)
-                for j, (x, y) in enumerate(zip(row, top))
-            ]
-        prev = pv
-    return prev, [[row[k + c] for row in a] for c in range(len(columns))]
-
-
-def orthogonal_components(xs, basis: list[Vector]) -> list[Vector]:
-    """det(G) times each x minus its exact orthogonal projection on span(basis).
-
-    G is the Gram matrix of the (independent) basis, so det(G) > 0 and each
-    result lies on the ray of the true residual.  Integer input gives integer
-    results; the factor is the same for every x, and one elimination of G
-    serves them all.  Each coordinate c of a residual is
-    det(G) x_c - sum(coeff * b_c), one comprehension over the basis's
-    columns.  The products pair entries without a length check: every x
-    and basis vector is a difference of two vertices, and
-    validate_traditional checks that every vertex has n coordinates.
-
-    The basis is never empty: _link_residuals passes the differences of a
-    simplicial corner's vertices, and validate_traditional has checked
-    that such a corner has n - 2 distinct vertices, at least 2 since
-    simplicial mode is n >= 4 (an R^3 complex is polygonal).
-    """
-    gram = [[sum(map(mul, a, b)) for b in basis] for a in basis]
-    rhs = [[sum(map(mul, a, x)) for a in basis] for x in xs]
-    det, coeffs = _adjugate_solve(gram, rhs)
-    columns = list(zip(*basis))
-    return [
-        tuple(det * xc - sum(map(mul, cs, bc)) for xc, bc in zip(x, columns))
-        for x, cs in zip(xs, coeffs)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +415,9 @@ def validate_traditional(t: TraditionalFormComplex):
     Simplicial mode checks the size of every cell first, then the
     flatness of each facet with one echelon.  The faces of an affinely
     independent facet are independent too, so this covers every ridge and
-    corner on a facet.  The rest is shown later: each corner's Gram
-    elimination in _link_residuals fails exactly when the corner is
-    dependent, and validate_standard rejects a ridge on no facet.
+    corner on a facet.  The rest is shown later: each corner's elimination
+    in _link_residuals fails exactly when the corner is dependent, and
+    validate_standard rejects a ridge on no facet.
     """
     for v in t.vertices:
         if len(v) != t.n:
@@ -548,13 +483,16 @@ def _integer_coords(t: TraditionalFormComplex) -> list[Vector]:
 def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
     """Residual of each vertex of cells outside the corner, by vertex id.
 
-    One direction basis and one Gram elimination per corner serve every
-    ridge and facet residual there.  That elimination is also the corner's
-    flatness check: its pivots are the leading principal minors of the
-    Gram matrix, all positive exactly when the corner's directions are
-    independent, so a dependent corner raises here as not cellwise-flat.
-    The directions are vertex differences of equal length n, as
-    validate_traditional has checked for every vertex.
+    A vertex's residual represents its class modulo the corner's direction
+    space, the quotient the local test reads: quotient_residuals gives
+    d (v - base) minus a combination of the directions, zero on the pivot
+    columns, with one positive factor |d| for the whole corner.  So one
+    elimination per corner serves every ridge and facet residual there.
+    It is also the corner's flatness check: it finds a pivot at every step
+    exactly when the corner's directions are independent, so a dependent
+    corner raises here as not cellwise-flat.  The directions are integer
+    vertex differences of equal length n, as validate_traditional has
+    checked for every vertex of the scaled table.
     """
     base = coords(corner[0])
     basis = [tuple(map(sub, coords(v), base)) for v in corner[1:]]
@@ -562,12 +500,9 @@ def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
         v for cell in cells for v in cell if v not in corner
     ))
     xs = [tuple(map(sub, coords(v), base)) for v in link]
-    try:
-        residuals = orthogonal_components(xs, basis)
-    except DegenerateCell:
-        raise DegenerateCell(
-            f"cell {tuple(corner)} is not cellwise-flat"
-        ) from None
+    residuals = quotient_residuals(basis, xs)
+    if residuals is None:
+        raise DegenerateCell(f"cell {tuple(corner)} is not cellwise-flat")
     return dict(zip(link, residuals))
 
 
@@ -578,16 +513,18 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
     of every traditional input is an integer vector.  Validation has
     checked every cell's size, every polygon and the flatness of every
     simplicial facet, and has built each polygon's corner normals.  Each
-    simplicial corner's Gram elimination then proves that corner flat
-    while it builds the corner's normals, and raises DegenerateCell for a
-    dependent corner, which can only be one that lies on no facet.  So
-    each fact is checked once.  A simplicial ridge's normal at a corner is
-    the residual of its one extra vertex, which points from the corner
-    into the ridge; a facet's is the sum of the residuals of its two extra
-    vertices, a strictly positive combination of the wedge's extreme
-    directions and hence interior.  Cell indices carry over unchanged, so
-    witnesses agree between a traditional check and a converted
-    standard-form check.
+    simplicial corner's elimination then proves that corner flat while it
+    builds the corner's normals, and raises DegenerateCell for a dependent
+    corner, which can only be one that lies on no facet.  So each fact is
+    checked once.  The normals at a simplicial corner are read in the
+    quotient by its direction space, where each residual stands for its
+    vertex's class times the corner's one positive factor.  A ridge's
+    normal is the residual of its one extra vertex, which points from the
+    corner into the ridge; a facet's is the sum of the residuals of its
+    two extra vertices, a strictly positive combination of the wedge's
+    extreme directions and hence interior.  Cell indices carry over
+    unchanged, so witnesses agree between a traditional check and a
+    converted standard-form check.
     """
     table, corner_normals, edges = validate_traditional(t)
     cr, cf, rf = derive_incidences(t)

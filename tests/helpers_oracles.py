@@ -12,7 +12,9 @@ every consecutive-pair plane; the rim is simple iff its minor arcs meet
 only at shared endpoints.
 
 Orthogonal residuals: the reference that converted simplicial normals are
-checked against.
+checked against, modulo the corner's direction space.
+
+Laplace determinants: the reference for the eliminations' minors.
 
 Support point sets: the points on each supporting hyperplane, by direct
 evaluation; the reference for SupportSet.points_on.
@@ -256,6 +258,21 @@ def _ortho_residuals(xs, basis):
             res = [o - coeff * c for o, c in zip(res, b)]
         out.append(tuple(res))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Laplace determinants
+# ---------------------------------------------------------------------------
+
+
+def _laplace_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a != 0
+    )
 
 
 # ---------------------------------------------------------------------------

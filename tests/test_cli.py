@@ -29,6 +29,7 @@ from plconvex import (
 )
 from plconvex.cli import main
 from plconvex.complexes import CellId
+from plconvex.errors import GenerationFailed
 from plconvex.formats import parse_off, parse_plc, serialize_off, serialize_plc
 from test_normals import _cyclic_polytope_4d
 
@@ -661,6 +662,29 @@ def test_internal_error_exit_code(cube_off_file, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_generation_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # A library error that is not about the input, here a generator out of
+    # retries, prints its message and exits 3.  No real gen arguments
+    # exhaust the retries, so the generator is replaced.
+    def exhausted(seed, n, num_points, coord_bound):
+        raise GenerationFailed(
+            f"no full-dimensional sample after retries "
+            f"(seed={seed}, n={n}, points={num_points}, bound={coord_bound})"
+        )
+
+    monkeypatch.setattr(plconvex.cli, "gen_convex_surface", exhausted)
+    out = tmp_path / "hull.plc"
+    assert main(["gen", "--seed", "4", "--dim", "4", "--points", "9",
+                 "--bound", "7", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no full-dimensional sample after retries "
+        "(seed=4, n=4, points=9, bound=7)\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     bad = CUBE_OFF.replace("2 2 0", "2 2 1", 1)  # non-planar facet
     path = tmp_path / "bad.off"
@@ -804,8 +828,8 @@ _DEGENERATE_CASES = [
                               _DEGENERATE_CASES])
 def test_degenerate_cells_named_once(n, case, reason, tmp_path, capsys):
     # Conversion checks flatness once per fact: each facet by one echelon,
-    # which covers every face on a facet, and each corner by its own Gram
-    # elimination, whose failure names the corner, never the Gram system.
+    # which covers every face on a facet, and each corner by its own
+    # elimination, whose failure names the corner.
     # A dependent ridge on no facet is left to the standard-form checks.
     path = tmp_path / f"{case}_{n}.plc"
     path.write_text(serialize_plc(_degenerate_cross_polytope(n, case)))

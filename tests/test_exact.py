@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracles import det3
+from helpers_oracles import _laplace_det, _ortho_residuals, det3
 from plconvex.exact import (
     Vector,
     as_exact,
@@ -14,6 +14,7 @@ from plconvex.exact import (
     in_span3,
     parse_rational,
     pivot_columns,
+    quotient_residuals,
 )
 from plconvex.normals import TraditionalFormComplex
 
@@ -233,6 +234,69 @@ def test_exact_quotient():
     assert type(exact_quotient(12, 4)) is int
     with pytest.raises(ArithmeticError):
         exact_quotient(7, 2)
+
+
+def test_quotient_residuals_examples():
+    # d = 2 and d = -2 give one residual: the d < 0 rows are negated.
+    x = [(1, 1, 0, 0)]
+    assert quotient_residuals([(2, 0, 0, 0)], x) == [(0, 2, 0, 0)]
+    assert quotient_residuals([(-2, 0, 0, 0)], x) == [(0, 2, 0, 0)]
+    # Pivots on columns 0 and 1, d = -5: 5 x - r = 2 b0 + b1 for the first
+    # x; the second, 2 b0, is in the span.
+    directions = [(1, 2, 0, 0, 0), (3, 1, 1, 0, 0)]
+    xs = [(1, 1, 1, 1, 0), (2, 4, 0, 0, 0)]
+    assert quotient_residuals(directions, xs) == [
+        (0, 0, 4, 5, 0), (0, 0, 0, 0, 0)]
+    # Dependent directions: a zero row, a multiple, a later sum.
+    assert quotient_residuals([(0, 0, 0, 0)], [(1, 1, 0, 0)]) is None
+    assert quotient_residuals([(1, 2, 0, 0), (2, 4, 0, 0)], []) is None
+    assert quotient_residuals(
+        [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)], [(0, 0, 1, 0)]
+    ) is None
+
+
+def test_quotient_residuals_match_orthogonal_reference():
+    # r(x) is zero on the directions' pivot columns, and each entry is
+    # sign(d) times the minor of the directions and x on the pivot columns
+    # and its own column, with d the directions' minor on the pivots.
+    # Modulo the span, r(x) is |d| x: its orthogonal residual is |d| times
+    # x's, one positive factor for every x.  Dependent directions give None.
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        k = rng.randint(1, n - 1)
+        directions = [
+            tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(k)
+        ]
+        if k > 1 and rng.random() < 0.2:
+            a, b = rng.sample(range(k), 2)
+            c = rng.randint(-2, 2)
+            directions[a] = tuple(c * y for y in directions[b])
+        xs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(3)]
+        xs.append(tuple(map(sum, zip(*directions))))  # in the span
+        got = quotient_residuals(directions, xs)
+        basis, pivots = pivot_columns(directions, k)
+        if len(basis) < k:
+            assert got is None, directions
+            seen.add("dependent")
+            continue
+        d = _laplace_det([[v[c] for c in pivots] for v in directions])
+        seen.add(sign(d))
+        assert all(type(c) is int for r in got for c in r)
+        assert not any(got[-1])
+        for r, x in zip(got, xs):
+            assert all(r[c] == 0 for c in pivots)
+            for j in range(n):
+                cols = (*pivots, j)
+                minor = [[v[c] for c in cols] for v in (*directions, x)]
+                assert r[j] == sign(d) * _laplace_det(minor), (directions, x)
+        want = [
+            tuple(abs(d) * c for c in o)
+            for o in _ortho_residuals(xs, directions)
+        ]
+        assert _ortho_residuals(got, directions) == want, directions
+    assert seen == {1, -1, "dependent"}
 
 
 def test_pivot_columns_examples():

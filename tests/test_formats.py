@@ -94,6 +94,15 @@ def test_off_round_trip():
     assert again.ridges == t.ridges
 
 
+def test_off_round_trip_of_fifths():
+    # Denominators with factors 5 and 2 have finite decimal forms.
+    t = parse_off(CUBE_OFF)
+    t.vertices[6] = (Fraction(1, 5), Fraction(-3, 20), Fraction(7, 8))
+    text = serialize_off(t)
+    assert "\n0.2 -0.15 0.875\n" in text
+    assert parse_off(text).vertices == t.vertices
+
+
 def test_off_exact_decimals_and_fractions():
     text = (
         "OFF\n4 4 6\n0 0 0\n1.5 0 0\n0 2/3 0\n0 0 1\n"

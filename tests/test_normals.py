@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import random
 import re
@@ -36,13 +35,12 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.checker import check_complex
-from plconvex.exact import dot, vsub
+from plconvex.exact import dot, pivot_columns, quotient_residuals, vsub
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
     _convex_certificate,
     _link_residuals,
-    orthogonal_components,
     validate_polygon,
     validate_traditional,
 )
@@ -62,11 +60,6 @@ DATA = Path(__file__).parent / "data"
 
 def _coords(table):
     return lambda v: table[v]
-
-
-def orthogonal_component(x, basis):
-    """orthogonal_components for a single x."""
-    return orthogonal_components([x], basis)[0]
 
 
 def in_span(v, basis) -> bool:
@@ -91,7 +84,7 @@ def test_ridge_normal_degenerate():
     # validation rejects every facet through such a ridge first.
     coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 0, 0, 0)})
     assert _link_residuals((0, 1), [(0, 1, 2)], coords) == {2: (0, 0, 0, 0)}
-    # A dependent corner fails its own Gram elimination, named as a cell.
+    # A dependent corner fails its own elimination, named as a cell.
     coords = _coords({0: (1, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 1, 0, 0),
                       3: (5, 0, 1, 0)})
     flat = re.escape("cell (0, 1) is not cellwise-flat")
@@ -111,8 +104,9 @@ def test_facet_normal_examples():
         2: (0, 2, 0, 0), 3: (0, 0, 3, 0)}
 
 
-def test_ridge_normal_perpendicular_and_contained():
-    # w is orthogonal to the corner's direction space and lies in the ridge's.
+def test_ridge_normal_zero_on_pivot_column_and_contained():
+    # w is zero on the corner direction's pivot column, its first nonzero
+    # entry, and lies in the ridge's direction space.
     rng = random.Random(13)
     produced = 0
     while produced < 100:
@@ -128,10 +122,10 @@ def test_ridge_normal_perpendicular_and_contained():
             continue
         produced += 1
         d1 = vsub(pts[1], pts[0])
-        assert dot(w, d1) == 0
-        # Containment: w = (p2 - p0) - lambda * d1 for the projection lambda,
-        # so w lies in the ridge's direction span by construction; check it
-        # is a combination of d1 and (p2 - p0) exactly.
+        assert w[pivot_columns([d1], 1)[1][0]] == 0
+        # Containment: w = d (p2 - p0) - lambda * d1, so w lies in the
+        # ridge's direction span by construction; check it is a combination
+        # of d1 and (p2 - p0) exactly.
         d2 = vsub(pts[2], pts[0])
         assert in_span(w, [d1, d2])
 
@@ -187,19 +181,21 @@ def _projection_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_projection_cases())
 def test_orthogonal_component_positive_multiple_of_reference(case):
+    # The quotient residual w of x represents a positive multiple of x's
+    # class modulo span(basis), so the orthogonal component of w is a
+    # positive multiple of x's.
     x, basis = case
     expected = _reference_component(x, basis)
     assume(expected is not None)
-    # Denominators cleared once, as to_standard does: the integer result
-    # is a positive multiple of the true residual.
+    # Denominators cleared once, as to_standard does.
     scale = math.lcm(*(Fraction(c).denominator for v in (x, *basis) for c in v))
     int_x, *int_basis = [
         tuple(int(c * scale) for c in v) for v in (x, *basis)
     ]
-    w = orthogonal_component(int_x, int_basis)
+    (w,) = quotient_residuals(int_basis, [int_x])
     assert all(type(c) is int for c in w)
-    assert all(dot(w, b) == 0 for b in int_basis)
-    assert _positive_multiple(w, expected)
+    assert all(w[c] == 0 for c in pivot_columns(int_basis, len(basis))[1])
+    assert _positive_multiple(_reference_component(w, basis), expected)
 
 
 def _cyclic_polytope_4d(m):
@@ -945,38 +941,46 @@ def test_prism_conversion_searches_no_cycle(cap):
     assert [getattr(f, "index_calls", 0) for f in facets] == [0] * len(facets)
 
 
-def test_conversion_one_echelon_per_facet_one_gram_per_corner(monkeypatch):
+def test_conversion_one_echelon_per_facet_one_elimination_per_corner(
+    monkeypatch,
+):
     # A facet's flatness covers its ridges and corners, and each corner's
-    # Gram elimination proves that corner flat while it builds the
-    # corner's normals, so conversion eliminates once per facet and once
-    # per corner, and no cell is checked twice.
+    # elimination proves that corner flat while it builds the corner's
+    # normals, so conversion eliminates once per facet and once per
+    # corner, and no cell is checked twice.
     cyclic = _cyclic_polytope_4d(12)
     cases = [(cyclic, True), (dent(cyclic, 5, Fraction(3, 4)), False)]
     cases += [(_cross_polytope(n), True) for n in range(4, 8)]
     for t, convex in cases:
         with monkeypatch.context() as m:
             link = _count_calls(m, plconvex.normals, "_link_residuals")
-            solves = _count_calls(m, plconvex.normals, "_adjugate_solve")
+            kernel = _count_calls(m, plconvex.normals, "quotient_residuals")
             echelons = _count_calls(m, plconvex.exact, "pivot_columns")
             m.setattr(plconvex.normals, "pivot_columns",
                       plconvex.exact.pivot_columns)
             std = to_standard(t)
         assert len(echelons) == std.num_facets == len(t.facets)
-        assert len(link) == len(solves) == std.num_corners
+        assert len(link) == len(kernel) == std.num_corners
         assert isinstance(check_convexity(std), Convex) is convex
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_to_standard_corners_with_more_than_three_directions(n):
-    # A corner has n - 3 directions, so the projection must not cap the
-    # corner basis at rank 3.
+    # A corner has n - 3 directions, so the elimination must not cap the
+    # corner basis at rank 3: the residual is zero on all n - 3 pivot
+    # columns.  A sheared simplex keeps the directions off the axes.
     t = simplex_boundary(n)
+    t.vertices = [tuple(sum(v[:i + 1]) for i in range(n)) for v in t.vertices]
     assert check_complex(t).verdict == Convex()
     coords = _coords(dict(enumerate(t.vertices)))
     corner, ridge = tuple(range(n - 2)), tuple(range(n - 1))
     w = _link_residuals(corner, [ridge], coords)[n - 2]
-    assert all(dot(w, vsub(t.vertices[v], t.vertices[0])) == 0
-               for v in corner[1:])
+    basis = [vsub(t.vertices[v], t.vertices[0]) for v in corner[1:]]
+    pivots = pivot_columns(basis, n - 3)[1]
+    assert len(pivots) == n - 3 and all(w[c] == 0 for c in pivots)
+    x = vsub(t.vertices[n - 2], t.vertices[0])
+    assert _positive_multiple(_reference_component(w, basis),
+                              _reference_component(x, basis))
     if n == 7:
         hull = gen_convex_surface(seed=0, n=7, num_points=9, coord_bound=20)
         dented = dent(hull, 0, Fraction(1, 2))
@@ -1081,33 +1085,63 @@ def test_to_standard_normals_equal_public_builders():
 
 def test_to_standard_simplicial_normals_match_oracle_residuals():
     # The reference Fraction elimination is written apart from normals.py.
-    # Against the residuals r(v) of the corner's link vertices over its
-    # direction basis, each ridge normal is a positive multiple of r(v)
-    # for the ridge's extra vertex v, and each facet normal of
-    # r(v) + r(w) for the facet's extra vertices v and w.  Conversion has
-    # proven every corner independent, so its vertex differences are the
-    # basis.  One oracle elimination per corner serves its link vertices.
+    # Against the orthogonal residuals r(v) of the corner's link vertices
+    # over its direction basis, the orthogonal residual of each ridge
+    # normal is a positive multiple of r(v) for the ridge's extra vertex
+    # v, and that of each facet normal of r(v) + r(w) for the facet's
+    # extra vertices v and w: each normal represents that multiple's class
+    # modulo the corner's span.  Conversion has proven every corner
+    # independent, so its vertex differences are the basis.  One reference
+    # elimination per corner serves its link vertices and normals.
     for t in _simplicial_oracle_cases():
         std = to_standard(t)
-        link = [set() for _ in t.corners]
-        for c, f in std.facet_normals:
-            link[c].update(t.facets[f])
-
-        @functools.cache
-        def residual(c):
+        at = [[] for _ in t.corners]
+        for cells, normals in ((t.ridges, std.ridge_normals),
+                               (t.facets, std.facet_normals)):
+            for (c, i), w in normals.items():
+                at[c].append((w, set(cells[i]) - set(t.corners[c]), (c, i)))
+        for c, normals in enumerate(at):
             base, *others = (t.vertices[u] for u in t.corners[c])
             basis = [vsub(u, base) for u in others]
-            vs = sorted(link[c] - set(t.corners[c]))
+            vs = sorted(set().union(*(extra for _, extra, _ in normals)))
             xs = [vsub(t.vertices[v], base) for v in vs]
-            return dict(zip(vs, _ortho_residuals(xs, basis)))
+            refs = _ortho_residuals(xs + [w for w, _, _ in normals], basis)
+            residual = dict(zip(vs, refs))
+            for (_, extra, key), got in zip(normals, refs[len(vs):]):
+                want = tuple(map(sum, zip(*(residual[v] for v in extra))))
+                assert _positive_multiple(got, want), key
+
+
+def test_converted_normals_within_hadamard_bound():
+    # Each entry of a ridge normal is, up to sign, an (n - 2)-minor of the
+    # rows u - base, over the corner's other vertices and the ridge's extra
+    # vertex, base the corner's first vertex; Hadamard's inequality bounds
+    # its square by the product of those rows' squared lengths.  A facet
+    # normal, the sum of two such residuals, has entries of at most the sum
+    # of the two roots: e^2 - b1 - b2 <= 2 sqrt(b1 b2), checked squared.
+    # Orthogonal residuals carry a det(G) factor and break this bound.
+    cases = [_cyclic_polytope_4d(12),
+             gen_convex_surface(seed=3, n=6, num_points=10, coord_bound=20)]
+    for n in range(4, 9):
+        cases += [_cross_polytope(n), simplex_boundary(n)]
+    for t in cases:
+        std = to_standard(t)
+
+        def bound(c, v):
+            base, *others = (t.vertices[u] for u in t.corners[c])
+            rows = [vsub(u, base) for u in (*others, t.vertices[v])]
+            return math.prod(dot(r, r) for r in rows)
 
         for (c, r), w in std.ridge_normals.items():
             (v,) = set(t.ridges[r]) - set(t.corners[c])
-            assert _positive_multiple(w, residual(c)[v]), (c, r)
+            b = bound(c, v)
+            assert all(e * e <= b for e in w), (t.n, c, r)
         for (c, f), w in std.facet_normals.items():
             v, x = set(t.facets[f]) - set(t.corners[c])
-            want = tuple(map(sum, zip(residual(c)[v], residual(c)[x])))
-            assert _positive_multiple(w, want), (c, f)
+            b1, b2 = bound(c, v), bound(c, x)
+            for e in w:
+                excess = e * e - b1 - b2
+                assert excess <= 0 or excess ** 2 <= 4 * b1 * b2, (t.n, c, f)
 
 
 @pytest.mark.parametrize("n, given", [

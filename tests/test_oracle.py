@@ -11,7 +11,7 @@ from conftest import (
     simplicial_surface,
     subdivided_cube,
 )
-from helpers_oracles import _support_point_sets
+from helpers_oracles import _laplace_det, _support_point_sets
 from plconvex import Convex, NotConvex, check_complex
 from plconvex.cli import main
 from plconvex.errors import GenerationFailed, NotFullDimensional, NotSimplicial
@@ -138,16 +138,6 @@ def test_points_on_match_direct_evaluation():
         assert list(supports.points_on) == _support_point_sets(pts, supports)
         checked += 1
     assert checked >= 30
-
-
-def _laplace_det(rows):
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * a * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j, a in enumerate(rows[0])
-        if a != 0
-    )
 
 
 def _planted_matrix(rng, n):
