@@ -1,7 +1,9 @@
 """Command-line interface and report rendering.
 
 Exit codes: 0 convex, 1 not convex, 2 invalid input or parse error,
-3 internal error.  Reports go to stdout; diagnostics go to stderr.
+3 internal error (a bug, or a library error not about the input, such as
+a generator out of retries).  Reports go to stdout; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the coordinate axes that carry it; all structure checks are combinatorial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 
 from .errors import InvalidInputError
@@ -59,8 +59,9 @@ class StandardFormComplex:
     (no copy is made), so callers hand over dicts they no longer change.
     At n >= 4, validate_standard fills corner_axes with three coordinate
     axes per corner, on which wheel_star reads that corner's normals: the
-    pivot columns of one echelon of the corner's normals, stopped at three
-    pivots, whose minors then prove the rank at most 3.
+    columns the normals use, when there are at most three, else the pivot
+    columns of one echelon of the normals, whose minors then prove the
+    rank at most 3 (see _corner_axes).
     """
 
     def __init__(
@@ -163,11 +164,8 @@ def validate_standard(complex: StandardFormComplex) -> None:
     (automatic at n = 3), the complex has facets and corners, the facet
     adjacency graph is connected, and the surface is closed (see
     _check_closed).  Each corner's corner_ridges and corner_facets are left
-    in the walk's rim order, which wheel_star reads.  At n >= 4 one echelon
-    of each corner's normals, stopped at three pivots, gives the corner's
-    axes, and in_span3 proves the rank at most 3 from the three vectors it
-    kept (see _corner_axes).  The axes still come from the echelon that
-    chose them, so wheel_star's proof of exactness stands.
+    in the walk's rim order, which wheel_star reads.  At n >= 4
+    _corner_axes gives each corner's axes and proves its rank at most 3.
     """
     cx = complex
     for r in range(cx.num_ridges):
@@ -202,23 +200,35 @@ def validate_standard(complex: StandardFormComplex) -> None:
 def _corner_axes(cx: StandardFormComplex, c: int) -> tuple[int, int, int]:
     """Corner c's three axes, from its normals in rim order (n >= 4).
 
-    The normals of validate_standard's complex are nonzero n-vectors.  One
-    echelon of corner c's normals, stopped at three pivots, gives the axes:
-    those pivot columns, padded with the lowest other columns up to three
-    when the rank is below 3.  With three pivots, in_span3 proves every
-    normal in their span from the basis's minors, four products per normal
-    and other column, or the rank exceeds 3.  The pivots are still the ones
-    the echelon chose, and the first three a longer scan would keep, so
-    wheel_star's proof of exactness stands.
+    The normals of validate_standard's complex are nonzero n-vectors.
+    When they use at most three columns (are zero on all others), those
+    columns, padded with the lowest other columns up to three, are the
+    axes: every normal lies in the coordinate subspace of those columns,
+    so the rank is at most 3 and projecting onto them is injective on
+    the normals' span.  Converted normals take this exit: each is zero on
+    the corner's n - 3 pivot columns.  Otherwise one echelon of the
+    normals, stopped at three pivots, gives the axes: those pivot
+    columns, padded the same way when the rank is below 3.  With three
+    pivots, in_span3 proves every normal in their span from the basis's
+    minors, four products per normal and other column, or the rank
+    exceeds 3.
     """
     normals = [cx.ridge_normals[(c, r)] for r in cx.corner_ridges[c]]
     normals += [cx.facet_normals[(c, f)] for f in cx.corner_facets[c]]
-    basis, pivots = pivot_columns(normals, 3)
-    if len(pivots) == 3 and not in_span3(basis, pivots, normals):
-        raise InvalidInputError(
-            f"normals at corner {c} span more than 3 dimensions"
-        )
-    return (*pivots, *(k for k in range(cx.n) if k not in pivots))[:3]
+    columns = range(cx.n)
+    used = set()
+    for v in normals:
+        used.update(compress(columns, v))
+        if len(used) > 3:
+            basis, axes = pivot_columns(normals, 3)
+            if len(axes) == 3 and not in_span3(basis, axes, normals):
+                raise InvalidInputError(
+                    f"normals at corner {c} span more than 3 dimensions"
+                )
+            break
+    else:
+        axes = sorted(used)
+    return (*axes, *(k for k in columns if k not in axes))[:3]
 
 
 def _walk_wheel(cx: StandardFormComplex, c: int) -> tuple[list[int], list[int]]:
@@ -288,19 +298,21 @@ def wheel_star(complex: StandardFormComplex, corner: CellId) -> WheelStar:
 
     At n = 3 the normals are handed over unchanged.  At n >= 4 each normal v
     becomes (v[i], v[j], v[k]) on the corner's axes (i, j, k) from
-    validate_standard, and this is exact.  Each row of the echelon that
-    chose the pivot columns is zero at the earlier pivots, so the minor on
-    those columns is triangular with a nonzero diagonal: the projection is
-    linear and injective on the span of the vectors the echelon kept.
-    The echelon stops at three pivots: when it keeps three, in_span3 has
-    proved every normal of the corner in their span, and when it keeps
-    fewer it has scanned them all.  So the projection is injective on the
-    span of the corner's normals, and padding columns keep it so.  Within
-    one corner it therefore multiplies every 3x3 determinant of normals by
-    one common nonzero factor, keeps which normals are collinear and on
-    which ray, and keeps each facet normal's coefficients on its two ridge
-    rays.  check_cone_convex, the wedge test and the turning pass read only
-    those facts and cannot see that sign.
+    validate_standard, and this is exact: the projection is linear and
+    injective on the span of the corner's normals.  Axes that hold every
+    column the normals use drop only zero coordinates.  Otherwise the axes
+    start with the pivot columns of an echelon, each of whose rows is zero
+    at the earlier pivots, so the minor on those columns is triangular with
+    a nonzero diagonal: the projection is injective on the span of the
+    vectors the echelon kept.  The echelon stops at three pivots: when it
+    keeps three, in_span3 has proved every normal of the corner in their
+    span, and when it keeps fewer it has scanned them all.  Padding columns
+    keep a projection injective.  Within one corner it therefore multiplies
+    every 3x3 determinant of normals by one common nonzero factor, keeps
+    which normals are collinear and on which ray, and keeps each facet
+    normal's coefficients on its two ridge rays.  check_cone_convex, the
+    wedge test and the turning pass read only those facts and cannot see
+    that sign.
     """
     c = corner.index
     rim_r, rim_f = complex.corner_ridges[c], complex.corner_facets[c]

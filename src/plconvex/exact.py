@@ -99,7 +99,8 @@ def quotient_residuals(directions, xs) -> list[Vector] | None:
     directions' minor on the pivot columns; each entry is a minor of one
     row more.  The extra rows are negated when d < 0, so one positive
     factor |d| serves every x.  Returns None when some step finds no
-    nonzero entry: the directions are dependent.
+    nonzero entry: the directions are dependent.  The first step divides
+    by 1, so it does not divide.
     """
     k = len(directions)
     rows = [*directions, *xs]
@@ -113,9 +114,11 @@ def quotient_residuals(directions, xs) -> list[Vector] | None:
         for i in range(p + 1, len(rows)):
             row = rows[i]
             f = row[col]
-            rows[i] = [
-                exact_quotient(pv * a - f * b, prev) for a, b in zip(row, top)
-            ]
+            if p:
+                rows[i] = [exact_quotient(pv * a - f * b, prev)
+                           for a, b in zip(row, top)]
+            else:
+                rows[i] = [pv * a - f * b for a, b in zip(row, top)]
         prev = pv
     if prev < 0:
         return [tuple(-c for c in row) for row in rows[k:]]

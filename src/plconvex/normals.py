@@ -37,9 +37,7 @@ from .errors import (
 from .exact import (
     Vector,
     as_exact,
-    pivot_columns,
     quotient_residuals,
-    vsub,
 )
 
 POLYGONAL = "polygonal"
@@ -412,12 +410,9 @@ def validate_traditional(t: TraditionalFormComplex):
     and per polygonal edge (a, b) the vector b - a; corner_normals and
     edges are empty in simplicial mode.
 
-    Simplicial mode checks the size of every cell first, then the
-    flatness of each facet with one echelon.  The faces of an affinely
-    independent facet are independent too, so this covers every ridge and
-    corner on a facet.  The rest is shown later: each corner's elimination
-    in _link_residuals fails exactly when the corner is dependent, and
-    validate_standard rejects a ridge on no facet.
+    Simplicial mode checks the size of every cell.  Flatness is left to
+    to_standard, whose per-corner eliminations prove each facet and each
+    corner flat, and validate_standard rejects a ridge on no facet.
     """
     for v in t.vertices:
         if len(v) != t.n:
@@ -455,11 +450,6 @@ def validate_traditional(t: TraditionalFormComplex):
                 raise InvalidInputError(
                     f"simplicial cell {cell} needs {want} distinct vertices"
                 )
-    for facet in t.facets:
-        base = coords(facet[0])
-        vectors = [vsub(coords(v), base) for v in facet[1:]]
-        if len(pivot_columns(vectors, n - 1)[1]) != n - 1:
-            raise DegenerateCell(f"cell {tuple(facet)} is not cellwise-flat")
     return table, [], []
 
 
@@ -480,7 +470,7 @@ def _integer_coords(t: TraditionalFormComplex) -> list[Vector]:
     ]
 
 
-def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
+def _link_residuals(corner, cells, coords) -> dict[int, Vector] | None:
     """Residual of each vertex of cells outside the corner, by vertex id.
 
     A vertex's residual represents its class modulo the corner's direction
@@ -489,10 +479,10 @@ def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
     columns, with one positive factor |d| for the whole corner.  So one
     elimination per corner serves every ridge and facet residual there.
     It is also the corner's flatness check: it finds a pivot at every step
-    exactly when the corner's directions are independent, so a dependent
-    corner raises here as not cellwise-flat.  The directions are integer
-    vertex differences of equal length n, as validate_traditional has
-    checked for every vertex of the scaled table.
+    exactly when the corner's directions are independent, and returns None
+    for a dependent corner.  The directions are integer vertex differences
+    of equal length n, as validate_traditional has checked for every
+    vertex of the scaled table.
     """
     base = coords(corner[0])
     basis = [tuple(map(sub, coords(v), base)) for v in corner[1:]]
@@ -501,9 +491,27 @@ def _link_residuals(corner, cells, coords) -> dict[int, Vector]:
     ))
     xs = [tuple(map(sub, coords(v), base)) for v in link]
     residuals = quotient_residuals(basis, xs)
+    return None if residuals is None else dict(zip(link, residuals))
+
+
+def _flat_from(residuals, facet) -> bool:
+    """Is the facet flat, given _link_residuals at one of its corners?
+
+    The facet's directions are independent exactly when its corner's are
+    and the classes of its two other vertices modulo the corner's
+    direction space are.  Residuals vanish on the pivot columns, whose
+    complement maps one-to-one onto that quotient, so two classes are
+    independent exactly when their residuals are: when b is no multiple
+    of a.  A zero residual is a multiple of anything.
+    """
     if residuals is None:
-        raise DegenerateCell(f"cell {tuple(corner)} is not cellwise-flat")
-    return dict(zip(link, residuals))
+        return False
+    a, b = (residuals[v] for v in facet if v in residuals)
+    i = next((i for i, x in enumerate(a) if x), None)
+    if i is None:
+        return False
+    ai, bi = a[i], b[i]
+    return any(ai * y != bi * x for x, y in zip(a, b))
 
 
 def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
@@ -511,20 +519,23 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
 
     Normals are built from the vertices scaled to integers, so every normal
     of every traditional input is an integer vector.  Validation has
-    checked every cell's size, every polygon and the flatness of every
-    simplicial facet, and has built each polygon's corner normals.  Each
-    simplicial corner's elimination then proves that corner flat while it
-    builds the corner's normals, and raises DegenerateCell for a dependent
-    corner, which can only be one that lies on no facet.  So each fact is
-    checked once.  The normals at a simplicial corner are read in the
-    quotient by its direction space, where each residual stands for its
-    vertex's class times the corner's one positive factor.  A ridge's
-    normal is the residual of its one extra vertex, which points from the
-    corner into the ridge; a facet's is the sum of the residuals of its
-    two extra vertices, a strictly positive combination of the wedge's
-    extreme directions and hence interior.  Cell indices carry over
-    unchanged, so witnesses agree between a traditional check and a
-    converted standard-form check.
+    checked every cell's size and every polygon, and has built each
+    polygon's corner normals.  Each simplicial corner's one elimination
+    builds the corner's normals and proves the corner flat or dependent,
+    and every flatness fact is read from it: each facet, in facet order,
+    is flat by _flat_from at its first corner, or DegenerateCell names it.
+    A corner on a flat facet is flat, so a dependent corner lies on no
+    facet; it is named once every facet has passed.
+
+    The normals at a simplicial corner are read in the quotient by its
+    direction space, where each residual stands for its vertex's class
+    times the corner's one positive factor.  A ridge's normal is the
+    residual of its one extra vertex, which points from the corner into
+    the ridge; a facet's is the sum of the residuals of its two extra
+    vertices, a strictly positive combination of the wedge's extreme
+    directions and hence interior.  Cell indices carry over unchanged, so
+    witnesses agree between a traditional check and a converted
+    standard-form check.
     """
     table, corner_normals, edges = validate_traditional(t)
     cr, cf, rf = derive_incidences(t)
@@ -549,6 +560,17 @@ def to_standard(t: TraditionalFormComplex) -> StandardFormComplex:
             _link_residuals(c, cells, coords)
             for c, cells in zip(t.corners, cells_at)
         ]
+        # derive_incidences lists each facet's C(n, 2) corners in turn, its
+        # first corner first.
+        per_facet = t.n * (t.n - 1) // 2
+        for facet, (ci, _) in zip(t.facets, cf[::per_facet]):
+            if not _flat_from(residuals[ci], facet):
+                raise DegenerateCell(
+                    f"cell {tuple(facet)} is not cellwise-flat"
+                )
+        for c, res in zip(t.corners, residuals):
+            if res is None:
+                raise DegenerateCell(f"cell {tuple(c)} is not cellwise-flat")
         for ci, ri in cr:
             res = residuals[ci]
             ridge_normals[(ci, ri)] = next(

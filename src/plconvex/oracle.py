@@ -3,7 +3,7 @@
 Everything here is desk-scale and written apart from the checker's
 predicates, so that checker-oracle agreement in the tests is evidence, not
 tautology.  The one checker function used is normals.validate_traditional,
-which gates is_hull_boundary's input.
+which gates is_hull_boundary's input; the oracle ranks each facet itself.
 
 All exact algebra is one local fraction-free Gauss-Jordan elimination on
 integer rows (_bareiss): its pivot columns give ranks and a one-to-one
@@ -31,7 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import GenerationFailed, NotFullDimensional, NotSimplicial
+from .errors import (
+    DegenerateCell,
+    GenerationFailed,
+    NotFullDimensional,
+    NotSimplicial,
+)
 from .normals import TraditionalFormComplex, validate_traditional
 
 Scalar = int | Fraction
@@ -309,16 +314,21 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
     True iff every vertex lies on the hull boundary, every facet lies inside
     a supporting hyperplane, and the facets assigned to each supporting
     hyperplane cover its hull facet exactly (certified by exact volume sums,
-    which also rules out folds and double covers).
+    which also rules out folds and double covers).  A facet whose vertices
+    are affinely dependent raises DegenerateCell, as the checker does.
     """
     if not t.is_simplicial:
         raise NotSimplicial("hull-boundary oracle needs simplicial input")
     validate_traditional(t)
     # Scaled to integers: a uniform positive scaling keeps the hull, each
-    # support's point set and both sides of every volume equality, and
-    # gives the elimination the integers it divides exactly.
+    # support's point set, every rank and both sides of every volume
+    # equality, and gives the elimination the integers it divides exactly.
     scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
     pts = [tuple(int(c * scale) for c in v) for v in t.vertices]
+    for f in t.facets:
+        base = pts[f[0]]
+        if len(_bareiss([_sub(pts[v], base) for v in f[1:]])[1]) < len(f) - 1:
+            raise DegenerateCell(f"cell {tuple(f)} is not cellwise-flat")
     on_sets = brute_hull_supports(pts).points_on
     if len(frozenset().union(*on_sets)) != len(pts):
         return False  # some vertex is strictly inside the hull

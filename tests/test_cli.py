@@ -13,6 +13,7 @@ import pytest
 import plconvex.checker
 import plconvex.cli
 import plconvex.normals
+import plconvex.oracle
 from conftest import (
     CUBE_OFF,
     csaszar_torus,
@@ -827,9 +828,10 @@ _DEGENERATE_CASES = [
                          ids=[f"{case}_n{n}" for n, case, _ in
                               _DEGENERATE_CASES])
 def test_degenerate_cells_named_once(n, case, reason, tmp_path, capsys):
-    # Conversion checks flatness once per fact: each facet by one echelon,
-    # which covers every face on a facet, and each corner by its own
-    # elimination, whose failure names the corner.
+    # Conversion checks flatness once per fact, from each corner's one
+    # elimination: each facet, in facet order, from its first corner's
+    # result, which covers every face on a facet, then each corner on no
+    # facet, whose own elimination fails.
     # A dependent ridge on no facet is left to the standard-form checks.
     path = tmp_path / f"{case}_{n}.plc"
     path.write_text(serialize_plc(_degenerate_cross_polytope(n, case)))
@@ -838,3 +840,25 @@ def test_degenerate_cells_named_once(n, case, reason, tmp_path, capsys):
         assert payload["verdict"] == "invalid_input"
         assert payload["reason"] == reason
         assert payload["corners_checked"] == 0
+
+
+_FLAT_FACET_CASES = [c for c in _DEGENERATE_CASES
+                     if c[1] in ("flat_facet", "coincident")]
+
+
+@pytest.mark.parametrize("n, case, reason", _FLAT_FACET_CASES,
+                         ids=[f"{case}_n{n}" for n, case, _ in
+                              _FLAT_FACET_CASES])
+def test_oracle_names_flat_facet_as_check(n, case, reason, tmp_path, capsys,
+                                          monkeypatch):
+    # The hull oracle ranks each facet with its own elimination and names
+    # the first flat one as check does, even with the checker's
+    # validation taken away.
+    path = tmp_path / f"{case}_{n}.plc"
+    path.write_text(serialize_plc(_degenerate_cross_polytope(n, case)))
+    assert main(["oracle", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    monkeypatch.setattr(plconvex.oracle, "validate_traditional",
+                        lambda t: None)
+    assert main(["oracle", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"

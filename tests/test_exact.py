@@ -2,6 +2,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from plconvex.exact import (
     pivot_columns,
     quotient_residuals,
 )
+from plconvex.complexes import StandardFormComplex
 from plconvex.normals import TraditionalFormComplex
 
 
@@ -429,32 +431,107 @@ def test_in_span3_checks_every_other_column():
     assert not in_span3(basis, (0, 1, 2), [inside, (0, 0, 0, 0, 0, 1)])
 
 
+def _subdivided_simplex(n):
+    """The n-simplex 0, n e_i with its facet in x_0 = 0 split at the point
+    (0, 1, ..., 1) inside it: the corners through that point are flat, and
+    their normals use two columns, not the lowest ones."""
+    from conftest import simplicial_surface
+
+    vertices = [(0,) * n]
+    vertices += [tuple(n * (j == i) for j in range(n)) for i in range(n)]
+    vertices.append((0,) + (1,) * (n - 1))
+    split = [0, *range(2, n + 1)]
+    facets = [f for f in combinations(range(n + 1), n) if f != tuple(split)]
+    facets += [(*f, n + 1) for f in combinations(split, n - 1)]
+    return simplicial_surface(n, vertices, facets)
+
+
 def _n4_plus_surfaces():
     from conftest import simplex_boundary
-    from plconvex.oracle import dent
+    from plconvex.oracle import dent, gen_convex_surface
     from test_normals import _cross_polytope, _cyclic_polytope_4d
 
     yield _cyclic_polytope_4d(12)
     yield dent(_cyclic_polytope_4d(12), 5, Fraction(3, 4))
+    yield gen_convex_surface(seed=3, n=6, num_points=10, coord_bound=20)
     for n in range(4, 9):
         yield _cross_polytope(n)
         yield simplex_boundary(n)
+    yield _subdivided_simplex(4)
+    yield _subdivided_simplex(5)
+
+
+def _corner_normals(std, c):
+    normals = [std.ridge_normals[(c, r)] for r in std.corner_ridges[c]]
+    return normals + [std.facet_normals[(c, f)] for f in std.corner_facets[c]]
+
+
+def _used_columns(normals):
+    return sorted({k for v in normals for k, x in enumerate(v) if x})
 
 
 def test_corner_axes_are_the_four_pivot_echelons_first_three():
-    # The span check stops its echelon at three pivots; the axes it leaves
-    # are the first three pivots of an echelon allowed a fourth, over the
-    # corner's normals in rim order.
+    # Converted normals vanish on the corner's pivot columns, so they use
+    # at most three columns, and those columns, in column order, lead the
+    # axes: they are the pivots of an echelon allowed a fourth, as a set.
+    # Only the flat corners of a split facet use fewer, and pad.
     from plconvex.complexes import validate_standard
     from plconvex.normals import to_standard
 
+    ranks = set()
     for t in _n4_plus_surfaces():
         std = to_standard(t)
         validate_standard(std)
         assert len(std.corner_axes) == std.num_corners
         for c, axes in enumerate(std.corner_axes):
-            normals = [std.ridge_normals[(c, r)] for r in std.corner_ridges[c]]
-            normals += [std.facet_normals[(c, f)]
-                        for f in std.corner_facets[c]]
+            normals = _corner_normals(std, c)
+            used = _used_columns(normals)
             pivots = pivot_columns(normals, 4)[1]
-            assert len(pivots) == 3 and axes == pivots, (t.n, c)
+            assert sorted(pivots) == used, (t.n, c)
+            assert list(axes[:len(used)]) == used, (t.n, c)
+            assert len(set(axes)) == 3, (t.n, c)
+            ranks.add(len(used))
+    assert ranks == {2, 3}
+
+
+def _sheared(std):
+    """A new complex with std's cells and every normal v mapped to S v,
+    where S, prefix sums after suffix sums, is unimodular: (S)_ij is
+    min(i, j) + 1."""
+    def shear(v):
+        suffix = list(accumulate(reversed(v)))[::-1]
+        return tuple(accumulate(suffix))
+
+    return StandardFormComplex(
+        std.n, std.num_corners, std.num_ridges, std.num_facets,
+        [(r, f) for r, fs in enumerate(std.ridge_facets) for f in fs],
+        {key: shear(v) for key, v in std.ridge_normals.items()},
+        {key: shear(v) for key, v in std.facet_normals.items()},
+    )
+
+
+def test_axis_paths_agree_under_shear():
+    # The columns the normals use give the axes of every converted
+    # corner.  After a unimodular shear each corner's normals use more
+    # than three columns, so the echelon and in_span3 give the axes
+    # instead, first three pivots in order.  A linear isomorphism keeps
+    # every fact the local test reads, so both paths must give the same
+    # results, verdict and witness.
+    from plconvex.checker import check_complex
+    from plconvex.complexes import validate_standard
+    from plconvex.normals import to_standard
+
+    for t in _n4_plus_surfaces():
+        std = to_standard(t)
+        sheared = _sheared(std)
+        plain = check_complex(std, exhaustive=True)
+        validate_standard(sheared)
+        for c, axes in enumerate(sheared.corner_axes):
+            normals = _corner_normals(sheared, c)
+            assert len(_used_columns(normals)) > 3, (t.n, c)
+            basis, pivots = pivot_columns(normals, 3)
+            rank = len(_used_columns(_corner_normals(std, c)))
+            assert len(pivots) == rank and axes[:rank] == pivots, (t.n, c)
+        run = check_complex(sheared, exhaustive=True)
+        assert run.results == plain.results, t.n
+        assert run.verdict == plain.verdict, t.n

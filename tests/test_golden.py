@@ -5,7 +5,7 @@ Each golden file holds the exit code and the JSON report, without its
 file in tests/data and for six surfaces rebuilt here: the cyclic polytope
 C(12, 4), its dent at vertex 5, and an n = 5 and an n = 6 hull from a
 fixed seed, each with its dent at vertex 0.  The n = 6 hull has 170
-corners, each with three non-pivot columns for the span check.  A change
+corners, each with three non-pivot columns that become its axes.  A change
 that must not alter any report keeps this test green.  A change that
 alters reports on purpose records them again with
 

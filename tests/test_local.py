@@ -1485,17 +1485,22 @@ def test_reduce_matches_pivot_and_frame_formulation():
 
 @pytest.mark.parametrize("dented", [False, True], ids=["convex", "dented"])
 def test_one_elimination_per_corner_n4(monkeypatch, dented):
-    # validate_standard's span check is the only elimination on n-vectors:
-    # it also picks the axes on which wheel_star hands over 3-vectors, so
-    # the local test eliminates nothing longer.
+    # Conversion's quotient_residuals is the only elimination on
+    # n-vectors: the converted normals are zero on each corner's pivot
+    # column, so the axes on which wheel_star hands over 3-vectors need no
+    # echelon, and the local test eliminates nothing longer.
     from test_normals import _cyclic_polytope_4d
 
     t = _cyclic_polytope_4d(12)
     if dented:
         t = dent(t, 5, Fraction(3, 4))
-    std = to_standard(t)
-    long_scans, stars = [], []
+    eliminations, long_scans, stars = [], [], []
+    quotient_residuals = plconvex.normals.quotient_residuals
     pivot_columns = plconvex.exact.pivot_columns
+
+    def eliminating(directions, xs):
+        eliminations.append(None)
+        return quotient_residuals(directions, xs)
 
     def counting(vectors, limit):
         vectors = list(vectors)
@@ -1503,6 +1508,7 @@ def test_one_elimination_per_corner_n4(monkeypatch, dented):
             long_scans.append(None)
         return pivot_columns(vectors, limit)
 
+    monkeypatch.setattr(plconvex.normals, "quotient_residuals", eliminating)
     for module in (plconvex.exact, plconvex.complexes, plconvex.local,
                    plconvex.normals):
         monkeypatch.setattr(module, "pivot_columns", counting, raising=False)
@@ -1513,9 +1519,11 @@ def test_one_elimination_per_corner_n4(monkeypatch, dented):
         return reduce(star)
 
     monkeypatch.setattr(plconvex.checker, "reduce_to_3d", recording)
+    std = to_standard(t)
     run = check_complex(std, exhaustive=True)
     assert isinstance(run.verdict, NotConvex) is dented
-    assert len(long_scans) == len(stars) == std.num_corners
+    assert len(eliminations) == len(stars) == std.num_corners
+    assert not long_scans
     assert all(
         len(v) == 3 for s in stars for v in s.ridge_normals + s.facet_normals
     )
@@ -1572,9 +1580,12 @@ def test_span_check_products_per_normal(n, m):
 
 
 def test_span_check_products_on_cyclic_polytope():
+    # Converted normals take _corner_axes' early exit, so they are sheared
+    # onto all four columns first.
+    from test_exact import _sheared
     from test_normals import _cyclic_polytope_4d
 
-    std = to_standard(_cyclic_polytope_4d(12))
+    std = _sheared(to_standard(_cyclic_polytope_4d(12)))
     for c in range(std.num_corners):
         normals = 2 * len(std.corner_ridges[c])
         assert _counted_span_check(std, c) <= _span_products_bound(4, normals)

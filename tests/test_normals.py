@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import plconvex.complexes
 import plconvex.exact
 import plconvex.normals
 from conftest import (
@@ -35,11 +36,13 @@ from plconvex.errors import (
     NotPlanar,
 )
 from plconvex.checker import check_complex
+from plconvex.complexes import validate_standard
 from plconvex.exact import dot, pivot_columns, quotient_residuals, vsub
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
     _convex_certificate,
+    _flat_from,
     _link_residuals,
     validate_polygon,
     validate_traditional,
@@ -80,18 +83,25 @@ def test_ridge_normal_r4_strips_corner_direction():
 
 
 def test_ridge_normal_degenerate():
-    # A ridge vertex in the corner's affine span has the zero residual;
-    # validation rejects every facet through such a ridge first.
-    coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 0, 0, 0)})
+    # A ridge vertex in the corner's affine span has the zero residual,
+    # and a facet through it is not flat there.  That is an answer, not an
+    # error, in either order of the facet's two other vertices.
+    coords = _coords({0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 0, 0, 0),
+                      3: (0, 0, 1, 0)})
     assert _link_residuals((0, 1), [(0, 1, 2)], coords) == {2: (0, 0, 0, 0)}
-    # A dependent corner fails its own elimination, named as a cell.
+    res = _link_residuals((0, 1), [(0, 1, 2, 3)], coords)
+    assert res == {2: (0, 0, 0, 0), 3: (0, 0, 1, 0)}
+    assert not _flat_from(res, (0, 1, 2, 3))
+    assert not _flat_from(res, (0, 1, 3, 2))
+    assert _flat_from({2: (0, 2, 0, 0), 3: (0, 0, 1, 0)}, (0, 1, 2, 3))
+    assert not _flat_from({2: (0, 2, 4, 0), 3: (0, -1, -2, 0)}, (0, 1, 2, 3))
+    # A dependent corner fails its own elimination: no residuals, and any
+    # facet read from it is not flat.  to_standard names the cell.
     coords = _coords({0: (1, 0, 0, 0), 1: (1, 0, 0, 0), 2: (5, 1, 0, 0),
                       3: (5, 0, 1, 0)})
-    flat = re.escape("cell (0, 1) is not cellwise-flat")
-    with pytest.raises(DegenerateCell, match=f"^{flat}$"):
-        _link_residuals((0, 1), [(0, 1, 2)], coords)
-    with pytest.raises(DegenerateCell, match=f"^{flat}$"):
-        _link_residuals((0, 1), [(0, 1, 2, 3)], coords)
+    assert _link_residuals((0, 1), [(0, 1, 2)], coords) is None
+    assert _link_residuals((0, 1), [(0, 1, 2, 3)], coords) is None
+    assert not _flat_from(None, (0, 1, 2, 3))
 
 
 def test_facet_normal_examples():
@@ -198,11 +208,11 @@ def test_orthogonal_component_positive_multiple_of_reference(case):
     assert _positive_multiple(_reference_component(w, basis), expected)
 
 
-def _cyclic_polytope_4d(m):
-    """Boundary of C(m, 4) on the moment curve, facets by Gale evenness."""
-    vertices = [(t, t * t, t ** 3, t ** 4) for t in range(m)]
+def _cyclic_polytope(m, n):
+    """Boundary of C(m, n) on the moment curve, facets by Gale evenness."""
+    vertices = [tuple(t ** k for k in range(1, n + 1)) for t in range(m)]
     facets = []
-    for s in combinations(range(m), 4):
+    for s in combinations(range(m), n):
         members = set(s)
         outside = [i for i in range(m) if i not in members]
         if all(
@@ -210,7 +220,11 @@ def _cyclic_polytope_4d(m):
             for i, j in combinations(outside, 2)
         ):
             facets.append(s)
-    return simplicial_surface(4, vertices, facets)
+    return simplicial_surface(n, vertices, facets)
+
+
+def _cyclic_polytope_4d(m):
+    return _cyclic_polytope(m, 4)
 
 
 def _cross_polytope(n):
@@ -941,27 +955,59 @@ def test_prism_conversion_searches_no_cycle(cap):
     assert [getattr(f, "index_calls", 0) for f in facets] == [0] * len(facets)
 
 
-def test_conversion_one_echelon_per_facet_one_elimination_per_corner(
-    monkeypatch,
-):
-    # A facet's flatness covers its ridges and corners, and each corner's
-    # elimination proves that corner flat while it builds the corner's
-    # normals, so conversion eliminates once per facet and once per
-    # corner, and no cell is checked twice.
+def _conversion_counts(monkeypatch, t):
+    """The standard complex of t, validated, and the calls conversion and
+    validation make to each elimination: _link_residuals,
+    quotient_residuals, pivot_columns and in_span3."""
+    with monkeypatch.context() as m:
+        calls = {
+            name: _count_calls(m, owner, name)
+            for owner, name in (
+                (plconvex.normals, "_link_residuals"),
+                (plconvex.normals, "quotient_residuals"),
+                (plconvex.complexes, "pivot_columns"),
+                (plconvex.complexes, "in_span3"),
+            )
+        }
+        std = to_standard(t)
+        validate_standard(std)
+    return std, {name: len(c) for name, c in calls.items()}
+
+
+def test_conversion_one_elimination_per_corner(monkeypatch):
+    # Each corner's elimination proves that corner flat while it builds
+    # the corner's normals, and each facet is proven flat from its first
+    # corner's result, so conversion eliminates once per corner and runs
+    # no echelon; the converted normals then give each corner's axes
+    # without one.
     cyclic = _cyclic_polytope_4d(12)
     cases = [(cyclic, True), (dent(cyclic, 5, Fraction(3, 4)), False)]
     cases += [(_cross_polytope(n), True) for n in range(4, 8)]
     for t, convex in cases:
-        with monkeypatch.context() as m:
-            link = _count_calls(m, plconvex.normals, "_link_residuals")
-            kernel = _count_calls(m, plconvex.normals, "quotient_residuals")
-            echelons = _count_calls(m, plconvex.exact, "pivot_columns")
-            m.setattr(plconvex.normals, "pivot_columns",
-                      plconvex.exact.pivot_columns)
-            std = to_standard(t)
-        assert len(echelons) == std.num_facets == len(t.facets)
-        assert len(link) == len(kernel) == std.num_corners
+        std, counts = _conversion_counts(monkeypatch, t)
+        assert counts == {
+            "_link_residuals": std.num_corners,
+            "quotient_residuals": std.num_corners,
+            "pivot_columns": 0,
+            "in_span3": 0,
+        }
+        assert std.num_corners == len(t.corners)
         assert isinstance(check_convexity(std), Convex) is convex
+
+
+@pytest.mark.parametrize("n, sizes", [(4, range(8, 25)), (5, range(8, 13))],
+                         ids=["n4", "n5"])
+def test_conversion_counts_over_growth(monkeypatch, n, sizes):
+    # The paper's cost is linear in the corner incidences.  On C(N, n) as
+    # N grows, conversion makes one quotient_residuals call per corner,
+    # and neither it nor validate_standard runs an echelon or a span
+    # check.
+    for m in sizes:
+        t = _cyclic_polytope(m, n)
+        std, counts = _conversion_counts(monkeypatch, t)
+        assert counts["quotient_residuals"] == std.num_corners, m
+        assert counts["pivot_columns"] == counts["in_span3"] == 0, m
+        assert isinstance(check_convexity(std), Convex), m
 
 
 @pytest.mark.parametrize("n", [7, 8])
