@@ -33,9 +33,9 @@ from .normals import (
 )
 from .oracle import (
     SupportSet,
-    brute_hull_supports,
     dent,
     gen_convex_surface,
+    hull_supports,
     is_hull_boundary,
 )
 
@@ -56,7 +56,6 @@ __all__ = [
     "TraditionalFormComplex",
     "Verdict",
     "WheelStar",
-    "brute_hull_supports",
     "check_cone_convex",
     "check_complex",
     "check_convexity",
@@ -64,6 +63,7 @@ __all__ = [
     "dent",
     "face_counts",
     "gen_convex_surface",
+    "hull_supports",
     "is_hull_boundary",
     "precheck_edge_count",
     "reduce_to_3d",

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dent)
 
-    p = sub.add_parser("oracle", help="brute-force hull-boundary decision")
+    p = sub.add_parser("oracle", help="exact hull-boundary decision (desk scale)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 

@@ -63,10 +63,6 @@ def format_rational(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def dot(u: Vector, v: Vector) -> Scalar:
     return sum(a * b for a, b in zip(u, v, strict=True))
 

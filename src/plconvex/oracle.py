@@ -1,4 +1,4 @@
-"""Brute-force convex-hull ground truth and instance generators.
+"""Exact convex-hull ground truth and instance generators.
 
 Everything here is desk-scale and written apart from the checker's
 predicates, so that checker-oracle agreement in the tests is evidence, not
@@ -8,18 +8,18 @@ which gates is_hull_boundary's input; the oracle ranks each facet itself.
 All exact algebra is one local fraction-free Gauss-Jordan elimination on
 integer rows (_bareiss): its pivot columns give ranks and a one-to-one
 chart of an affine hull, its last pivot gives a determinant, and its
-reduced rows give the normal of the hyperplane through n points.  Each
-n-subset therefore costs a polynomial in n; the oracle is exponential only
-in the number of points.
+reduced rows give the normal of the hyperplane through n points, so each
+costs a polynomial in n.
 
-There is one side test: the support enumeration records the points on
-each supporting hyperplane (SupportSet.points_on), and everything else
-reads them from it.  The proper faces of a hull facet are the supports of
-its points in their own chart, and each hull facet is measured in one
-chart, which serves both sides of its volume equality.
-
-The only optimization is a vectorized int64 fast path for hyperplane
-enumeration, guarded by proven magnitude bounds so it stays exact.
+There is one support enumeration, gift wrapping: from a first facet, each
+ridge is pivoted across once to the facet beyond it, so the cost grows
+with the number of facets times the number of points.  It records the
+points on each supporting hyperplane (SupportSet.points_on), and
+everything else reads them from it.  The ridges of a facet with more than
+n points, and the proper faces of a hull facet, are the supports of its
+points in their own chart, found by the same enumeration one dimension
+down; each hull facet is measured in one chart, which serves both sides of
+its volume equality.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import (
     DegenerateCell,
@@ -42,18 +43,13 @@ from .normals import TraditionalFormComplex, validate_traditional
 Scalar = int | Fraction
 Point = tuple[Scalar, ...]
 
-# Largest |coordinate| per dimension for which every int64 intermediate in
-# the vectorized path provably fits: side values are bounded by
-# 2 * n * (n-1)! * (2B)^(n-1) * B < 2^63.
-_INT64_COORD_LIMIT = {3: 500_000, 4: 12_000, 5: 4_500}
-
-
 @dataclass(frozen=True)
 class SupportSet:
-    """Supporting hyperplanes of conv(points): dot(normal, x) >= offset holds
-    weakly for every input point, and each hyperplane contains at least n
-    affinely independent input points.  points_on[i] is the set of indices
-    of the input points on hyperplanes[i]."""
+    """The facet hyperplanes of conv(points), sorted: dot(normal, x) >=
+    offset holds weakly for every input point, each hyperplane contains at
+    least n affinely independent input points, and (normal, offset) are
+    coprime integers.  points_on[i] is the set of indices of the input
+    points on hyperplanes[i]."""
 
     hyperplanes: tuple[tuple[Point, Scalar], ...]
     points_on: tuple[frozenset[int], ...]
@@ -72,7 +68,7 @@ def _sub(u, v):
 
 
 def _dotp(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _bareiss(rows):
@@ -107,16 +103,17 @@ def _bareiss(rows):
 
 
 # ---------------------------------------------------------------------------
-# Hull supports
+# Hull supports: gift wrapping
 # ---------------------------------------------------------------------------
 
 
-def brute_hull_supports(points) -> SupportSet:
-    """All supporting hyperplanes spanned by n-subsets of the input.
+def hull_supports(points) -> SupportSet:
+    """The supporting hyperplanes of conv(points) that hold a facet.
 
-    Exponential in the number of points by design (every n-subset is
-    tried), polynomial in n per subset; intended for at most a few dozen
-    points.  Raises NotFullDimensional when the points do not span R^n.
+    Gift wrapping (Chand and Kapur, 1970; Swart, 1985): one elimination
+    per ridge and a few products per ridge and point, each polynomial in
+    n.  Raises NotFullDimensional
+    when the points do not span R^n.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -128,18 +125,11 @@ def brute_hull_supports(points) -> SupportSet:
     # denominator here and divide each offset by it on the way out.
     scale = math.lcm(*(c.denominator for p in pts for c in p))
     pts = [tuple(int(c * scale) for c in p) for p in pts]
-    diffs = [_sub(p, pts[0]) for p in pts[1:]]
-    if len(_bareiss(diffs)[1]) != n:
+    if _rank(pts) != n:
         raise NotFullDimensional("points do not span the ambient space")
-
-    limit = _INT64_COORD_LIMIT.get(n)
-    if limit and max(abs(c) for p in pts for c in p) <= limit:
-        planes = _supports_int64(pts, n)
-    else:
-        planes = _supports_exact(pts, n)
     pairs = sorted(
-        (_canonical_plane(normal, Fraction(offset, scale)), on)
-        for on, (normal, offset) in planes.items()
+        (_canonical_plane(normal, offset, scale), on)
+        for on, (normal, offset) in _supports(pts, n).items()
     )
     return SupportSet(
         hyperplanes=tuple(h for h, _ in pairs),
@@ -147,9 +137,14 @@ def brute_hull_supports(points) -> SupportSet:
     )
 
 
+def _rank(points):
+    """Dimension of the points' affine hull."""
+    return len(_bareiss([_sub(p, points[0]) for p in points[1:]])[1])
+
+
 def _normal_through(subset_pts, n):
     """Null vector of the points' differences, read off the reduced rows:
-    a normal of their hyperplane, or zero when they are affinely dependent.
+    a normal of their hyperplane, or zero when they span less.
     """
     base = subset_pts[0]
     rows, pivots, last = _bareiss([_sub(p, base) for p in subset_pts[1:]])
@@ -163,91 +158,124 @@ def _normal_through(subset_pts, n):
     return tuple(normal)
 
 
-def _canonical_plane(normal, offset):
-    """The plane as coprime integers: denominators cleared, gcd divided out."""
-    values = [Fraction(c) for c in (*normal, offset)]
-    scale = math.lcm(*(f.denominator for f in values))
-    ints = [int(f * scale) for f in values]
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints[:-1]), ints[-1] // g
+def _plane_through(points, w):
+    """The hyperplane the points span, as a primitive integer normal and its
+    offset, oriented so that w is on its positive side."""
+    normal = _normal_through(points, len(w))
+    g = math.gcd(*normal)
+    if _dotp(normal, w) < _dotp(normal, points[0]):
+        g = -g
+    normal = tuple(c // g for c in normal)
+    return normal, _dotp(normal, points[0])
 
 
-def _supports_exact(pts, n):
-    """{indices of the points on a supporting hyperplane: its canonical
-    inner plane}.  The points on a support span it, so they determine it."""
-    planes = {}
-    for subset in combinations(range(len(pts)), n):
-        normal = _normal_through([pts[i] for i in subset], n)
-        if not any(normal):
-            continue
-        offset = _dotp(normal, pts[subset[0]])
-        on, lo, hi = [], False, False
-        for i, q in enumerate(pts):
-            s = _dotp(normal, q) - offset
-            if s == 0:
-                on.append(i)
-            elif s > 0:
-                hi = True
-            else:
-                lo = True
-            if lo and hi:
-                break
-        else:
-            on = frozenset(on)
-            if on not in planes:
-                if lo:  # flip to the inner orientation: all sides >= 0
-                    normal = tuple(-c for c in normal)
-                    offset = -offset
-                planes[on] = _canonical_plane(normal, offset)
+def _canonical_plane(normal, offset, scale=1):
+    """The plane dot(normal, x) = offset of points scaled by scale, as
+    coprime integers in the unscaled coordinates."""
+    g = math.gcd(scale * math.gcd(*normal), offset)
+    return tuple(scale * c // g for c in normal), offset // g
+
+
+def _supports(pts, n):
+    """{indices of the points on a supporting hyperplane: (normal, offset),
+    the inner side dot(normal, x) >= offset} for integer points spanning
+    R^n.  From a first facet, each ridge is pivoted across once; the points
+    on a support span it, so they name it."""
+    if n == 1:
+        lo, hi = min(pts)[0], max(pts)[0]
+        return {
+            frozenset(i for i, p in enumerate(pts) if p[0] == c): ((s,), s * c)
+            for s, c in ((1, lo), (-1, hi))
+        }
+    on, plane = _first_facet(pts, n)
+    planes = {on: plane}
+    todo, done = [on], set()
+    while todo:
+        on = todo.pop()
+        inner = _inner(planes[on], pts, on)
+        for ridge in _ridges(on, pts, n):
+            if ridge in done:
+                continue
+            done.add(ridge)
+            w = pts[min(on - ridge)]
+            ridge_pts = [pts[i] for i in ridge]
+            plane, new = _pivot(ridge_pts, w, planes[on], inner, pts)
+            facet = ridge.union(new)
+            if facet not in planes:
+                planes[facet] = plane
+                todo.append(facet)
     return planes
 
 
-def _np_det(a):
-    d = a.shape[-1]
-    if d == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    out = None
-    for j in range(d):
-        cols = [c for c in range(d) if c != j]
-        term = ((-1) ** j) * a[..., 0, j] * _np_det(a[..., 1:, cols])
-        out = term if out is None else out + term
-    return out
+def _first_facet(pts, n):
+    """The support x_0 >= min x_0, turned until its points span a facet.
+
+    Each turn is about a pseudo-ridge: the flat of the support's points,
+    padded to n - 2 dimensions by in-plane vectors h_p e_j - h_j e_p, with
+    the next independent one as w.  Each turn adds at least one dimension.
+    """
+    low = min(p[0] for p in pts)
+    plane = ((1,) + (0,) * (n - 1), low)
+    on = frozenset(i for i, p in enumerate(pts) if p[0] == low)
+    while (rank := _rank(flat := [pts[i] for i in on])) < n - 1:
+        normal = plane[0]
+        p = next(j for j, c in enumerate(normal) if c)
+        for j in range(n):
+            w = list(flat[0])
+            w[j] += normal[p]
+            w[p] -= normal[j]
+            w = tuple(w)
+            if _rank([*flat, w]) > rank:
+                if rank == n - 2:
+                    break
+                flat.append(w)
+                rank += 1
+        plane, new = _pivot(flat, w, plane, _inner(plane, pts, on), pts)
+        on = on.union(new)
+    return on, plane
 
 
-def _supports_int64(pts, n):
-    import numpy as np
+def _ridges(on, pts, n):
+    """Point sets of a facet's ridges: its (n-1)-subsets when it holds n
+    points, else the supports of its points in their own chart."""
+    if len(on) == n:
+        return [on - {i} for i in on]
+    return _proper_faces(_span_chart(sorted(on), pts), n - 1)
 
-    arr = np.array(pts, dtype=np.int64)
-    k = len(pts)
-    combos = np.array(list(combinations(range(k), n)), dtype=np.intp)
-    base = arr[combos[:, 0]]
-    diffs = arr[combos[:, 1:]] - base[:, None, :]
-    normals = np.empty((len(combos), n), dtype=np.int64)
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        normals[:, j] = ((-1) ** j) * _np_det(diffs[:, :, cols])
-    nz = np.any(normals != 0, axis=1)
-    normals, base = normals[nz], base[nz]
-    offsets = np.einsum("sj,sj->s", normals, base)
-    sides = normals @ arr.T - offsets[:, None]
-    mins = sides.min(axis=1)
-    maxs = sides.max(axis=1)
-    keep = (mins >= 0) | (maxs <= 0)
-    normals, offsets, sides = normals[keep], offsets[keep], sides[keep]
-    flip = maxs[keep] <= 0
-    normals[flip] *= -1
-    offsets[flip] *= -1
-    g = np.gcd.reduce(
-        np.concatenate([np.abs(normals), np.abs(offsets)[:, None]], axis=1),
-        axis=1,
-    )
-    normals //= g[:, None]
-    offsets //= g
-    return {
-        frozenset(np.flatnonzero(row == 0).tolist()):
-            (tuple(nrm.tolist()), int(off))
-        for row, nrm, off in zip(sides, normals, offsets)
-    }
+
+def _pivot(ridge, w, plane, inner, pts):
+    """Turn a support about a ridge on it (points spanning an (n-2)-flat),
+    away from w (a point on it off the ridge), to the support beyond: its
+    plane and the inner points on it.
+
+    inner pairs the index of each point strictly inside the old plane f
+    with its height f(q) > 0.  The planes through the ridge form a pencil:
+    with g one of them, oriented so that g(w) > 0, the one through q is
+    f(q) g - g(q) f, and w is on its positive side.  A point p is on that plane's negative
+    side exactly when g(p) / f(p) < g(q) / f(q), so the turn stops at the
+    least ratio: one elimination per ridge, then a few products per point.
+    """
+    g = _plane_through([*ridge, pts[inner[0][0]]], w)
+    (least, height), on = (0, inner[0][1]), []
+    for i, f in inner:
+        gq = _dotp(g[0], pts[i]) - g[1]
+        c = gq * height - least * f
+        if c < 0:
+            (least, height), on = (gq, f), [i]
+        elif c == 0:
+            on.append(i)
+    normal = [height * a - least * b for a, b in zip(g[0], plane[0])]
+    d = math.gcd(*normal)
+    normal = tuple(c // d for c in normal)
+    return (normal, _dotp(normal, ridge[0])), on
+
+
+def _inner(plane, pts, on):
+    """(index, height) of each point off the support, strictly inside it."""
+    normal, offset = plane
+    return [
+        (i, _dotp(normal, p) - offset) for i, p in enumerate(pts) if i not in on
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +310,7 @@ def _proper_faces(chart, dim):
     if dim == 0:
         return set()  # coincident points
     ids = list(chart)
-    on_sets = _supports_exact([chart[i] for i in ids], dim)
+    on_sets = _supports([chart[i] for i in ids], dim)
     return {frozenset(ids[j] for j in on) for on in on_sets}
 
 
@@ -326,10 +354,9 @@ def is_hull_boundary(t: TraditionalFormComplex) -> bool:
     scale = math.lcm(*(c.denominator for v in t.vertices for c in v))
     pts = [tuple(int(c * scale) for c in v) for v in t.vertices]
     for f in t.facets:
-        base = pts[f[0]]
-        if len(_bareiss([_sub(pts[v], base) for v in f[1:]])[1]) < len(f) - 1:
+        if _rank([pts[v] for v in f]) < len(f) - 1:
             raise DegenerateCell(f"cell {tuple(f)} is not cellwise-flat")
-    on_sets = brute_hull_supports(pts).points_on
+    on_sets = hull_supports(pts).points_on
     if len(frozenset().union(*on_sets)) != len(pts):
         return False  # some vertex is strictly inside the hull
 
@@ -421,7 +448,7 @@ def gen_convex_surface(
         ]
         pts = list(dict.fromkeys(raw))
         try:
-            supports = brute_hull_supports(pts)
+            supports = hull_supports(pts)
         except NotFullDimensional:
             continue
         extreme = set(_extreme_points(pts, supports))

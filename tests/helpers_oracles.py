@@ -19,11 +19,19 @@ Laplace determinants: the reference for the eliminations' minors.
 Support point sets: the points on each supporting hyperplane, by direct
 evaluation; the reference for SupportSet.points_on.
 
+Subset supports: every n-subset's hyperplane, kept when it supports; the
+reference for the hull oracle's gift wrapping.
+
 None of this shares code with the library's predicates.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
+
+from plconvex import oracle
+from plconvex.oracle import _canonical_plane, _normal_through
 
 
 def cross2(a, b):
@@ -289,3 +297,50 @@ def _support_point_sets(pts, supports):
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Subset supports
+# ---------------------------------------------------------------------------
+
+
+def _supports_exact(pts, n):
+    """{indices of the points on a supporting hyperplane: its canonical
+    inner plane}.  The points on a support span it, so they determine it."""
+    planes = {}
+    for subset in combinations(range(len(pts)), n):
+        normal = _normal_through([pts[i] for i in subset], n)
+        if not any(normal):
+            continue
+        offset = _dotp(normal, pts[subset[0]])
+        on, lo, hi = [], False, False
+        for i, q in enumerate(pts):
+            s = _dotp(normal, q) - offset
+            if s == 0:
+                on.append(i)
+            elif s > 0:
+                hi = True
+            else:
+                lo = True
+            if lo and hi:
+                break
+        else:
+            on = frozenset(on)
+            if on not in planes:
+                if lo:  # flip to the inner orientation: all sides >= 0
+                    normal = tuple(-c for c in normal)
+                    offset = -offset
+                planes[on] = _canonical_plane(normal, offset)
+    return planes
+
+
+@contextmanager
+def subset_enumeration():
+    """Within the block, the hull oracle enumerates supports by trying
+    every n-subset, in hull_supports and in its faces alike."""
+    wrapping = oracle._supports
+    oracle._supports = _supports_exact
+    try:
+        yield
+    finally:
+        oracle._supports = wrapping

@@ -37,7 +37,7 @@ from plconvex.errors import (
 )
 from plconvex.checker import check_complex
 from plconvex.complexes import validate_standard
-from plconvex.exact import dot, pivot_columns, quotient_residuals, vsub
+from plconvex.exact import dot, pivot_columns, quotient_residuals
 from plconvex.normals import (
     TraditionalFormComplex,
     _check_simple,
@@ -63,6 +63,10 @@ DATA = Path(__file__).parent / "data"
 
 def _coords(table):
     return lambda v: table[v]
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def in_span(v, basis) -> bool:

@@ -11,21 +11,23 @@ from conftest import (
     simplicial_surface,
     subdivided_cube,
 )
-from helpers_oracles import _laplace_det, _support_point_sets
-from plconvex import Convex, NotConvex, check_complex
+from helpers_oracles import (
+    _laplace_det,
+    _support_point_sets,
+    subset_enumeration,
+)
+from plconvex import Convex, NotConvex, check_complex, oracle
+from plconvex.bench import sphere_hull_surface
 from plconvex.cli import main
 from plconvex.errors import GenerationFailed, NotFullDimensional, NotSimplicial
 from plconvex.formats import serialize_plc
 from plconvex.oracle import (
-    _INT64_COORD_LIMIT,
     _assemble_complex,
     _bareiss,
     _normal_through,
-    _supports_exact,
-    _supports_int64,
-    brute_hull_supports,
     dent,
     gen_convex_surface,
+    hull_supports,
     is_hull_boundary,
 )
 from test_exact import _gauss_rank
@@ -33,18 +35,18 @@ from test_exact import _gauss_rank
 
 def test_supports_tetrahedron():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert len(brute_hull_supports(pts)) == 4
+    assert len(hull_supports(pts)) == 4
 
 
 def test_supports_cube():
     pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-    supports = brute_hull_supports(pts)
+    supports = hull_supports(pts)
     assert len(supports) == 6
 
 
 def test_supports_interior_point_supports_nothing():
     pts = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)]
-    supports = brute_hull_supports(pts)
+    supports = hull_supports(pts)
     assert len(supports) == 4
     for normal, offset in supports.hyperplanes:
         s = sum(n * c for n, c in zip(normal, (1, 1, 1))) - offset
@@ -58,7 +60,7 @@ def test_supports_inner_side_invariant():
             tuple(rng.randrange(-50, 51) for _ in range(3)) for _ in range(10)
         ]
         try:
-            supports = brute_hull_supports(pts)
+            supports = hull_supports(pts)
         except NotFullDimensional:
             continue
         for normal, offset in supports.hyperplanes:
@@ -69,24 +71,102 @@ def test_supports_inner_side_invariant():
 def test_supports_permutation_and_scaling_invariance():
     rng = random.Random(23)
     pts = [tuple(rng.randrange(-40, 41) for _ in range(3)) for _ in range(12)]
-    base = brute_hull_supports(pts)
+    base = hull_supports(pts)
     perm = pts[::-1]
-    assert brute_hull_supports(perm).hyperplanes == base.hyperplanes
+    assert hull_supports(perm).hyperplanes == base.hyperplanes
     scaled = [tuple(3 * c for c in p) for p in pts]
-    scaled_supports = brute_hull_supports(scaled)
+    scaled_supports = hull_supports(scaled)
     assert len(scaled_supports) == len(base)
 
 
-def test_supports_exact_path_matches_int64_path():
+def _cube_vertex_sets(rng, n, bound, count):
+    corners = [
+        tuple(bound if (k >> j) & 1 else -bound for j in range(n))
+        for k in range(2**n)
+    ]
+    for _ in range(count):
+        yield rng.sample(corners, rng.randrange(n + 1, min(2**n, 2 * n + 6)))
+
+
+def _differential_sets():
     # Grid sets (coordinates in -2..2) make many n-subsets dependent.
     rng = random.Random(5)
     for n in (3, 4, 5):
         for bound in (30, 30, 30, 30, 30, 2, 2, 2, 2, 2):
-            pts = [
+            yield [
                 tuple(rng.randrange(-bound, bound + 1) for _ in range(n))
                 for _ in range(n + 5)
             ]
-            assert _supports_int64(pts, n) == _supports_exact(pts, n)
+    # Coincident points: each set repeats three of its points.
+    for n in (2, 3, 4, 5):
+        for bound in (1, 3, 1000):
+            pts = [
+                tuple(rng.randrange(-bound, bound + 1) for _ in range(n))
+                for _ in range(n + 4)
+            ]
+            yield pts + rng.sample(pts, 3)
+    yield _RATIONAL_3
+    yield _RATIONAL_4
+    for n in (3, 4, 5):
+        yield from _cube_vertex_sets(rng, n, 1, 4)
+
+
+def test_supports_match_subset_enumeration():
+    checked = 0
+    for pts in _differential_sets():
+        try:
+            wrapped = hull_supports(pts)
+        except NotFullDimensional:
+            continue
+        with subset_enumeration():
+            assert hull_supports(pts) == wrapped, pts
+        checked += 1
+    assert checked >= 50
+
+
+def test_supports_of_cube_vertices_at_4500_in_r5():
+    # Each side value here reaches about 10^21, past int64: a fast path
+    # bounded at 4,500 per coordinate in R^5 wrapped around.
+    rng = random.Random(28)
+    for pts in _cube_vertex_sets(rng, 5, 4500, 12):
+        with subset_enumeration():
+            reference = hull_supports(pts)
+        assert hull_supports(pts) == reference, pts
+
+
+def test_oracle_accepts_the_seed_6_hull_in_r5(tmp_path, capsys):
+    # The hull of the first sample; an int64 fast path bounded at 4,500
+    # resampled past it, and called it not a hull boundary.
+    t = gen_convex_surface(seed=6, n=5, num_points=9, coord_bound=4500)
+    assert t.vertices[0] == (-3180, 3446, -214, -3897, -4493)
+    assert len(t.vertices) == 9 and len(t.facets) == 26
+    assert isinstance(check_complex(t).verdict, Convex)
+    path = tmp_path / "hull.plc"
+    path.write_text(serialize_plc(t))
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == "hull-boundary\n"
+
+
+def test_supports_cost_is_output_sensitive(monkeypatch):
+    # Gift wrapping makes at most about one elimination per facet and
+    # point; trying every n-subset would take C(40, 4) = 91,390 at N = 40.
+    calls = 0
+    bareiss = oracle._bareiss
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return bareiss(rows)
+
+    monkeypatch.setattr(oracle, "_bareiss", counted)
+    cases = [
+        [(t, t * t, t**3, t**4) for t in range(n)] for n in (16, 24, 32, 40)
+    ]
+    cases.append(sphere_hull_surface(200, seed=0, radius=10**6).vertices)
+    for pts in cases:
+        calls = 0
+        supports = hull_supports(pts)
+        assert calls <= len(supports) * len(pts), (len(pts), calls)
 
 
 _f = Fraction
@@ -100,11 +180,11 @@ _RATIONAL_4 = [(0, 0, 0, 0), (_f(1, 2), 0, 0, 0), (0, _f(2, 3), 0, 0),
 
 def test_supports_rational_points():
     # Recorded from the Fraction elimination the integer kernel replaced.
-    assert brute_hull_supports(_RATIONAL_3).hyperplanes == (
+    assert hull_supports(_RATIONAL_3).hyperplanes == (
         ((-3, -3, -1), -1), ((-3, -1, -3), -1), ((-1, -3, -3), -1),
         ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0),
     )
-    assert brute_hull_supports(_RATIONAL_4).hyperplanes == (
+    assert hull_supports(_RATIONAL_4).hyperplanes == (
         ((-905, -1890, -2100, 1008), -1260), ((-90, 94, -75, 36), -45),
         ((0, 1, 0, -2), 0), ((0, 1, 0, 0), 0), ((0, 2, 3, 0), 0),
         ((1, 0, 0, 0), 0), ((5, 0, 0, -28), 0), ((5, 0, 21, 0), 0),
@@ -112,26 +192,21 @@ def test_supports_rational_points():
 
 
 def test_points_on_match_direct_evaluation():
-    # Both enumeration paths: coordinates the int64 path takes (and grid
-    # sets with many points per support), coordinates beyond its limits,
+    # Grid sets with many points per support, small and large coordinates,
     # and rational points.
     rng = random.Random(29)
     cases = [_RATIONAL_3, _RATIONAL_4]
     for n in (3, 4, 5):
-        limit = _INT64_COORD_LIMIT[n]
-        for bound in (2, 30, limit, 2 * limit):
+        for bound in (2, 30, 4_500, 600_000):
             for _ in range(3):
-                pts = [
+                cases.append([
                     tuple(rng.randrange(-bound, bound + 1) for _ in range(n))
                     for _ in range(n + 5)
-                ]
-                beyond = max(abs(c) for p in pts for c in p) > limit
-                assert beyond == (bound > limit)
-                cases.append(pts)
+                ])
     checked = 0
     for pts in cases:
         try:
-            supports = brute_hull_supports(pts)
+            supports = hull_supports(pts)
         except NotFullDimensional:
             continue
         assert len(supports.points_on) == len(supports.hyperplanes)
@@ -172,11 +247,11 @@ def test_bareiss_matches_reference_rank_det_and_normal():
 
 def test_supports_not_full_dimensional():
     with pytest.raises(NotFullDimensional):
-        brute_hull_supports([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        hull_supports([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(NotFullDimensional, match=r"^no points$"):
-        brute_hull_supports([])
+        hull_supports([])
     with pytest.raises(NotFullDimensional, match=r"^need at least 4 points$"):
-        brute_hull_supports([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        hull_supports([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
 
 def test_is_hull_boundary_octahedron():
