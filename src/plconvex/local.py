@@ -73,9 +73,10 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
     e_i every ridge ray lies on one line: m >= 3 such rays repeat a ray,
     and a digon takes N = u_0 x (its first facet normal not collinear with
     u_0).  Stars whose ridge rays span at most a plane go to
-    _planar_verdict with N; a rank-3 star sends the rim of ridge normals
-    itself to the cone check once every facet normal lies strictly inside
-    the sector of its two ridge rays.  Normals of any other length raise
+    _planar_verdict with N, the e_i and the wedges whose facet normal is
+    not u_i + u_(i+1); a rank-3 star sends the rim of ridge normals itself
+    to the cone check once every facet normal lies strictly inside the
+    sector of its two ridge rays.  Normals of any other length raise
     PreconditionViolated: wheel_star reads them on three axes at n >= 4.
     """
     m = star.m
@@ -118,7 +119,7 @@ def reduce_to_3d(star: WheelStar) -> LocalVerdict:
             return Inconsistent("facet normal 0 lies on a ridge ray")
     n0, n1, n2 = normal
     if not any(n0 * x0 + n1 * x1 + n2 * x2 for x0, x1, x2 in u):
-        return _planar_verdict(u, f, normal, antiparallel)
+        return _planar_verdict(u, f, normal, antiparallel, crosses, off_sum)
 
     # Genuinely 3-dimensional star.  A straight ridge pair forces the whole
     # star into two half-planes through that line, i.e. a 2-plane worth of
@@ -170,7 +171,9 @@ def _wedge_fault(j: int, k: int, p, g: Vector, c: Vector) -> str | None:
     return f"facet angle {j} between ridges {j} and {k} is reflex"
 
 
-def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
+def _planar_verdict(
+    u, f, normal: Vector, antiparallel, crosses, off_sum
+) -> LocalVerdict:
     """Ridge rays span a plane with normal N: one turning pass decides it.
 
     A facet normal g lies in the plane iff N.g = 0, and in-plane vectors
@@ -189,6 +192,17 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
     reach its start at all.  Two or more such facets can never bound a
     convex cone.  antiparallel lists the indices i whose ridge pair
     (i, i + 1) is antiparallel.
+
+    reduce_to_3d's products serve the pass.  crosses holds
+    e_j = u_j x u_(j+1), so s_j = sign(N.e_j).  off_sum lists the wedges
+    whose f_j is not u_j + u_(j+1); for every other wedge N.f_j =
+    N.u_j + N.u_(j+1) = 0, the star being planar, and
+    u_j x f_j = f_j x u_(j+1) = e_j, so orient(u_j, f_j) =
+    orient(f_j, u_(j+1)) = s_j.  When s_j != 0 such a wedge turns by its
+    minor angle in sense s_j with no further product; at s_j = 0 it takes
+    the general rule, which finds f_j on a ridge ray.  The sweep reads
+    orient(r, b) = sign(N.(r x b)) = sign((N x r).b), one cross product
+    q = N x r for the whole pass, and r.b only where q.b = 0.
 
     The verdict and its message do not depend on which normal of the plane
     N is.  Two normals differ by a nonzero factor lambda, which multiplies
@@ -222,10 +236,17 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
         )
         return (d > 0) - (d < 0)
 
+    off_sum = set(off_sum)
     # Each wedge's turn, and whether it turns by pi or more; None for the
     # out-of-plane half-plane facets.
     turns, jumps = [], []
-    for j, (a, b, g) in enumerate(zip(u, u[1:] + u[:1], f)):
+    pairs = zip(u, u[1:] + u[:1], f, crosses)
+    for j, (a, b, g, (e0, e1, e2)) in enumerate(pairs):
+        s = n0 * e0 + n1 * e1 + n2 * e2
+        s = (s > 0) - (s < 0)
+        if s and j not in off_sum:
+            turns.append((s, False))
+            continue
         if n0 * g[0] + n1 * g[1] + n2 * g[2]:
             if j not in antiparallel:
                 return Inconsistent(
@@ -234,7 +255,7 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
             jumps.append(j)
             turns.append(None)
             continue
-        s, ag = orient(a, b), orient(a, g)
+        ag = orient(a, g)
         if s:
             gb = orient(g, b)
             if (ag == 0 and dot(a, g) > 0) or (gb == 0 and dot(g, b) > 0):
@@ -256,15 +277,16 @@ def _planar_verdict(u, f, normal: Vector, antiparallel) -> LocalVerdict:
     # half-turn to the lower one, or turns by pi or more and ends in the
     # half-turn it started in.
     start = jumps[0] + 1 if jumps else 0
-    r = u[start % m]
+    r0, r1, r2 = u[start % m]
+    q0, q1, q2 = n1 * r2 - n2 * r1, n2 * r0 - n0 * r2, n0 * r1 - n1 * r0
     sense, upper, passes = turns[start % m][0], False, 0
     for t in range(start, start + m - len(jumps)):
         turn, wide = turns[t % m]
         if turn != sense:
             return Inconsistent(f"facet angles fold at ridge {t % m}")
-        b = u[(t + 1) % m]
-        h = orient(r, b)
-        b_upper = h < 0 or (h == 0 and dot(r, b) < 0)
+        b0, b1, b2 = u[(t + 1) % m]
+        h = q0 * b0 + q1 * b1 + q2 * b2
+        b_upper = h < 0 or (h == 0 and r0 * b0 + r1 * b1 + r2 * b2 < 0)
         passes += upper > b_upper or (upper == b_upper and wide)
         upper = b_upper
     if jumps and passes:

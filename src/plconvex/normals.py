@@ -103,21 +103,30 @@ def _convex_certificate(edges, turns, normal) -> bool:
 
     edges are its edge vectors e_i = p_(i+1) - p_i in cycle order, turns
     the signs sign(N.(e_(i-1) x e_i)) and normal the plane normal N.  An
-    exact O(k) sufficient test: every nonzero turn has one sign, every zero
-    turn goes straight on (dot > 0), and the edge directions wind exactly
-    once.  The winding is measured from the edge after the first strict
-    turn.  From there the direction angle only grows, by less than pi per
-    vertex, so it reaches 2*pi exactly when the sweep, having entered the
-    far half-plane of that edge, comes back to its side; directions that
-    wind once close the polygon before that.  False means "don't know".
+    exact O(k) sufficient test: no turn is negative, every zero turn goes
+    straight on (dot > 0), and the edge directions wind exactly once.  The
+    winding is measured from the edge after the first strict turn.  From
+    there the direction angle only grows, by less than pi per vertex, so it
+    reaches 2*pi exactly when the sweep, having entered the far half-plane
+    of that edge, comes back to its side; directions that wind once close
+    the polygon before that.  False means "don't know".
+
+    Asking for positive turns loses no polygon that turns one way, for
+    validate_polygon's N = d_1 x d_j, where d = p - p_0 and d_j is the
+    first one off the line of d_1.  If every zero turn goes straight on,
+    p_0 .. p_(j-1) run along d_1, so e_(j-2) = mu d_1 with mu > 0, and the
+    turn at p_(j-1) is sign(N.(mu d_1 x (d_j - d_(j-1)))) = sign(mu |N|^2),
+    as d_(j-1) is a multiple of d_1: positive.  A certified polygon is
+    convex with p_0, p_1 and p_j in cycle order, so its orientation is that
+    of the triangle they span, sign(N.(d_1 x d_j)) = +1.
     """
     k = len(edges)
-    # Some turn is strict: validate_polygon has rejected zero area, and
-    # with every turn zero all edges would lie on one line.
+    # Some turn is strict: validate_polygon has found two independent
+    # vertex differences, and with every turn zero all edges, and so all
+    # vertices, would lie on one line.
     start = next(i for i, t in enumerate(turns) if t)
-    sense = turns[start]
     for t, (ax, ay, az), (bx, by, bz) in zip(turns, edges[-1:] + edges, edges):
-        if t == -sense or (t == 0 and ax * bx + ay * by + az * bz <= 0):
+        if t < 0 or (t == 0 and ax * bx + ay * by + az * bz <= 0):
             return False
     # N.(r x e) = (N x r).e: one cross product serves the whole sweep.
     n0, n1, n2 = normal
@@ -126,8 +135,7 @@ def _convex_certificate(edges, turns, normal) -> bool:
     far = False
     for i in range(start + 1, start + k):
         ex, ey, ez = edges[i % k]
-        side = sense * (cx * ex + cy * ey + cz * ez)
-        if side < 0:
+        if cx * ex + cy * ey + cz * ez < 0:
             far = True
         elif far:
             return False
@@ -174,16 +182,22 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
     Any other polygon is read against one plane normal N = e1 x e2, where,
     with d = p - p0 for the vertices p in cycle order, e1 is the first
     nonzero d and e2 the first later d with e1 x d nonzero (none: the
-    vertices are collinear).  One pass over the d checks N.d = 0 (in the
-    plane) and sums N.(d_prev x d), twice the area times |N|^2 in the
-    sense of (e1, e2); its sign is the polygon's orientation.  The turns
-    sign(N.(e_(i-1) x e_i)) of the edge vectors e_i = p_(i+1) - p_i feed
-    the O(k) convex certificate and the corner rule; a polygon the
-    certificate cannot vouch for goes through _check_simple's pairwise
-    spike and segment tests, which read the same edges and turns.  A
-    turning vertex gets e_i - e_(i-1), negated at a reflex one; a straight
-    vertex gets orientation * (N x e_(i-1)), in the plane and perpendicular
-    to its edges.
+    vertices are collinear); the d are partial sums of the edge vectors
+    e_i = p_(i+1) - p_i.  One pass over the edges takes the turns
+    sign(N.(e_(i-1) x e_i)) and checks every edge in the plane: since
+    N.d_j = N.e_0 + ... + N.e_(j-1), the first edge e_i off the plane ends
+    at p_(i+1), the first vertex off it.  The turns feed the O(k) convex
+    certificate and the corner rule.  A polygon the certificate proves
+    convex turns positively about N, its orientation (see
+    _convex_certificate).  Any other takes the sign of N.(sum of
+    p_i x p_(i+1)), which equals N.(sum of d_i x d_(i+1)) since the cycle
+    closes: twice the area times |N|^2 in the sense of (e1, e2), zero for
+    a polygon of zero area.  It then goes through _check_simple's pairwise
+    spike and segment tests, which read the same edges and turns.  So a
+    vertex off the plane is named before zero area, and zero area before a
+    spike or a crossing.  A turning vertex gets e_i - e_(i-1), negated at
+    a reflex one; a straight vertex gets orientation * (N x e_(i-1)), in
+    the plane and perpendicular to its edges.
 
     Every sign here is an orientation in the frame (e1, e2).  In-plane
     vectors a = alpha*e1 + beta*e2 and b = gamma*e1 + delta*e2 have
@@ -219,42 +233,49 @@ def validate_polygon(cycle, coords, parsed=None) -> list[Vector]:
             (vx - 2 * ux, vy - 2 * uy, vz - 2 * uz),
             (ux - 2 * vx, uy - 2 * vy, uz - 2 * vz),
         ]
-    bx, by, bz = pts[0]
-    ds = [(x - bx, y - by, z - bz) for x, y, z in pts]
-    # Consecutive vertices differ, so e1 is d_1.
-    ux, uy, uz = ds[1]
-    for vx, vy, vz in ds[2:]:
+    edges = [
+        (qx - px, qy - py, qz - pz)
+        for (px, py, pz), (qx, qy, qz) in zip(pts, pts[1:] + pts[:1])
+    ]
+    # d_j = p_j - p_0 = e_0 + ... + e_(j-1); consecutive vertices differ,
+    # so e1 is d_1 = e_0.
+    ux, uy, uz = vx, vy, vz = edges[0]
+    for ex, ey, ez in edges[1:-1]:
+        vx, vy, vz = vx + ex, vy + ey, vz + ez
         n0, n1, n2 = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
         if n0 or n1 or n2:
             break
     else:
         raise NotPlanar("polygon has collinear vertices only")
-    sx = sy = sz = 0
-    px, py, pz = ds[-1]
-    for v, (dx, dy, dz) in zip(cycle, ds):
-        if n0 * dx + n1 * dy + n2 * dz:
+    # Edge e_i off the plane names p_(i+1).  The last edge,
+    # e_(k-1) = -d_(k-1), is in the plane once every other one is, so p_0
+    # is never named.
+    turns = []
+    ax, ay, az = edges[-1]
+    for v, (bx, by, bz) in zip(cycle[1:] + cycle[:1], edges):
+        if n0 * bx + n1 * by + n2 * bz:
             raise NotPlanar(
                 f"polygon vertex {(parsed or coords)(v)} off the facet plane"
             )
-        sx += py * dz - pz * dy
-        sy += pz * dx - px * dz
-        sz += px * dy - py * dx
-        px, py, pz = dx, dy, dz
-    area2 = n0 * sx + n1 * sy + n2 * sz
-    if not area2:
-        raise NotPlanar("polygon has zero area")
-    orientation = 1 if area2 > 0 else -1
-    edges = [
-        (qx - px, qy - py, qz - pz)
-        for (px, py, pz), (qx, qy, qz) in zip(pts, pts[1:] + pts[:1])
-    ]
-    turns = []
-    for (ax, ay, az), (bx, by, bz) in zip(edges[-1:] + edges, edges):
         t = (n0 * (ay * bz - az * by) + n1 * (az * bx - ax * bz)
              + n2 * (ax * by - ay * bx))
         turns.append((t > 0) - (t < 0))
+        ax, ay, az = bx, by, bz
     normal = (n0, n1, n2)
-    if not _convex_certificate(edges, turns, normal):
+    if _convex_certificate(edges, turns, normal):
+        orientation = 1
+    else:
+        sx = sy = sz = 0
+        px, py, pz = pts[-1]
+        for qx, qy, qz in pts:
+            sx += py * qz - pz * qy
+            sy += pz * qx - px * qz
+            sz += px * qy - py * qx
+            px, py, pz = qx, qy, qz
+        area2 = n0 * sx + n1 * sy + n2 * sz
+        if not area2:
+            raise NotPlanar("polygon has zero area")
+        orientation = 1 if area2 > 0 else -1
         _check_simple(cycle, pts, normal, edges, turns)
     # A straight vertex entered along a gets M x a, with M = orientation*N:
     # N x a lies in the plane and is perpendicular to a, and since N.a = 0,

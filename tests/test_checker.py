@@ -23,7 +23,12 @@ from plconvex import (
 )
 from helpers_oracles import oracle_cone_convex
 from plconvex.checker import EDGE_COUNT_EXCEEDED, check_complex
-from plconvex.complexes import CellId, validate_standard, wheel_star
+from plconvex.complexes import (
+    CellId,
+    StandardFormComplex,
+    validate_standard,
+    wheel_star,
+)
 from plconvex.errors import InvalidInputError
 from plconvex.local import Cone, reduce_to_3d
 from plconvex.oracle import dent, gen_convex_surface, is_hull_boundary
@@ -182,8 +187,24 @@ def test_m3_corners_still_run_full_test():
     # Corollary: 3-facet corners of closed surfaces are automatically locally
     # convex, but the checker still runs the test to catch data corruption.
     tet = to_standard(tetrahedron_traditional())
-    # Corrupt one facet normal to point along a ridge ray.
-    key = next(iter(tet.facet_normals))
-    tet.facet_normals[key] = tet.ridge_normals[(key[0], tet.corner_ridges[key[0]][0])]
-    verdict = check_convexity(tet)
-    assert isinstance(verdict, NotConvex)
+    # Corrupt one facet normal to point along a ridge ray, in a copy of the
+    # dict handed to a new complex: a complex owns the dicts it is built
+    # from, so they are not edited afterwards.
+    facet_normals = dict(tet.facet_normals)
+    key = next(iter(facet_normals))
+    facet_normals[key] = tet.ridge_normals[
+        (key[0], tet.corner_ridges[key[0]][0])
+    ]
+    corrupt = StandardFormComplex(
+        n=tet.n,
+        num_corners=tet.num_corners,
+        num_ridges=tet.num_ridges,
+        num_facets=tet.num_facets,
+        ridge_facet_pairs=[
+            (r, f) for r, row in enumerate(tet.ridge_facets) for f in row
+        ],
+        ridge_normals=dict(tet.ridge_normals),
+        facet_normals=facet_normals,
+    )
+    verdict = check_convexity(corrupt)
+    assert verdict == NotConvex("inconsistent", CellId(0, key[0]))

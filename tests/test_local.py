@@ -1177,13 +1177,22 @@ def _surface_stars(t):
 # Each consecutive ridge pair is classified once, by its cross product,
 # inline: neither the rank test nor the flat pass nor the wedge test calls a
 # collinearity pivot, an echelon or a plane frame, or classifies a pair
-# again.  Products per incidence: 6 for e_i, 3 for u_i.u_(i+1) on collinear
-# pairs and 3 for N.u_k, so at most 12 on a cone whose facet normals are
-# u_j + u_(j+1); a planar star adds at most 36 in the turning pass (N.g,
-# four orients of 6 and two on-ray dots of 3 per wedge).  Classifying each
-# pair again per check, as a pivot call per pair once did, reached 2.37
-# (hull) and 6.95 (prism) classifications per incidence.
-_CONE_PRODUCTS, _PLANAR_PRODUCTS = 12, 48
+# again.  Products that read a normal's coordinate, per incidence: 6 for
+# e_i, 3 for u_i.u_(i+1) on collinear pairs and 3 for N.u_k, so at most 12
+# on a cone whose facet normals are u_j + u_(j+1).  The turning pass reads
+# s_j = sign(N.e_j) from products of products, which read no coordinate,
+# and a wedge whose facet normal is u_j + u_(j+1) and s_j != 0 needs
+# nothing more; the sweep adds 3 for q.b, and per star 6 for q = N x r and
+# 3 for r.b at each b on the line of r (its last step, back at r, is one).
+# So a planar star of such wedges with no collinear pair costs 12 per
+# incidence plus 9 or more per star: 13.5 at m = 8, 12.0 at m = 512, and
+# 13.3 over the test prism's cone and flat stars (its 3-ridge flat stars
+# add a collinear pair and N.g at one out-of-plane facet).  The bound is
+# tight on purpose: one more cross product per flat incidence exceeds 14
+# on every input here.  Classifying each pair again per check, as a pivot
+# call per pair once did, reached 2.37 (hull) and 6.95 (prism)
+# classifications per incidence.
+_CONE_PRODUCTS, _PLANAR_PRODUCTS = 12, 14
 
 
 def test_hull_pivots_per_incidence(monkeypatch):

@@ -910,17 +910,18 @@ class _Counted(int):
 
 
 # validate_polygon's products on a prism cap, the hexagon of
-# _subdivided_ring with all but six vertices straight: 22 at every vertex
-# (3 for the plane test, 6 for the area, 9 for the turn and 4 for the
-# winding sweep, which skips one vertex) and 9 more at a straight vertex
-# (3 for the straight-on test, 6 for its normal M x a); the search for e2
-# takes 6 per straight vertex on the first side, and N, the sweep's cross
-# product, the area's sum and M = orientation * N take 18 per polygon.
-# That is 32k - 46 on a k-gon: 28.2, 30.1, 31.0, 31.5 and 32.0 per cap
-# vertex for k = 12, 24, 48, 96 and 2,004, approaching 32.  The bound is
+# _subdivided_ring with all but six vertices straight: 15 at every vertex
+# (3 for the plane test and 9 for the turn in one pass over the edges, and
+# 3 for the winding sweep, which skips one vertex) and 9 more at a
+# straight vertex (3 for the straight-on test, 6 for its normal M x a);
+# the search for e2 takes 6 per vertex on the first side, and the sweep's
+# cross product and M = orientation * N take 9 per polygon.  The cap is
+# certified convex, so its orientation is +1 and no area is summed.
+# That is 25k - 48 on a k-gon: 21.0, 23.0, 24.0, 24.5 and 25.0 per cap
+# vertex for k = 12, 24, 48, 96 and 2,004, approaching 25.  The bound is
 # tight on purpose: one more cross product per vertex (N recomputed at
 # each vertex, say) exceeds it at every k tested.
-PRODUCTS_PER_CAP_VERTEX = 32
+PRODUCTS_PER_CAP_VERTEX = 25
 PRODUCTS_PER_POLYGON = 12
 
 
